@@ -5,22 +5,14 @@ Every cell is computed by all available routes and they must agree:
 """
 
 import argparse
-from dataclasses import dataclass
 
 from edgewise.shelling import h_vector_checked
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    kmax: int = 6
-    qmax: int = 5
-    max_facets: int = 10**6
-
-
-def run(config: GridConfig) -> None:
-    for k in range(2, config.kmax + 1):
-        for q in range(1, config.qmax + 1):
-            h = h_vector_checked(k, q, config.max_facets)
+def run(args: argparse.Namespace) -> None:
+    for k in range(2, args.kmax + 1):
+        for q in range(1, args.qmax + 1):
+            h = h_vector_checked(k, q, args.max_facets)
             total = sum(h)
             print(f"k={k} q={q}: h = {h[:-1]}  (sum {total} = {q}^{k - 1})")
         print()
@@ -31,8 +23,7 @@ def main() -> None:
     parser.add_argument("--kmax", type=int, default=6)
     parser.add_argument("--qmax", type=int, default=5)
     parser.add_argument("--max-facets", type=int, default=10**6)
-    args = parser.parse_args()
-    run(GridConfig(kmax=args.kmax, qmax=args.qmax, max_facets=args.max_facets))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

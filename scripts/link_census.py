@@ -8,7 +8,6 @@ counting formulas:
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 from edgewise.subdivision import (
     build_complex,
@@ -19,14 +18,8 @@ from edgewise.subdivision import (
 )
 
 
-@dataclass(frozen=True)
-class CensusConfig:
-    k: int
-    q: int
-
-
-def run(config: CensusConfig) -> None:
-    k, q = config.k, config.q
+def run(args: argparse.Namespace) -> None:
+    k, q = args.k, args.q
     K = build_complex(k, q)
     print(f"T_{{{k},{q}}}: {len(K.vertices)} vertices, {K.num_facets} facets")
 
@@ -54,8 +47,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-k", type=int, required=True)
     parser.add_argument("-q", type=int, required=True)
-    args = parser.parse_args()
-    run(CensusConfig(k=args.k, q=args.q))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ h-vector against the weighted-table formula:
 """
 
 import argparse
-from dataclasses import dataclass
 
 from edgewise.starcluster import (
     base_facet_code,
@@ -15,14 +14,8 @@ from edgewise.starcluster import (
 )
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    kmax: int = 5
-    show_layers: bool = False
-
-
-def run(config: WalkConfig) -> None:
-    for k in range(2, config.kmax + 1):
+def run(args: argparse.Namespace) -> None:
+    for k in range(2, args.kmax + 1):
         q = k + 3
         report = sc_shelling_and_h(base_facet_code(k, q), q)
         print(f"k={k} q={q} base {report.base_code}")
@@ -34,7 +27,7 @@ def run(config: WalkConfig) -> None:
               f" X value {report.x_value}")
         print(f"  shelling valid: {report.certificate.valid}")
         print(f"  h = {report.h[:-1]}  formula {sc_h_formula(k)}")
-        if config.show_layers:
+        if args.show_layers:
             for row in report.rows:
                 print(f"    layer {row.layer} label {row.label} code {row.code}")
         print()
@@ -44,8 +37,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=5)
     parser.add_argument("--show-layers", action="store_true")
-    args = parser.parse_args()
-    run(WalkConfig(kmax=args.kmax, show_layers=args.show_layers))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .combinat import (
 )
 from .complexes import (
     CapacityError,
+    DisagreementError,
     ShellingCertificate,
     SimplicialComplex,
     are_isomorphic,
@@ -48,7 +49,6 @@ from .posets import (
     r_label_product,
 )
 from .shelling import (
-    DisagreementError,
     h_by_ascents,
     h_by_binomial,
     h_by_polynomial,

@@ -16,13 +16,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .combinat import partitions
-from .complexes import CapacityError
+from .complexes import CapacityError, DisagreementError
 from .posets import h_k_lambda, k_lambda
-from .shelling import DisagreementError, h_routes, shelling_certificate
+from .shelling import consensus, h_routes, shelling_certificate
 from .starcluster import (
     base_facet_code,
     sc_count_general_face,
@@ -30,8 +29,6 @@ from .starcluster import (
     sc_shelling_and_h,
 )
 from .subdivision import (
-    build_complex,
-    classify_link_of_face,
     count_distinct_links_dim,
     count_faces_with_link_type,
     count_link_types,
@@ -41,10 +38,8 @@ from .subdivision import (
     link_of_face,
     link_of_vertex,
     number_of_facets,
-    number_of_vertices,
     off_export,
     q_sequence,
-    vertex_partition,
     vertex_set,
     vertex_type,
 )
@@ -52,34 +47,11 @@ from .subdivision import (
 SCHEMA = 1
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k: int = 0
-    q: int = 0
-    fmt: str = "text"
-    out: str | None = None
-    max_facets: int = 10**6
-    vertex: tuple[int, ...] | None = None
-    faces: tuple[tuple[int, ...], ...] = ()
-    partition: tuple[int, ...] | None = None
-    table: bool = False
-    off: bool = False
-    base: tuple[int, ...] | None = None
-
-
 def _parse_tuple(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(part) for part in text.split(","))
 
 
-def _json_report(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_report(header: list[str], rows: list[list]) -> str:
+def _csv_report(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -87,312 +59,242 @@ def _csv_report(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _spaced(values) -> str:
+    return " ".join(map(str, values))
+
+
 def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
     """Drop the structurally-zero final entry of a ball's h-vector."""
-    assert h[-1] == 0
+    if h[-1] != 0:
+        raise DisagreementError(f"h-vector {h} of a ball ends in {h[-1]}, not 0")
     return h[:-1]
 
 
-def _require_grid(config: RunConfig) -> None:
-    if config.k < 2:
-        raise ValueError(f"k must be at least 2, got {config.k}")
-    if config.q < 1:
-        raise ValueError(f"q must be at least 1, got {config.q}")
+def _check_grid(args: argparse.Namespace) -> None:
+    """k and q in range, and k-1 coordinates in every --vertex, --face and
+    --base tuple."""
+    if args.k < 2:
+        raise ValueError(f"k must be at least 2, got {args.k}")
+    if args.q < 1:
+        raise ValueError(f"q must be at least 1, got {args.q}")
+    given = vars(args)
+    for point in [*given.get("face", ()), given.get("vertex"), given.get("base")]:
+        if point is not None and len(point) != args.k - 1:
+            raise ValueError(f"{point} has {len(point)} coordinates, not k-1 = {args.k - 1}")
 
 
-def _cmd_build(config: RunConfig) -> str:
-    _require_grid(config)
-    k, q = config.k, config.q
+def _build(args):
+    k, q = args.k, args.q
     total = number_of_facets(k, q)
-    if total > config.max_facets:
-        raise CapacityError(f"{total} facets exceeds the cap of {config.max_facets}")
-    if config.fmt == "off":
-        return off_export(k, q)
-    codes = facet_codes(k, q)
-    chains = {code: decode_facet(code, q) for code in codes}
+    if total > args.max_facets:
+        raise CapacityError(f"{total} facets exceeds the cap of {args.max_facets}")
     vertices = vertex_set(k, q)
-    if config.fmt == "json":
-        return _json_report(
-            {
-                "schema": SCHEMA,
-                "command": "build",
-                "k": k,
-                "q": q,
-                "num_vertices": len(vertices),
-                "num_facets": total,
-                "vertices": [list(v) for v in vertices],
-                "facets": [
-                    {"code": list(code), "chain": [list(v) for v in chains[code]]}
-                    for code in codes
-                ],
-            }
+    facets = [{"code": code, "chain": decode_facet(code, q)} for code in facet_codes(k, q)]
+    payload = {
+        "num_vertices": len(vertices),
+        "num_facets": total,
+        "vertices": vertices,
+        "facets": facets,
+    }
+
+    def text():
+        yield f"k={k} q={q}"
+        yield f"vertices: {len(vertices)}"
+        yield f"facets: {total}"
+        for v in vertices:
+            yield f"v {v}"
+        for facet in facets:
+            yield f"f {facet['code']}: {_spaced(facet['chain'])}"
+
+    def table():
+        rows = (
+            [_spaced(facet["code"]), ";".join(_spaced(v) for v in facet["chain"])]
+            for facet in facets
         )
-    if config.fmt == "csv":
-        rows = [
-            [" ".join(map(str, code)), ";".join(" ".join(map(str, v)) for v in chains[code])]
-            for code in codes
-        ]
-        return _csv_report(["code", "chain"], rows)
-    lines = [f"k={k} q={q}", f"vertices: {len(vertices)}", f"facets: {total}"]
-    for v in vertices:
-        lines.append(f"v {v}")
-    for code in codes:
-        chain = " ".join(str(v) for v in chains[code])
-        lines.append(f"f {code}: {chain}")
-    return "\n".join(lines) + "\n"
+        return ["code", "chain"], rows
+
+    return payload, text, table
 
 
-def _cmd_hvector(config: RunConfig) -> str:
-    _require_grid(config)
-    k, q = config.k, config.q
-    routes = h_routes(k, q, config.max_facets)
-    trimmed = {name: _trim(h) for name, h in sorted(routes.items())}
-    values = set(trimmed.values())
-    if len(values) != 1:
-        raise DisagreementError(f"h-vector routes disagree: {trimmed}")
-    h = values.pop()
-    verdict = f"{len(trimmed)} routes agree"
-    if config.fmt == "json":
-        return _json_report(
-            {
-                "schema": SCHEMA,
-                "command": "hvector",
-                "k": k,
-                "q": q,
-                "h": list(h),
-                "routes": {name: list(hh) for name, hh in trimmed.items()},
-                "agree": True,
-            }
-        )
-    if config.fmt == "csv":
-        rows = [["consensus", " ".join(map(str, h))]]
-        rows += [[name, " ".join(map(str, hh))] for name, hh in trimmed.items()]
-        return _csv_report(["route", "h"], rows)
-    lines = [f"k={k} q={q}", f"h = {h}", verdict]
-    for name, hh in trimmed.items():
-        lines.append(f"  {name}: {hh}")
-    return "\n".join(lines) + "\n"
+def _hvector(args):
+    routes = h_routes(args.k, args.q, args.max_facets)
+    h = _trim(consensus(routes))
+    trimmed = {name: _trim(hh) for name, hh in sorted(routes.items())}
+    payload = {"h": h, "routes": trimmed, "agree": True}
+
+    def text():
+        yield f"k={args.k} q={args.q}"
+        yield f"h = {h}"
+        yield f"{len(trimmed)} routes agree"
+        for name, hh in trimmed.items():
+            yield f"  {name}: {hh}"
+
+    def table():
+        rows = [["consensus", _spaced(h)]]
+        rows += [[name, _spaced(hh)] for name, hh in trimmed.items()]
+        return ["route", "h"], rows
+
+    return payload, text, table
 
 
-def _cmd_shell(config: RunConfig) -> str:
-    _require_grid(config)
-    report = shelling_certificate(config.k, config.q, config.max_facets)
-    if not report.certificate.valid:
-        raise DisagreementError(
-            f"shelling certificate invalid: witness {report.certificate.witness}"
-        )
+def _shell(args):
+    report = shelling_certificate(args.k, args.q, args.max_facets)
+    cert = report.certificate
+    if not cert.valid:
+        raise DisagreementError(f"shelling certificate invalid: witness {cert.witness}")
     if not report.restrictions_match:
         raise DisagreementError("certificate restrictions differ from the closed form")
     h = _trim(report.h)
-    order = report.order
-    restrictions = [sorted(r) for r in report.certificate.restrictions]
-    if config.fmt == "json":
-        return _json_report(
-            {
-                "schema": SCHEMA,
-                "command": "shell",
-                "k": config.k,
-                "q": config.q,
-                "num_facets": len(order),
-                "valid": True,
-                "restrictions_match": True,
-                "h": list(h),
-                "order": [list(code) for code in order],
-                "types": list(report.certificate.types),
-                "restrictions": [[list(v) for v in r] for r in restrictions],
-            }
+    restrictions = [sorted(r) for r in cert.restrictions]
+    payload = {
+        "num_facets": len(report.order),
+        "valid": True,
+        "restrictions_match": True,
+        "h": h,
+        "order": report.order,
+        "types": cert.types,
+        "restrictions": restrictions,
+    }
+
+    def text():
+        yield f"k={args.k} q={args.q}"
+        yield f"facets: {len(report.order)}"
+        yield "valid shelling: yes"
+        yield "restrictions match closed form: yes"
+        yield f"h = {h}"
+        for code, t, r in zip(report.order, cert.types, restrictions):
+            yield f"{code} type {t}: {_spaced(r)}"
+
+    def table():
+        rows = (
+            [_spaced(code), t, ";".join(_spaced(v) for v in r)]
+            for code, t, r in zip(report.order, cert.types, restrictions)
         )
-    if config.fmt == "csv":
-        rows = [
-            [
-                " ".join(map(str, code)),
-                report.certificate.types[i],
-                ";".join(" ".join(map(str, v)) for v in restrictions[i]),
-            ]
-            for i, code in enumerate(order)
-        ]
-        return _csv_report(["code", "type", "restriction"], rows)
-    lines = [
-        f"k={config.k} q={config.q}",
-        f"facets: {len(order)}",
-        "valid shelling: yes",
-        "restrictions match closed form: yes",
-        f"h = {h}",
-    ]
-    for i, code in enumerate(order):
-        parts = " ".join(str(v) for v in restrictions[i])
-        lines.append(f"{code} type {report.certificate.types[i]}: {parts}")
-    return "\n".join(lines) + "\n"
+        return ["code", "type", "restriction"], rows
+
+    return payload, text, table
 
 
-def _cmd_link(config: RunConfig) -> str:
-    _require_grid(config)
-    k, q = config.k, config.q
-    if (config.vertex is None) == (not config.faces):
-        raise ValueError("give exactly one of --vertex or --face")
-    if config.vertex is not None:
-        v = config.vertex
+def _link(args):
+    k, q = args.k, args.q
+    if args.vertex is not None:
+        v = args.vertex
         t = vertex_type(v, q)
-        lam = vertex_partition(v, q)
-        report = link_of_vertex(v, q, certify=True)
+        lam = t.partition()
+        link = link_of_vertex(v, q, certify=True)
+        interior = lam == (1,) * k
         payload = {
-            "schema": SCHEMA,
-            "command": "link",
-            "k": k,
-            "q": q,
-            "vertex": list(v),
+            "vertex": v,
             "type": {
                 "leading_zeros": t.leading_zeros,
-                "runs": list(t.inner_runs),
+                "runs": t.inner_runs,
                 "trailing_max": t.trailing_max,
             },
-            "partition": list(lam),
-            "interior": lam == (1,) * k,
-            "link_facets": report.num_facets,
+            "partition": lam,
+            "interior": interior,
+            "link_facets": link.num_facets,
             "model": f"K{lam}",
             "certified": True,
         }
-        if config.fmt == "json":
-            return _json_report(payload)
-        lines = [
-            f"k={k} q={q} vertex {v}",
-            f"type: leading zeros {t.leading_zeros}, runs {t.inner_runs}, "
-            f"trailing max {t.trailing_max}",
-            f"partition: {lam}",
-            f"interior: {'yes' if payload['interior'] else 'no'}",
-            f"link facets: {report.num_facets}",
-            f"link is K{lam}: certified",
-        ]
-        return "\n".join(lines) + "\n"
-    face = config.faces
-    cls = classify_link_of_face(face, q)
-    report = link_of_face(face, q, certify=True)
+
+        def text():
+            yield f"k={k} q={q} vertex {v}"
+            yield (f"type: leading zeros {t.leading_zeros}, runs {t.inner_runs}, "
+                   f"trailing max {t.trailing_max}")
+            yield f"partition: {lam}"
+            yield f"interior: {'yes' if interior else 'no'}"
+            yield f"link facets: {link.num_facets}"
+            yield f"link is K{lam}: certified"
+
+        return payload, text, None
+    report = link_of_face(args.face, q, certify=True)
+    cls = report.link_class
     payload = {
-        "schema": SCHEMA,
-        "command": "link",
-        "k": k,
-        "q": q,
-        "face": [list(v) for v in sorted(face, key=sum)],
-        "blocks": list(cls.block_sizes),
-        "sigmas": [list(s) for s in cls.signatures],
-        "iso_key": {
-            "simplex_part": cls.iso_key[0],
-            "join_parts": [list(p) for p in cls.iso_key[1]],
-        },
+        "face": sorted(args.face, key=sum),
+        "blocks": cls.block_sizes,
+        "sigmas": cls.signatures,
+        "iso_key": {"simplex_part": cls.iso_key[0], "join_parts": cls.iso_key[1]},
         "link_facets": report.link.num_facets,
-        "certified": report.certified,
+        "certified": True,
     }
-    if config.fmt == "json":
-        return _json_report(payload)
-    lines = [
-        f"k={k} q={q} face of {len(face)} vertices",
-        f"block sizes: {cls.block_sizes}",
-        f"signatures: {cls.signatures}",
-        f"iso key: simplex part {cls.iso_key[0]}, join parts {cls.iso_key[1]}",
-        f"link facets: {report.link.num_facets}",
-        f"link matches the chain-product join model: {'certified' if report.certified else 'no'}",
-    ]
-    return "\n".join(lines) + "\n"
+
+    def text():
+        yield f"k={k} q={q} face of {len(args.face)} vertices"
+        yield f"block sizes: {cls.block_sizes}"
+        yield f"signatures: {cls.signatures}"
+        yield f"iso key: simplex part {cls.iso_key[0]}, join parts {cls.iso_key[1]}"
+        yield f"link facets: {report.link.num_facets}"
+        yield "link matches the chain-product join model: certified"
+
+    return payload, text, None
 
 
 def _face_count_table(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
-    table = []
-    for s in range(1, k + 1):
-        for lam in partitions(k, s):
-            table.append((lam, count_faces_with_link_type(k, q, lam)))
-    return table
+    """(partition, face count) for every partition of k, fewest parts first."""
+    by_parts = sorted(partitions(k), key=len)
+    return [(lam, count_faces_with_link_type(k, q, lam)) for lam in by_parts]
 
 
-def _cmd_classify(config: RunConfig) -> str:
-    _require_grid(config)
-    k, q = config.k, config.q
-    if config.partition is not None:
-        lam = tuple(sorted(config.partition, reverse=True))
-        if sum(lam) != k or any(p < 1 for p in lam):
-            raise ValueError(f"{config.partition} is not a partition of {k}")
+def _classify(args):
+    k, q = args.k, args.q
+    if args.partition is not None:
+        lam = tuple(sorted(args.partition, reverse=True))
         count = count_faces_with_link_type(k, q, lam)
         h_model = h_k_lambda(lam)
-        model_vertices = k_lambda(lam).vertices if sum(lam) >= 2 else ()
+        model_vertices = len(k_lambda(lam).vertices) if sum(lam) >= 2 else 0
         payload = {
-            "schema": SCHEMA,
-            "command": "classify-links",
-            "k": k,
-            "q": q,
-            "partition": list(lam),
+            "partition": lam,
             "count": count,
-            "model_h": list(h_model),
-            "model_vertices": len(model_vertices),
+            "model_h": h_model,
+            "model_vertices": model_vertices,
         }
-        if config.fmt == "json":
-            return _json_report(payload)
-        lines = [
-            f"k={k} q={q} partition {lam}",
-            f"faces with this link type: {count}",
-            f"model h-vector: {h_model}",
-            f"model vertices: {len(model_vertices)}",
-        ]
-        return "\n".join(lines) + "\n"
-    if config.table:
-        table = _face_count_table(k, q)
-        if config.fmt == "json":
-            return _json_report(
-                {
-                    "schema": SCHEMA,
-                    "command": "classify-links",
-                    "k": k,
-                    "q": q,
-                    "table": [
-                        {"partition": list(lam), "count": c} for lam, c in table
-                    ],
-                }
-            )
-        if config.fmt == "csv":
-            rows = [[" ".join(map(str, lam)), c] for lam, c in table]
-            return _csv_report(["partition", "count"], rows)
-        lines = [f"k={k} q={q}"]
-        for lam, c in table:
-            lines.append(f"{lam}: {c}")
-        lines.append(f"total: {sum(c for _, c in table)}")
-        return "\n".join(lines) + "\n"
-    by_size = [(t, count_link_types_of_faces(k, q, t)) for t in range(1, k + 1)]
-    payload = {
-        "schema": SCHEMA,
-        "command": "classify-links",
-        "k": k,
-        "q": q,
-        "vertex_link_types": count_link_types(k, q),
-        "face_link_types_by_size": [[t, c] for t, c in by_size],
-    }
-    if config.fmt == "json":
-        return _json_report(payload)
-    if config.fmt == "csv":
-        return _csv_report(["face_size", "link_types"], [[t, c] for t, c in by_size])
-    lines = [f"k={k} q={q}", f"vertex link types: {count_link_types(k, q)}"]
-    for t, c in by_size:
-        lines.append(f"faces of dimension {t - 1}: {c} link types")
-    return "\n".join(lines) + "\n"
+
+        def text():
+            yield f"k={k} q={q} partition {lam}"
+            yield f"faces with this link type: {count}"
+            yield f"model h-vector: {h_model}"
+            yield f"model vertices: {model_vertices}"
+
+        return payload, text, None
+    if args.table:
+        counts = _face_count_table(k, q)
+        payload = {"table": [{"partition": lam, "count": c} for lam, c in counts]}
+
+        def text():
+            yield f"k={k} q={q}"
+            for lam, c in counts:
+                yield f"{lam}: {c}"
+            yield f"total: {sum(c for _, c in counts)}"
+
+        def table():
+            return ["partition", "count"], ([_spaced(lam), c] for lam, c in counts)
+
+        return payload, text, table
+    vertex_types = count_link_types(k, q)
+    by_size = [[t, count_link_types_of_faces(k, q, t)] for t in range(1, k + 1)]
+    payload = {"vertex_link_types": vertex_types, "face_link_types_by_size": by_size}
+
+    def text():
+        yield f"k={k} q={q}"
+        yield f"vertex link types: {vertex_types}"
+        for t, c in by_size:
+            yield f"faces of dimension {t - 1}: {c} link types"
+
+    return payload, text, lambda: (["face_size", "link_types"], by_size)
 
 
-def _cmd_star_cluster(config: RunConfig) -> str:
-    _require_grid(config)
-    k, q = config.k, config.q
-    if config.faces:
-        count = sc_count_general_face(config.faces, q)
-        payload = {
-            "schema": SCHEMA,
-            "command": "star-cluster",
-            "k": k,
-            "q": q,
-            "face": [list(v) for v in sorted(config.faces, key=sum)],
-            "count": count,
-        }
-        if config.fmt == "json":
-            return _json_report(payload)
-        return (
-            f"k={k} q={q} face of {len(config.faces)} vertices\n"
-            f"star cluster facets: {count}\n"
-        )
-    base = config.base if config.base is not None else base_facet_code(k, q)
+def _star_cluster(args):
+    k, q = args.k, args.q
+    if args.face:
+        count = sc_count_general_face(args.face, q)
+        payload = {"face": sorted(args.face, key=sum), "count": count}
+
+        def text():
+            yield f"k={k} q={q} face of {len(args.face)} vertices"
+            yield f"star cluster facets: {count}"
+
+        return payload, text, None
+    base = args.base if args.base is not None else base_facet_code(k, q)
     report = sc_shelling_and_h(base, q)
     counts = {
         "enumeration": report.count_enumerated,
@@ -411,83 +313,66 @@ def _cmd_star_cluster(config: RunConfig) -> str:
         raise DisagreementError(
             f"star cluster h {h} differs from the weighted table formula {sc_h_formula(k)}"
         )
-    if config.fmt == "json":
-        return _json_report(
-            {
-                "schema": SCHEMA,
-                "command": "star-cluster",
-                "k": k,
-                "q": q,
-                "base": list(base),
-                "num_facets": report.count_enumerated,
-                "layers": list(report.layer_sizes),
-                "counts": counts,
-                "valid": True,
-                "h": list(h),
-            }
-        )
-    lines = [
-        f"k={k} q={q} base code {tuple(base)}",
-        f"facets: {report.count_enumerated}",
-        f"layers: {' + '.join(map(str, report.layer_sizes))}",
-        "counts agree: enumeration = inclusion-exclusion = partition formula"
-        f" = {report.x_value}",
-        "valid shelling: yes",
-        f"h = {h}",
-    ]
-    return "\n".join(lines) + "\n"
+    payload = {
+        "base": base,
+        "num_facets": report.count_enumerated,
+        "layers": report.layer_sizes,
+        "counts": counts,
+        "valid": True,
+        "h": h,
+    }
+
+    def text():
+        yield f"k={k} q={q} base code {base}"
+        yield f"facets: {report.count_enumerated}"
+        yield f"layers: {' + '.join(map(str, report.layer_sizes))}"
+        yield ("counts agree: enumeration = inclusion-exclusion = partition formula"
+               f" = {report.x_value}")
+        yield "valid shelling: yes"
+        yield f"h = {h}"
+
+    return payload, text, None
 
 
-def _golden_tables() -> dict[str, str]:
-    face_rows = [
-        [" ".join(map(str, lam)), c] for lam, c in _face_count_table(6, 6)
-    ]
-    qs = q_sequence(9)
-    return {
+def _tables(args):
+    face_rows = [[_spaced(lam), c] for lam, c in _face_count_table(6, 6)]
+    tables = {
         "face_counts_k6.csv": _csv_report(["partition", "count"], face_rows),
-        "q_sequence.csv": _csv_report(
-            ["s", "q_s"], [[s, qs[s]] for s in range(len(qs))]
-        ),
+        "q_sequence.csv": _csv_report(["s", "q_s"], enumerate(q_sequence(9))),
         "distinct_links.csv": _csv_report(
             ["dim", "count"], [[m, count_distinct_links_dim(m)] for m in range(10)]
         ),
     }
-
-
-def _cmd_tables(config: RunConfig) -> str:
-    tables = _golden_tables()
-    if config.out is not None:
-        directory = Path(config.out)
-        directory.mkdir(parents=True, exist_ok=True)
+    if args.directory is not None:
+        args.directory.mkdir(parents=True, exist_ok=True)
         for name, content in sorted(tables.items()):
-            (directory / name).write_text(content)
-        return "".join(f"wrote {directory / name}\n" for name in sorted(tables))
-    chunks = []
-    for name, content in sorted(tables.items()):
-        chunks.append(f"# {name}\n{content}")
-    return "".join(chunks)
+            (args.directory / name).write_text(content)
+        return None, lambda: (f"wrote {args.directory / name}" for name in sorted(tables)), None
+
+    def text():
+        for name, content in sorted(tables.items()):
+            yield f"# {name}"
+            yield from content.splitlines()
+
+    return None, text, None
 
 
-def _cmd_export(config: RunConfig) -> str:
-    _require_grid(config)
-    if not config.off:
-        raise ValueError("export requires --off")
-    total = number_of_facets(config.k, config.q)
-    if total > config.max_facets:
-        raise CapacityError(f"{total} facets exceeds the cap of {config.max_facets}")
-    return off_export(config.k, config.q)
+def _export(args):
+    return None, off_export(args.k, args.q, args.max_facets).splitlines, None
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "hvector": _cmd_hvector,
-    "shell": _cmd_shell,
-    "link": _cmd_link,
-    "classify-links": _cmd_classify,
-    "star-cluster": _cmd_star_cluster,
-    "tables": _cmd_tables,
-    "export": _cmd_export,
-}
+def _render(args: argparse.Namespace, payload, text, table) -> str:
+    """The report in the format args.fmt names, from what a verb returns: its
+    JSON payload, a function yielding its text lines, and a function giving
+    its CSV (header, rows) or None.  The forms not asked for are never built."""
+    if args.fmt == "json":
+        header = {"schema": SCHEMA, "command": args.command, "k": args.k, "q": args.q}
+        return json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n"
+    if args.fmt == "csv":
+        if table is None:
+            raise ValueError(f"this {args.command} report has no csv form")
+        return _csv_report(*table())
+    return "".join(f"{line}\n" for line in text())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,83 +382,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_kq=True):
-        if need_kq:
-            p.add_argument("-k", type=int, required=True, help="number of chain vertices per facet")
-            p.add_argument("-q", type=int, required=True, help="subdivision parameter")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=["text", "json", "csv", "off"])
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--max-facets", type=int, default=10**6)
+    def add_verb(name, verb, summary, formats=(), capped=False):
+        """Subparser with -k, -q, --out, and --format or --max-facets if asked."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(verb=verb, fmt="text")
+        p.add_argument("-k", type=int, required=True, help="number of chain vertices per facet")
+        p.add_argument("-q", type=int, required=True, help="subdivision parameter")
+        if formats:
+            p.add_argument("--format", dest="fmt", default="text", choices=formats)
+        p.add_argument("--out", type=Path, default=None, help="write the report to this path")
+        if capped:
+            p.add_argument("--max-facets", type=int, default=10**6)
+        return p
 
-    add_common(sub.add_parser("build", help="facet codes and vertices"))
-    add_common(sub.add_parser("hvector", help="h-vector by every route"))
-    add_common(sub.add_parser("shell", help="shelling order and certificate"))
+    tabular = ("text", "json", "csv")
+    add_verb("build", _build, "facet codes and vertices", tabular, capped=True)
+    add_verb("hvector", _hvector, "h-vector by every route", tabular, capped=True)
+    add_verb("shell", _shell, "shelling order and certificate", tabular, capped=True)
 
-    link = sub.add_parser("link", help="link of a vertex or face")
-    add_common(link)
-    link.add_argument("--vertex", type=_parse_tuple, default=None,
-                      help="comma-separated vertex coordinates")
-    link.add_argument("--face", action="append", type=_parse_tuple, default=[],
-                      help="one face vertex per flag, repeated")
+    link = add_verb("link", _link, "link of a vertex or face", ("text", "json"))
+    selector = link.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--vertex", type=_parse_tuple, default=None,
+                          help="comma-separated vertex coordinates")
+    selector.add_argument("--face", action="append", type=_parse_tuple, default=[],
+                          help="one face vertex per flag, repeated")
 
-    classify = sub.add_parser("classify-links", help="link type counts and tables")
-    add_common(classify)
+    classify = add_verb("classify-links", _classify, "link type counts and tables", tabular)
     classify.add_argument("--table", action="store_true",
                           help="per-partition face counts")
     classify.add_argument("--partition", type=_parse_tuple, default=None,
                           help="count faces with this link type")
 
-    sc = sub.add_parser("star-cluster", help="star cluster of an interior facet")
-    add_common(sc)
+    sc = add_verb("star-cluster", _star_cluster, "star cluster of an interior facet",
+                  ("text", "json"))
     sc.add_argument("--base", type=_parse_tuple, default=None,
                     help="interior facet code, default 1,2,...,k-1")
     sc.add_argument("--face", action="append", type=_parse_tuple, default=[],
                     help="count the star cluster of this interior face instead")
 
     tables = sub.add_parser("tables", help="regenerate the reference tables")
-    tables.add_argument("--out", default=None, help="directory for the CSV files")
+    tables.set_defaults(verb=_tables, fmt="text", out=None)
+    tables.add_argument("--out", dest="directory", type=Path, default=None,
+                        help="directory for the CSV files")
 
-    export = sub.add_parser("export", help="geometric realization")
-    add_common(export)
-    export.add_argument("--off", action="store_true", help="emit the OFF format")
+    export = add_verb("export", _export, "geometric realization", capped=True)
+    export.add_argument("--off", action="store_true", required=True,
+                        help="emit the OFF format")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = RunConfig(
-        command=args.command,
-        k=getattr(args, "k", 0),
-        q=getattr(args, "q", 0),
-        fmt=getattr(args, "fmt", "text"),
-        out=getattr(args, "out", None),
-        max_facets=getattr(args, "max_facets", 10**6),
-        vertex=getattr(args, "vertex", None),
-        faces=tuple(getattr(args, "face", []) or []),
-        partition=getattr(args, "partition", None),
-        table=getattr(args, "table", False),
-        off=getattr(args, "off", False),
-        base=getattr(args, "base", None),
-    )
     try:
-        report = _COMMANDS[config.command](config)
+        if "k" in args:
+            _check_grid(args)
+        report = _render(args, *args.verb(args))
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
-    except (DisagreementError, AssertionError) as exc:
+    except DisagreementError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return 2
-    if config.out is not None and config.command != "tables":
-        Path(config.out).write_text(report)
+    if args.out is not None:
+        args.out.write_text(report)
     else:
         sys.stdout.write(report)
     return 0

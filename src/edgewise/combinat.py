@@ -65,6 +65,18 @@ def validate_partition(parts: tuple[int, ...], k: int | None = None) -> None:
         raise ValueError(f"{parts} does not partition {k}")
 
 
+def cyclic_gaps(positions, k: int) -> list[int]:
+    """Gaps between consecutive increasing positions in 1..k, the last gap
+    wrapping around from the largest position back to the smallest.
+
+    >>> cyclic_gaps((1, 4), 6)
+    [3, 3]
+    """
+    gaps = [b - a for a, b in zip(positions, positions[1:])]
+    gaps.append(k - positions[-1] + positions[0])
+    return gaps
+
+
 def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All words over the multiset {1^parts[0], 2^parts[1], ...}, lex order.
 

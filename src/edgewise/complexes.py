@@ -20,6 +20,11 @@ class CapacityError(Exception):
     """Raised when an operation would exceed its configured size budget."""
 
 
+class DisagreementError(Exception):
+    """Independent computation routes returned different answers, or an
+    internal invariant failed."""
+
+
 Face = frozenset
 
 

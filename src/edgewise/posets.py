@@ -22,7 +22,7 @@ from math import comb
 from typing import Any
 
 from .combinat import des, multiset_permutations, validate_partition
-from .complexes import CapacityError, SimplicialComplex, h_vector
+from .complexes import CapacityError, DisagreementError, SimplicialComplex, h_vector
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def r_label_product(P: GradedPoset, verify: bool = True) -> GradedPoset:
     labels = []
     for x, y in P.covers:
         delta = [i for i in range(len(lengths)) if x[i] != y[i]]
-        assert len(delta) == 1 and y[delta[0]] == x[delta[0]] + 1
+        if len(delta) != 1 or y[delta[0]] != x[delta[0]] + 1:
+            raise DisagreementError(f"cover {x} < {y} does not raise one coordinate by 1")
         labels.append(delta[0] + 1)
     labeled = GradedPoset(P.elements, P.covers, tuple(labels))
     if verify:
@@ -134,7 +135,7 @@ def _check_r_labeling(P: GradedPoset, lengths: tuple[int, ...]) -> None:
                 if all(word[i] <= word[i + 1] for i in range(len(word) - 1)):
                     rising += 1
             if rising != 1:
-                raise AssertionError(
+                raise DisagreementError(
                     f"interval [{x}, {y}] has {rising} weakly rising chains"
                 )
 
@@ -267,7 +268,8 @@ def h_k_lambda(parts: tuple[int, ...]) -> tuple[int, ...]:
     """
     words = h_k_lambda_by_words(parts)
     rec = h_k_lambda_recurrence(parts)
-    assert words == rec, f"h-vector routes disagree for {parts}: {words} vs {rec}"
+    if words != rec:
+        raise DisagreementError(f"h-vector routes disagree for {parts}: {words} vs {rec}")
     return words
 
 

@@ -18,15 +18,12 @@ from math import comb
 from .combinat import convolve
 from .complexes import (
     CapacityError,
+    DisagreementError,
     ShellingCertificate,
     SimplicialComplex,
     verify_shelling,
 )
 from .subdivision import Code, Vertex, decode_facet, facet_codes, number_of_facets
-
-
-class DisagreementError(Exception):
-    """Independent computation routes returned different answers."""
 
 
 def shelling_key(code: Code):
@@ -158,10 +155,15 @@ def h_routes(k: int, q: int, max_facets: int = 10**6) -> dict[str, tuple[int, ..
     return routes
 
 
-def h_vector_checked(k: int, q: int, max_facets: int = 10**6) -> tuple[int, ...]:
-    """The h-vector, with every route required to agree."""
-    routes = h_routes(k, q, max_facets)
+def consensus(routes: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The one h-vector every route returned; DisagreementError names each
+    route's answer when they differ."""
     values = set(routes.values())
     if len(values) != 1:
         raise DisagreementError(f"h-vector routes disagree: {routes}")
     return values.pop()
+
+
+def h_vector_checked(k: int, q: int, max_facets: int = 10**6) -> tuple[int, ...]:
+    """The h-vector, with every route required to agree."""
+    return consensus(h_routes(k, q, max_facets))

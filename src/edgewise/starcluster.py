@@ -18,10 +18,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
-from .combinat import des, h_rows_recursive, init, multiplicities, partitions, x_sequence
-from .complexes import ShellingCertificate, SimplicialComplex, verify_shelling
+from .combinat import (
+    cyclic_gaps,
+    des,
+    h_rows_recursive,
+    init,
+    multiplicities,
+    partitions,
+    x_sequence,
+)
+from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex, verify_shelling
 from .subdivision import (
     Code,
     Vertex,
@@ -129,7 +137,8 @@ def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
                     LayerFacet(j, sigma, pi, facet_code_for_permutation(vj, pi, q))
                 )
     codes = [row.code for row in rows]
-    assert len(set(codes)) == len(codes), "structured enumeration repeated a facet"
+    if len(set(codes)) != len(codes):
+        raise DisagreementError("structured enumeration repeated a facet")
     return tuple(rows)
 
 
@@ -138,22 +147,24 @@ def sc_facet_codes(base: Code, q: int) -> tuple[Code, ...]:
     return tuple(row.code for row in sc_layers(base, q))
 
 
+def _inclusion_exclusion(positions, k: int) -> int:
+    """Star cluster size of the face at these increasing chain positions
+    (in 1..k) of an interior facet, by inclusion-exclusion: a t-subset of
+    the positions contributes (-1)^(t-1) times the product of the
+    factorials of its cyclic gaps in [k]."""
+    total = 0
+    for t in range(1, len(positions) + 1):
+        for subset in itertools.combinations(positions, t):
+            total += (-1) ** (t - 1) * prod(factorial(g) for g in cyclic_gaps(subset, k))
+    return total
+
+
 def sc_count_inclusion_exclusion(k: int) -> int:
     """Star cluster size of an interior facet by inclusion-exclusion over
-    the chain positions: a t-subset contributes the product of factorials
-    of its cyclic gaps in [k]."""
+    its chain positions 1..k (the general-face count with every position)."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    total = 0
-    for t in range(1, k + 1):
-        for subset in itertools.combinations(range(1, k + 1), t):
-            gaps = [b - a for a, b in zip(subset, subset[1:])]
-            gaps.append(k - subset[-1] + subset[0])
-            term = 1
-            for g in gaps:
-                term *= factorial(g)
-            total += (-1) ** (t - 1) * term
-    return total
+    return _inclusion_exclusion(range(1, k + 1), k)
 
 
 def sc_count_partition_formula(k: int) -> int:
@@ -200,17 +211,7 @@ def sc_count_general_face(face, q: int) -> int:
         positions.append(positions[-1] + sum(diff))
     if positions[-1] > k:
         raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
-    m = len(chain)
-    total = 0
-    for t in range(1, m + 1):
-        for subset in itertools.combinations(positions, t):
-            gaps = [b - a for a, b in zip(subset, subset[1:])]
-            gaps.append(k - subset[-1] + subset[0])
-            term = 1
-            for g in gaps:
-                term *= factorial(g)
-            total += (-1) ** (t - 1) * term
-    return total
+    return _inclusion_exclusion(positions, k)
 
 
 def sc_h_formula(k: int) -> tuple[int, ...]:
@@ -241,7 +242,8 @@ def init_shelling_order(k: int):
             flag.append(tuple(vec))
         order.append(frozenset(flag))
     K = SimplicialComplex(order)
-    assert K.num_facets == len(order)
+    if K.num_facets != len(order):
+        raise DisagreementError("init-then-lex order repeated a facet")
     return K, tuple(order)
 
 

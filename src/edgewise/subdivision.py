@@ -29,8 +29,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
 
-from .combinat import multiplicities, partitions, validate_partition
-from .complexes import CapacityError, SimplicialComplex, are_isomorphic, join
+from .combinat import cyclic_gaps, multiplicities, partitions, validate_partition
+from .complexes import CapacityError, DisagreementError, SimplicialComplex, are_isomorphic, join
 from .posets import k_lambda
 
 Vertex = tuple[int, ...]
@@ -122,7 +122,8 @@ def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
         v[rank[j]] += 1
         chain.append(tuple(v))
     for u in chain:
-        assert all(u[i] <= u[i + 1] for i in range(n - 1)), (a, chain)
+        if any(u[i] > u[i + 1] for i in range(n - 1)):
+            raise DisagreementError(f"code {a} decoded to a chain that is not monotone: {chain}")
     return tuple(chain)
 
 
@@ -318,7 +319,8 @@ def star_facet_codes(v: Vertex, q: int) -> tuple[Code, ...]:
     """Codes of all facets containing v, one per permutation in S_v."""
     pis = s_v_permutations(v, q)
     codes = tuple(facet_code_for_permutation(v, pi, q) for pi in pis)
-    assert len(set(codes)) == len(codes), f"duplicate star codes at {v}"
+    if len(set(codes)) != len(codes):
+        raise DisagreementError(f"duplicate star codes at {v}")
     return codes
 
 
@@ -326,7 +328,8 @@ def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
     """Closed star of v, built locally from its facet codes."""
     facets = [decode_facet(a, q) for a in star_facet_codes(v, q)]
     for chain in facets:
-        assert tuple(v) in chain, f"star facet {chain} misses {v}"
+        if tuple(v) not in chain:
+            raise DisagreementError(f"star facet {chain} misses {v}")
     return SimplicialComplex(facets)
 
 
@@ -343,7 +346,7 @@ def link_of_vertex(v: Vertex, q: int, certify: bool = True) -> SimplicialComplex
     if certify:
         model = k_lambda(vertex_partition(vt, q))
         if not are_isomorphic(L, model, max_vertices=max(24, len(L.vertices))):
-            raise AssertionError(
+            raise DisagreementError(
                 f"link of {vt} does not match its chain-product model"
             )
     return L
@@ -401,7 +404,8 @@ def _face_blocks(chain: tuple[Vertex, ...], q: int):
     used: set[int] = set()
     for lower, upper in zip(chain, chain[1:]):
         raised = [j for j in range(n) if upper[j] == lower[j] + 1]
-        assert len(raised) + sum(1 for j in range(n) if upper[j] == lower[j]) == n
+        if len(raised) + sum(1 for j in range(n) if upper[j] == lower[j]) != n:
+            raise DisagreementError(f"{lower} -> {upper} is not a unit step of a facet chain")
         blocks.append(tuple(j + 1 for j in raised))
         groups: dict[int, int] = {}
         for j in raised:
@@ -468,7 +472,7 @@ def link_of_face(face, q: int, certify: bool = True) -> LinkOfFaceReport:
     certified = False
     if certify:
         if not are_isomorphic(L, model, max_vertices=max(24, len(L.vertices))):
-            raise AssertionError(f"link of {chain} does not match its block model")
+            raise DisagreementError(f"link of {chain} does not match its block model")
         certified = True
     return LinkOfFaceReport(chain, blocks, cls, L, model, certified)
 
@@ -490,9 +494,7 @@ def corner_support_partition(indices, k: int) -> tuple[int, ...]:
     idx = sorted(set(indices))
     if not idx or idx[0] < 1 or idx[-1] > k:
         raise ValueError(f"corner indices must lie in 1..{k}: {indices}")
-    gaps = [b - a for a, b in zip(idx, idx[1:])]
-    gaps.append(k - idx[-1] + idx[0])
-    return tuple(sorted(gaps, reverse=True))
+    return tuple(sorted(cyclic_gaps(idx, k), reverse=True))
 
 
 def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
