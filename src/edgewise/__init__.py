@@ -38,15 +38,10 @@ from .complexes import (
     verify_shelling,
 )
 from .posets import (
-    GradedPoset,
-    chain_product,
+    check_r_labeling,
     h_k_lambda,
     is_join_irreducible,
     k_lambda,
-    maximal_chain_labels,
-    order_complex,
-    proper_part,
-    r_label_product,
 )
 from .shelling import (
     h_by_ascents,

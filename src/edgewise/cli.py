@@ -29,6 +29,7 @@ from .starcluster import (
     sc_shelling_and_h,
 )
 from .subdivision import (
+    check_facet_budget,
     count_distinct_links_dim,
     count_faces_with_link_type,
     count_link_types,
@@ -37,9 +38,9 @@ from .subdivision import (
     facet_codes,
     link_of_face,
     link_of_vertex,
-    number_of_facets,
     off_export,
     q_sequence,
+    validate_kq,
     vertex_set,
     vertex_type,
 )
@@ -73,10 +74,7 @@ def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
 def _check_grid(args: argparse.Namespace) -> None:
     """k and q in range, and k-1 coordinates in every --vertex, --face and
     --base tuple."""
-    if args.k < 2:
-        raise ValueError(f"k must be at least 2, got {args.k}")
-    if args.q < 1:
-        raise ValueError(f"q must be at least 1, got {args.q}")
+    validate_kq(args.k, args.q)
     given = vars(args)
     for point in [*given.get("face", ()), given.get("vertex"), given.get("base")]:
         if point is not None and len(point) != args.k - 1:
@@ -85,9 +83,7 @@ def _check_grid(args: argparse.Namespace) -> None:
 
 def _build(args):
     k, q = args.k, args.q
-    total = number_of_facets(k, q)
-    if total > args.max_facets:
-        raise CapacityError(f"{total} facets exceeds the cap of {args.max_facets}")
+    total = check_facet_budget(k, q, args.max_facets)
     vertices = vertex_set(k, q)
     facets = [{"code": code, "chain": decode_facet(code, q)} for code in facet_codes(k, q)]
     payload = {
@@ -408,17 +404,18 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="one face vertex per flag, repeated")
 
     classify = add_verb("classify-links", _classify, "link type counts and tables", tabular)
-    classify.add_argument("--table", action="store_true",
-                          help="per-partition face counts")
-    classify.add_argument("--partition", type=_parse_tuple, default=None,
-                          help="count faces with this link type")
+    mode = classify.add_mutually_exclusive_group()
+    mode.add_argument("--table", action="store_true", help="per-partition face counts")
+    mode.add_argument("--partition", type=_parse_tuple, default=None,
+                      help="count faces with this link type")
 
     sc = add_verb("star-cluster", _star_cluster, "star cluster of an interior facet",
                   ("text", "json"))
-    sc.add_argument("--base", type=_parse_tuple, default=None,
-                    help="interior facet code, default 1,2,...,k-1")
-    sc.add_argument("--face", action="append", type=_parse_tuple, default=[],
-                    help="count the star cluster of this interior face instead")
+    mode = sc.add_mutually_exclusive_group()
+    mode.add_argument("--base", type=_parse_tuple, default=None,
+                      help="interior facet code, default 1,2,...,k-1")
+    mode.add_argument("--face", action="append", type=_parse_tuple, default=[],
+                      help="count the star cluster of this interior face instead")
 
     tables = sub.add_parser("tables", help="regenerate the reference tables")
     tables.set_defaults(verb=_tables, fmt="text", out=None)

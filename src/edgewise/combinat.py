@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 
 def partitions(k: int, s: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -117,10 +116,6 @@ def des(w: tuple[int, ...]) -> int:
     return len(descent_set(w))
 
 
-def is_permutation(w: tuple[int, ...]) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
-
-
 def init(w: tuple[int, ...]) -> int:
     """Faithful initial part: least t with {w_1,...,w_t} = {1,...,t}.
 
@@ -131,7 +126,7 @@ def init(w: tuple[int, ...]) -> int:
     >>> init((3, 1, 2))
     3
     """
-    if not is_permutation(w):
+    if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"init is defined only for permutations of 1..n: {w}")
     seen_max = 0
     for t, letter in enumerate(w, start=1):
@@ -139,22 +134,6 @@ def init(w: tuple[int, ...]) -> int:
         if seen_max == t:
             return t
     raise AssertionError("unreachable for a valid permutation")
-
-
-class DescentStats(NamedTuple):
-    descent_set: tuple[int, ...]
-    des: int
-    init: int
-
-
-def descent_stats(w: tuple[int, ...]) -> DescentStats:
-    """Descent set, descent count and faithful initial part of a permutation.
-
-    Raises ValueError when w is a multiset word rather than a permutation of
-    1..n; use descent_set/des directly for multiset words.
-    """
-    d = descent_set(w)
-    return DescentStats(d, len(d), init(w))
 
 
 @lru_cache(maxsize=None)

@@ -165,16 +165,6 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(F | G for F in A.facets for G in B.facets)
 
 
-def json_facets(K: SimplicialComplex) -> list[list]:
-    """Canonical JSON-ready facet list: sorted lists of sorted labels."""
-
-    def jsonable(v):
-        return list(v) if isinstance(v, tuple) else v
-
-    rows = [sorted(F) for F in K.facets]
-    return [[jsonable(v) for v in row] for row in sorted(rows)]
-
-
 # ---------------------------------------------------------------------------
 # Shelling verification
 

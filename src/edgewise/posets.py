@@ -1,143 +1,51 @@
-"""Products of chains, their order complexes and h-vectors.
+"""The chain-product model complexes K_lam and their h-vectors.
 
-C_m denotes the chain 0 < 1 < ... < m (m+1 elements).  For a partition
-lam = (lam_1, ..., lam_s) of k, the poset P_lam is the product
-C_{lam_1} x ... x C_{lam_s}; its elements are integer tuples ordered
-componentwise.  K_lam is the order complex of the proper part of P_lam
-(bottom and top removed), a pure complex of dimension k-2 whose h-vector is
-computed here by three independent routes.
+For a partition lam = (lam_1, ..., lam_s) of k, the box
+[0, lam_1] x ... x [0, lam_s] of integer tuples, ordered componentwise, is
+the product of chains P_lam.  K_lam is the order complex of its proper part
+(bottom and top removed): its facets are the saturated chains from
+(0, ..., 0) to lam with both ends dropped, so it is pure of dimension k-2.
+Its h-vector is computed here by three independent routes.
 
-Covers in a chain product raise exactly one coordinate by 1; labeling each
-cover by that coordinate index (1-based) gives an R-labeling: every interval
-has exactly one maximal chain with a weakly increasing label word, and the
-h-vector counts maximal chains of the whole poset by descents of their label
-words.
+Each step of a saturated chain raises exactly one coordinate by 1; labeling
+the step by that coordinate index (1-based) gives an R-labeling: every
+interval has exactly one maximal chain with a weakly increasing label word.
+So the label words of the facets of K_lam are the words over the multiset
+{1^lam_1, ..., s^lam_s}, and h_i counts those with exactly i descents.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Any
 
 from .combinat import des, multiset_permutations, validate_partition
 from .complexes import CapacityError, DisagreementError, SimplicialComplex, h_vector
 
 
-@dataclass(frozen=True)
-class GradedPoset:
-    """Finite poset given by its elements and cover relations.
+def _box(lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All integer tuples x with 0 <= x[i] <= lengths[i], in lex order."""
+    return list(itertools.product(*(range(m + 1) for m in lengths)))
 
-    covers[i] = (x, y) means x is covered by y.  labels, when present, runs
-    parallel to covers.
+
+def check_r_labeling(lengths: tuple[int, ...]) -> None:
+    """Exhaustively check the R-labeling of the box with these chain lengths.
+
+    Every interval [x, y] must have exactly one maximal chain whose label
+    word (the raised coordinate of each step, 1-based) is weakly increasing;
+    DisagreementError names the first interval that does not.
     """
-
-    elements: tuple
-    covers: tuple[tuple[Any, Any], ...]
-    labels: tuple[int, ...] | None = None
-
-    def upper(self) -> dict:
-        up: dict = {x: [] for x in self.elements}
-        for x, y in self.covers:
-            up[x].append(y)
-        return up
-
-    def lower(self) -> dict:
-        down: dict = {x: [] for x in self.elements}
-        for x, y in self.covers:
-            down[y].append(x)
-        return down
-
-    def minimal_elements(self) -> tuple:
-        down = self.lower()
-        return tuple(x for x in self.elements if not down[x])
-
-    def maximal_elements(self) -> tuple:
-        up = self.upper()
-        return tuple(x for x in self.elements if not up[x])
-
-    def cover_label(self, x, y) -> int:
-        if self.labels is None:
-            raise ValueError("poset carries no labels")
-        for (a, b), lab in zip(self.covers, self.labels):
-            if (a, b) == (x, y):
-                return lab
-        raise ValueError(f"{x} -> {y} is not a cover")
-
-
-def chain_product(lengths: tuple[int, ...]) -> GradedPoset:
-    """The product of chains C_{lengths[0]} x ... x C_{lengths[-1]}.
-
-    >>> P = chain_product((1, 1))
-    >>> sorted(P.elements)
-    [(0, 0), (0, 1), (1, 0), (1, 1)]
-    """
-    if not lengths:
-        raise ValueError("chain_product needs at least one chain")
-    if any(m < 1 for m in lengths):
-        raise ValueError(f"chain lengths must be positive: {lengths}")
-    elements = tuple(itertools.product(*(range(m + 1) for m in lengths)))
-    covers = []
-    for x in elements:
-        for i, m in enumerate(lengths):
-            if x[i] < m:
-                covers.append((x, x[:i] + (x[i] + 1,) + x[i + 1 :]))
-    return GradedPoset(elements, tuple(covers))
-
-
-def _as_chain_product(P: GradedPoset) -> tuple[int, ...]:
-    """Chain lengths when P structurally is a chain product, else ValueError."""
-    if not P.elements:
-        raise ValueError("empty poset")
-    first = P.elements[0]
-    if not isinstance(first, tuple) or not all(isinstance(c, int) for c in first):
-        raise ValueError("not a chain product: elements must be int tuples")
-    arity = len(first)
-    if any(not isinstance(x, tuple) or len(x) != arity for x in P.elements):
-        raise ValueError("not a chain product: mixed arities")
-    lengths = tuple(max(x[i] for x in P.elements) for i in range(arity))
-    if set(P.elements) != set(itertools.product(*(range(m + 1) for m in lengths))):
-        raise ValueError("not a chain product: element set is not a full box")
-    expected = set(chain_product(lengths).covers)
-    if set(P.covers) != expected:
-        raise ValueError("not a chain product: cover relations do not match")
-    return lengths
-
-
-def r_label_product(P: GradedPoset, verify: bool = True) -> GradedPoset:
-    """Label each cover of a chain product by its raised coordinate (1-based).
-
-    With verify=True, exhaustively checks the R-labeling property: every
-    interval [x, y] has exactly one maximal chain whose label word is weakly
-    increasing.
-    """
-    lengths = _as_chain_product(P)
-    labels = []
-    for x, y in P.covers:
-        delta = [i for i in range(len(lengths)) if x[i] != y[i]]
-        if len(delta) != 1 or y[delta[0]] != x[delta[0]] + 1:
-            raise DisagreementError(f"cover {x} < {y} does not raise one coordinate by 1")
-        labels.append(delta[0] + 1)
-    labeled = GradedPoset(P.elements, P.covers, tuple(labels))
-    if verify:
-        _check_r_labeling(labeled, lengths)
-    return labeled
-
-
-def _check_r_labeling(P: GradedPoset, lengths: tuple[int, ...]) -> None:
-    for x in P.elements:
-        for y in P.elements:
+    box = _box(lengths)
+    for x in box:
+        for y in box:
             if not all(a <= b for a, b in zip(x, y)) or x == y:
                 continue
-            rising = 0
-            for word in _interval_label_words(x, y):
-                if all(word[i] <= word[i + 1] for i in range(len(word) - 1)):
-                    rising += 1
+            rising = sum(
+                all(a <= b for a, b in zip(word, word[1:]))
+                for word in _interval_label_words(x, y)
+            )
             if rising != 1:
-                raise DisagreementError(
-                    f"interval [{x}, {y}] has {rising} weakly rising chains"
-                )
+                raise DisagreementError(f"interval [{x}, {y}] has {rising} weakly rising chains")
 
 
 def _interval_label_words(x: tuple[int, ...], y: tuple[int, ...]):
@@ -151,72 +59,39 @@ def _interval_label_words(x: tuple[int, ...], y: tuple[int, ...]):
                 yield (i + 1,) + rest
 
 
-def maximal_chains(P: GradedPoset) -> tuple[tuple, ...]:
-    """All maximal chains, each listed bottom to top, in a stable order."""
-    up = P.upper()
-    chains: list[tuple] = []
-
-    def extend(chain: list) -> None:
-        succs = sorted(up[chain[-1]])
-        if not succs:
-            chains.append(tuple(chain))
-            return
-        for nxt in succs:
-            chain.append(nxt)
-            extend(chain)
-            chain.pop()
-
-    for start in sorted(P.minimal_elements()):
-        extend([start])
-    return tuple(chains)
-
-
-def maximal_chain_labels(P: GradedPoset) -> tuple[tuple[int, ...], ...]:
-    """Label words of all maximal chains, read bottom to top."""
-    if P.labels is None:
-        raise ValueError("poset carries no labels")
-    label_of = {cover: lab for cover, lab in zip(P.covers, P.labels)}
-    return tuple(
-        tuple(label_of[(chain[i], chain[i + 1])] for i in range(len(chain) - 1))
-        for chain in maximal_chains(P)
-    )
-
-
-def proper_part(P: GradedPoset) -> GradedPoset:
-    """P with its unique bottom and top removed."""
-    mins, maxs = P.minimal_elements(), P.maximal_elements()
-    if len(mins) != 1 or len(maxs) != 1:
-        raise ValueError("proper part needs a unique bottom and top")
-    drop = {mins[0], maxs[0]}
-    elements = tuple(x for x in P.elements if x not in drop)
-    kept = []
-    kept_labels = []
-    for idx, (x, y) in enumerate(P.covers):
-        if x in drop or y in drop:
-            continue
-        kept.append((x, y))
-        if P.labels is not None:
-            kept_labels.append(P.labels[idx])
-    return GradedPoset(elements, tuple(kept), tuple(kept_labels) if P.labels is not None else None)
-
-
-def order_complex(P: GradedPoset, reduced: bool = False) -> SimplicialComplex:
-    """Complex of chains of P; reduced=True takes the proper part first."""
-    Q = proper_part(P) if reduced else P
-    if not Q.elements:
-        return SimplicialComplex([()])
-    return SimplicialComplex(maximal_chains(Q))
-
-
 def k_lambda(parts: tuple[int, ...]) -> SimplicialComplex:
     """Order complex of the proper part of the chain product P_lam.
 
     Requires sum(parts) >= 2; the result is pure of dimension sum(parts)-2.
+    Vertices are the box tuples other than (0, ..., 0) and parts.
+
+    >>> sorted(sorted(F) for F in k_lambda((1, 1)).facets)
+    [[(0, 1)], [(1, 0)]]
     """
     validate_partition(parts)
     if sum(parts) < 2:
         raise ValueError("partition must sum to at least 2")
-    return order_complex(chain_product(parts), reduced=True)
+    # Successors in increasing order (last coordinate raised first), so the
+    # chains come out in lexicographic order.
+    s = len(parts)
+    up = {
+        x: [x[:i] + (x[i] + 1,) + x[i + 1 :] for i in range(s - 1, -1, -1) if x[i] < parts[i]]
+        for x in _box(parts)
+    }
+    chains: list[tuple] = []
+    chain: list[tuple[int, ...]] = []
+
+    def extend(x: tuple[int, ...]) -> None:
+        if not up[x]:
+            chains.append(tuple(chain[:-1]))
+            return
+        for nxt in up[x]:
+            chain.append(nxt)
+            extend(nxt)
+            chain.pop()
+
+    extend((0,) * s)
+    return SimplicialComplex(chains)
 
 
 def h_k_lambda_by_words(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,13 +17,20 @@ from math import comb
 
 from .combinat import convolve
 from .complexes import (
-    CapacityError,
     DisagreementError,
     ShellingCertificate,
     SimplicialComplex,
     verify_shelling,
 )
-from .subdivision import Code, Vertex, decode_facet, facet_codes, number_of_facets
+from .subdivision import (
+    Code,
+    Vertex,
+    check_facet_budget,
+    decode_facet,
+    facet_codes,
+    number_of_facets,
+    validate_kq,
+)
 
 
 def shelling_key(code: Code):
@@ -32,9 +39,7 @@ def shelling_key(code: Code):
 
 def shelling_order(k: int, q: int, max_facets: int = 10**6) -> tuple[Code, ...]:
     """All facet codes in shelling order."""
-    total = number_of_facets(k, q)
-    if total > max_facets:
-        raise CapacityError(f"{total} facets exceeds the cap of {max_facets}")
+    check_facet_budget(k, q, max_facets)
     return tuple(sorted(facet_codes(k, q), key=shelling_key))
 
 
@@ -86,8 +91,7 @@ def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> Subdivision
 
 def h_by_ascents(k: int, q: int, max_facets: int = 10**6) -> tuple[int, ...]:
     """Histogram of codes by ascent count of the padded word; exhaustive."""
-    if number_of_facets(k, q) > max_facets:
-        raise CapacityError(f"{number_of_facets(k, q)} facets exceeds the cap of {max_facets}")
+    check_facet_budget(k, q, max_facets)
     h = [0] * (k + 1)
     for code in itertools.product(range(q), repeat=k - 1):
         h[len(ascent_positions(code))] += 1
@@ -100,8 +104,7 @@ def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
     table[j][e] counts padded words of the current length that end at value
     j with e ascents; extending by j' adds an ascent exactly when j < j'.
     """
-    if k < 2 or q < 1:
-        raise ValueError(f"need k >= 2 and q >= 1, got k={k}, q={q}")
+    validate_kq(k, q)
     table = [[0] * (k + 1) for _ in range(q)]
     for j in range(q):
         table[j][1 if j > 0 else 0] = 1
@@ -119,8 +122,7 @@ def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
 
 def h_by_binomial(k: int, q: int) -> tuple[int, ...]:
     """h_i = sum_j (-1)^j C(k, j) C((i-j)q + k - 1, k - 1)."""
-    if k < 2 or q < 1:
-        raise ValueError(f"need k >= 2 and q >= 1, got k={k}, q={q}")
+    validate_kq(k, q)
     h = []
     for i in range(k + 1):
         total = 0
@@ -134,8 +136,7 @@ def h_by_binomial(k: int, q: int) -> tuple[int, ...]:
 
 def h_by_polynomial(k: int, q: int) -> tuple[int, ...]:
     """h_i is the x^(iq) coefficient of (1 + x + ... + x^(q-1))^k."""
-    if k < 2 or q < 1:
-        raise ValueError(f"need k >= 2 and q >= 1, got k={k}, q={q}")
+    validate_kq(k, q)
     coeffs = (1,)
     for _ in range(k):
         coeffs = convolve(coeffs, (1,) * q)

@@ -142,11 +142,6 @@ def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
     return tuple(rows)
 
 
-def sc_facet_codes(base: Code, q: int) -> tuple[Code, ...]:
-    """Codes of the facets of the star cluster, in shelling order."""
-    return tuple(row.code for row in sc_layers(base, q))
-
-
 def _inclusion_exclusion(positions, k: int) -> int:
     """Star cluster size of the face at these increasing chain positions
     (in 1..k) of an interior facet, by inclusion-exclusion: a t-subset of

@@ -42,20 +42,29 @@ Code = tuple[int, ...]
 
 
 def number_of_vertices(k: int, q: int) -> int:
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return comb(q + k - 1, k - 1)
 
 
 def number_of_facets(k: int, q: int) -> int:
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return q ** (k - 1)
 
 
-def _validate_kq(k: int, q: int) -> None:
+def validate_kq(k: int, q: int) -> None:
+    """ValueError unless k >= 2 and q >= 1."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
+
+
+def check_facet_budget(k: int, q: int, max_facets: int) -> int:
+    """The facet count q^(k-1); CapacityError when it exceeds max_facets."""
+    count = number_of_facets(k, q)
+    if count > max_facets:
+        raise CapacityError(f"{count} facets exceed the cap of {max_facets}")
+    return count
 
 
 def is_vertex(v: Vertex, q: int) -> bool:
@@ -78,7 +87,7 @@ def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
     >>> vertex_set(3, 1)
     ((0, 0), (0, 1), (1, 1))
     """
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return tuple(
         v
         for v in itertools.combinations_with_replacement(range(q + 1), k - 1)
@@ -87,13 +96,13 @@ def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
     """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
 
 
 def facet_codes(k: int, q: int) -> tuple[Code, ...]:
     """All q^(k-1) facet codes, in lexicographic order."""
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return tuple(itertools.product(range(q), repeat=k - 1))
 
 
@@ -173,10 +182,7 @@ def code_of_facet(vertices, q: int) -> Code:
 
 def build_complex(k: int, q: int, max_facets: int = 10**6) -> SimplicialComplex:
     """The full subdivision complex; vertices are labeled by their tuples."""
-    _validate_kq(k, q)
-    count = number_of_facets(k, q)
-    if count > max_facets:
-        raise CapacityError(f"{count} facets exceed the budget {max_facets}")
+    check_facet_budget(k, q, max_facets)
     return SimplicialComplex(decode_facet(a, q) for a in facet_codes(k, q))
 
 
@@ -505,7 +511,7 @@ def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
     k (s-1)! / (m_1! ... m_t!) over the multiplicities of beta, and 0 when
     s > q (such faces have no interior vertices).
     """
-    _validate_kq(k, q)
+    validate_kq(k, q)
     validate_partition(beta, k)
     s = len(beta)
     if s > q:
@@ -516,7 +522,7 @@ def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
 
 def count_link_types(k: int, q: int) -> int:
     """Number of distinct combinatorial types of vertex links in T_{k,q}."""
-    _validate_kq(k, q)
+    validate_kq(k, q)
     return sum(len(partitions(k, s)) for s in range(1, min(k, q) + 1))
 
 
@@ -569,7 +575,7 @@ def count_distinct_links_dim(m: int) -> int:
 def count_link_types_of_faces(k: int, q: int, t: int) -> int:
     """Distinct combinatorial types of links of (t-1)-dimensional faces
     (t vertices) in T_{k,q}."""
-    _validate_kq(k, q)
+    validate_kq(k, q)
     if not 1 <= t <= k:
         raise ValueError(f"t must lie in 1..{k}, got {t}")
     total = 1

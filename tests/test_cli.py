@@ -217,6 +217,12 @@ def test_determinism(capsys):
         (("build", "-k", "3", "-q", "2", "--format", "off"), 2),
         (("export", "-k", "3", "-q", "2", "--off", "--format", "text"), 2),
         (("link", "-k", "3", "-q", "3", "--vertex", "1,2", "--max-facets", "5"), 2),
+        # each verb's modes exclude one another, in either order
+        (("classify-links", "-k", "4", "-q", "3", "--table", "--partition", "2,2"), 2),
+        (("classify-links", "-k", "4", "-q", "3", "--partition", "2,2", "--table"), 2),
+        (("star-cluster", "-k", "3", "-q", "7", "--base", "2,4", "--face", "1,2"), 2),
+        # build's cap, the same check as every other capped verb
+        (("build", "-k", "4", "-q", "3", "--max-facets", "10"), 3),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):

@@ -12,7 +12,6 @@ from edgewise.combinat import (
     convolve,
     des,
     descent_set,
-    descent_stats,
     eulerian,
     eulerian_vector,
     h_matrix,
@@ -141,15 +140,7 @@ class TestDescentStats:
         with pytest.raises(ValueError):
             init((1, 1, 2))
         with pytest.raises(ValueError):
-            descent_stats((1, 1, 2))
-        with pytest.raises(ValueError):
             init((2, 3))
-
-    def test_stats_bundle(self):
-        stats = descent_stats((2, 1, 3))
-        assert stats.descent_set == (1,)
-        assert stats.des == 1
-        assert stats.init == 2
 
     def test_init_brute_force(self):
         # init(pi) = least prefix length closed under pi.

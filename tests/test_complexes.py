@@ -15,7 +15,6 @@ from edgewise.complexes import (
     h_from_f,
     h_vector,
     join,
-    json_facets,
     link,
     star,
     verify_shelling,
@@ -130,12 +129,6 @@ class TestLinkStarJoin:
         octa = join(join(pairs[0], pairs[1]), pairs[2])
         assert octa.f_vector() == (1, 6, 12, 8)
         assert h_vector(octa) == (1, 3, 3, 1)
-
-    def test_json_facets_canonical(self):
-        K = SimplicialComplex([(3, 1), (2, 3)])
-        assert json_facets(K) == [[1, 3], [2, 3]]
-        T = SimplicialComplex([((0, 1), (1, 1))])
-        assert json_facets(T) == [[[0, 1], [1, 1]]]
 
 
 class TestVerifyShelling:

@@ -1,4 +1,4 @@
-"""Tests for chain products, order complexes and K_lambda h-vectors."""
+"""Tests for the chain-product model complexes K_lambda and their h-vectors."""
 
 from __future__ import annotations
 
@@ -17,19 +17,13 @@ from edgewise.complexes import (
     join,
 )
 from edgewise.posets import (
-    GradedPoset,
-    chain_product,
+    check_r_labeling,
     h_k_lambda,
     h_k_lambda_by_words,
     h_k_lambda_from_complex,
     h_k_lambda_recurrence,
     is_join_irreducible,
     k_lambda,
-    maximal_chain_labels,
-    maximal_chains,
-    order_complex,
-    proper_part,
-    r_label_product,
 )
 
 
@@ -59,87 +53,52 @@ def barycentric_boundary(k: int) -> SimplicialComplex:
     return SimplicialComplex(facets)
 
 
-class TestChainProduct:
-    def test_single_chain(self):
-        P = chain_product((2,))
-        assert set(P.elements) == {(0,), (1,), (2,)}
-        assert set(P.covers) == {((0,), (1,)), ((1,), (2,))}
+def label_word(chain, top):
+    """Raised coordinate (1-based) of each step of a saturated chain from the
+    bottom of the box to top, given without its two ends."""
+    points = [(0,) * len(top), *chain, top]
+    word = []
+    for lower, upper in zip(points, points[1:]):
+        raised = [i + 1 for i in range(len(top)) if upper[i] != lower[i]]
+        assert len(raised) == 1 and sum(upper) == sum(lower) + 1
+        word.append(raised[0])
+    return tuple(word)
 
-    def test_element_count(self):
-        for lengths in [(1, 1), (2, 1), (3, 2, 1)]:
-            P = chain_product(lengths)
-            assert len(P.elements) == math.prod(m + 1 for m in lengths)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            chain_product(())
-        with pytest.raises(ValueError):
-            chain_product((2, 0))
-
-    def test_unique_bottom_and_top(self):
-        P = chain_product((2, 2, 1))
-        assert P.minimal_elements() == ((0, 0, 0),)
-        assert P.maximal_elements() == ((2, 2, 1),)
+def facet_label_words(lam):
+    return [label_word(sorted(F, key=sum), lam) for F in k_lambda(lam).facets]
 
 
 class TestRLabeling:
     def test_labels_are_raised_coordinates(self):
-        P = r_label_product(chain_product((1, 1)))
-        assert P.cover_label((0, 0), (1, 0)) == 1
-        assert P.cover_label((0, 0), (0, 1)) == 2
+        # K_(1,1) is two points; (1, 0) is reached by raising coordinate 1
+        # and then 2, (0, 1) by raising 2 and then 1.
+        words = {F: label_word(sorted(F, key=sum), (1, 1)) for F in k_lambda((1, 1)).facets}
+        assert words == {frozenset({(1, 0)}): (1, 2), frozenset({(0, 1)}): (2, 1)}
 
     def test_verify_passes_for_products(self):
         for lengths in [(3,), (1, 1, 1), (2, 2), (3, 2, 1)]:
-            r_label_product(chain_product(lengths), verify=True)
-
-    def test_non_product_rejected(self):
-        V = GradedPoset(("a", "b", "c"), (("a", "b"), ("a", "c")))
-        with pytest.raises(ValueError):
-            r_label_product(V)
-        missing = GradedPoset(
-            ((0, 0), (1, 0), (1, 1)),
-            (((0, 0), (1, 0)), ((1, 0), (1, 1))),
-        )
-        with pytest.raises(ValueError):
-            r_label_product(missing)
+            check_r_labeling(lengths)
 
     def test_chain_label_words_are_multiset_words(self):
-        # Reading labels along maximal chains of P_lam gives each word over
-        # the multiset {1^lam_1, ..., s^lam_s} exactly once.
-        for k in range(2, 6):
+        # Reading labels along the facets of K_lam gives each word over the
+        # multiset {1^lam_1, ..., s^lam_s} exactly once, so the facets are
+        # exactly the saturated chains of the box, however they were listed.
+        for k in range(2, 7):
             for lam in partitions(k):
-                P = r_label_product(chain_product(lam), verify=False)
-                words = maximal_chain_labels(P)
-                assert sorted(words) == sorted(multiset_permutations(lam))
-
-    def test_chain_count(self):
-        P = chain_product((1, 1, 1))
-        assert len(maximal_chains(P)) == 6
+                assert sorted(facet_label_words(lam)) == sorted(multiset_permutations(lam))
 
 
 class TestOrderComplex:
-    def test_reduced_of_short_chain_is_empty_complex(self):
-        assert order_complex(chain_product((1,)), reduced=True) == SimplicialComplex([()])
-
-    def test_proper_part_needs_bounds(self):
-        two_points = GradedPoset(("a", "b"), ())
-        with pytest.raises(ValueError):
-            proper_part(two_points)
-
-    def test_unreduced_chain_is_simplex(self):
-        K = order_complex(chain_product((2,)))
-        assert K == full_simplex(((0,), (1,), (2,)))
-
     def test_descent_count_gives_h(self):
         # h_m of the reduced order complex counts maximal chains whose label
         # word has m descents.
         for lam in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]:
-            P = r_label_product(chain_product(lam), verify=False)
             k = sum(lam)
             hist = [0] * k
-            for word in maximal_chain_labels(P):
+            for word in facet_label_words(lam):
                 hist[des(word)] += 1
-            assert h_vector(order_complex(P, reduced=True)) == tuple(hist)
+            assert h_vector(k_lambda(lam)) == tuple(hist)
 
 
 class TestKLambda:

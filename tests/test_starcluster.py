@@ -15,7 +15,6 @@ from edgewise.starcluster import (
     sc_count_general_face,
     sc_count_inclusion_exclusion,
     sc_count_partition_formula,
-    sc_facet_codes,
     sc_h_formula,
     sc_layers,
     sc_shelling_and_h,
@@ -72,7 +71,7 @@ def test_shifted_reversal_example():
 def test_structured_enumeration_matches_brute_force(k):
     q = k + 3
     base = base_facet_code(k, q)
-    codes = sc_facet_codes(base, q)
+    codes = [row.code for row in sc_layers(base, q)]
     structured = {frozenset(decode_facet(c, q)) for c in codes}
     assert len(structured) == len(codes)
     brute = brute_star_cluster_facets(k, q, decode_facet(base, q))
