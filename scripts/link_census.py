@@ -11,9 +11,9 @@ from collections import Counter
 
 from edgewise.subdivision import (
     build_complex,
-    classify_link_of_face,
     count_link_types,
     count_link_types_of_faces,
+    link_of_face,
     vertex_partition,
 )
 
@@ -34,7 +34,7 @@ def run(args: argparse.Namespace) -> None:
     print("\ndistinct link types by face size:")
     for t in range(1, k + 1):
         keys = {
-            classify_link_of_face(face, q).iso_key
+            link_of_face(face, q).link_class.iso_key
             for face in K.faces()
             if len(face) == t
         }

@@ -67,7 +67,6 @@ from .starcluster import (
 )
 from .subdivision import (
     build_complex,
-    classify_link_of_face,
     code_of_facet,
     count_distinct_links_dim,
     count_faces_with_link_type,

@@ -177,7 +177,7 @@ def _link(args):
         v = args.vertex
         t = vertex_type(v, q)
         lam = t.partition()
-        link = link_of_vertex(v, q, certify=True)
+        link = link_of_vertex(v, q)
         interior = lam == (1,) * k
         payload = {
             "vertex": v,
@@ -203,7 +203,7 @@ def _link(args):
             yield f"link is K{lam}: certified"
 
         return payload, text, None
-    report = link_of_face(args.face, q, certify=True)
+    report = link_of_face(args.face, q)
     cls = report.link_class
     payload = {
         "face": sorted(args.face, key=sum),

@@ -196,17 +196,16 @@ def sc_count_general_face(face, q: int) -> int:
     n = len(chain[0])
     k = n + 1
     for v in chain:
-        if not is_interior_vertex(v, q):
-            raise ValueError(f"{v} is not an interior vertex")
-    positions = [1]
+        if len(v) != n or not is_interior_vertex(v, q):
+            raise ValueError(f"{v} is not an interior vertex with {n} coordinates")
+    # 0/1 steps between distinct vertices, with no coordinate raised twice
+    # overall, put the face in one facet at chain positions within 1..k.
     for lower, upper in zip(chain, chain[1:]):
-        diff = [u - l for u, l in zip(upper, lower)]
-        if any(d not in (0, 1) for d in diff) or sum(diff) == 0:
+        if any(u - l not in (0, 1) for u, l in zip(upper, lower)):
             raise ValueError(f"{lower} -> {upper} is not a step inside one facet")
-        positions.append(positions[-1] + sum(diff))
-    if positions[-1] > k:
+    if any(top - bottom not in (0, 1) for top, bottom in zip(chain[-1], chain[0])):
         raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
-    return _inclusion_exclusion(positions, k)
+    return _inclusion_exclusion([1 + sum(v) - sum(chain[0]) for v in chain], k)
 
 
 def sc_h_formula(k: int) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 
 from .combinat import cyclic_gaps, multiplicities, partitions, validate_partition
-from .complexes import CapacityError, DisagreementError, SimplicialComplex, are_isomorphic, join
+from .complexes import CapacityError, DisagreementError, SimplicialComplex, join
 from .posets import k_lambda
 
 Vertex = tuple[int, ...]
@@ -88,10 +88,7 @@ def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
     ((0, 0), (0, 1), (1, 1))
     """
     validate_kq(k, q)
-    return tuple(
-        v
-        for v in itertools.combinations_with_replacement(range(q + 1), k - 1)
-    )
+    return tuple(itertools.combinations_with_replacement(range(q + 1), k - 1))
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
@@ -339,23 +336,10 @@ def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
     return SimplicialComplex(facets)
 
 
-def link_of_vertex(v: Vertex, q: int, certify: bool = True) -> SimplicialComplex:
-    """Link of v; with certify=True checks it against the chain-product model.
-
-    The model is the complex of the partition vertex_partition(v, q); the
-    check is a full isomorphism test.
-    """
-    vt = tuple(v)
-    L = SimplicialComplex(
-        frozenset(F) - {vt} for F in star_of_vertex(vt, q).facets
-    )
-    if certify:
-        model = k_lambda(vertex_partition(vt, q))
-        if not are_isomorphic(L, model, max_vertices=max(24, len(L.vertices))):
-            raise DisagreementError(
-                f"link of {vt} does not match its chain-product model"
-            )
-    return L
+def link_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
+    """Link of v, certified against the chain-product model of
+    vertex_partition(v, q) as the link of the one-vertex face (v,)."""
+    return link_of_face((v,), q).link
 
 
 # ---------------------------------------------------------------------------
@@ -396,63 +380,65 @@ class LinkOfFaceReport:
     link_class: FaceLinkClass
     link: SimplicialComplex
     model: SimplicialComplex
-    certified: bool
 
 
-def _face_blocks(chain: tuple[Vertex, ...], q: int):
-    """Blocks S_1..S_t (1-based labels; the last holds k) and their
-    equal-value signatures."""
-    bottom = chain[0]
-    n = len(bottom)
-    k = n + 1
-    blocks = []
-    sigmas = []
-    used: set[int] = set()
-    for lower, upper in zip(chain, chain[1:]):
-        raised = [j for j in range(n) if upper[j] == lower[j] + 1]
-        if len(raised) + sum(1 for j in range(n) if upper[j] == lower[j]) != n:
-            raise DisagreementError(f"{lower} -> {upper} is not a unit step of a facet chain")
-        blocks.append(tuple(j + 1 for j in raised))
-        groups: dict[int, int] = {}
-        for j in raised:
-            groups[bottom[j]] = groups.get(bottom[j], 0) + 1
-        sigmas.append(tuple(sorted(groups.values(), reverse=True)))
-        used.update(raised)
-    constant = [j for j in range(n) if j not in used]
-    blocks.append(tuple(j + 1 for j in constant) + (k,))
-    merged = 1
-    groups = {}
-    for j in constant:
-        if bottom[j] == 0 or bottom[j] == q:
-            merged += 1
-        else:
-            groups[bottom[j]] = groups.get(bottom[j], 0) + 1
-    sigmas.append(tuple(sorted((merged,) + tuple(groups.values()), reverse=True)))
-    return tuple(blocks), tuple(sigmas)
+def _label_set(u: Vertex, b: Vertex) -> frozenset[int]:
+    """Labels walked from b to u around a facet through both: 1..k-1 name
+    raised coordinates and k the wrap from the facet's top to its bottom."""
+    n = len(b)
+    if all(x >= y for x, y in zip(u, b)):
+        return frozenset(j + 1 for j in range(n) if u[j] == b[j] + 1)
+    return frozenset([n + 1, *(j + 1 for j in range(n) if u[j] == b[j])])
 
 
-def _tagged(K: SimplicialComplex, tag: int) -> SimplicialComplex:
-    return SimplicialComplex(
-        tuple((tag, x) for x in F) for F in K.facets
-    )
+def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[int]]:
+    """Labels of a block grouped by the bottom vertex's value, largest first;
+    coordinates at 0 or q join label k in one outer group.  Each group is
+    raised in a fixed order, so the block is a product of chains."""
+    by_value: dict[int | None, set[int]] = {}
+    for j in block:
+        value = None if j > len(b) or b[j - 1] in (0, q) else b[j - 1]
+        by_value.setdefault(value, set()).add(j)
+    return sorted(map(frozenset, by_value.values()), key=len, reverse=True)
 
 
 def model_link_complex(sigmas) -> SimplicialComplex:
-    """Join of the chain-product complexes of the block signatures."""
+    """Join of the chain-product complexes of the block signatures; the
+    vertex x of block idx's factor is labeled (idx, x)."""
     result = SimplicialComplex([()])
     for idx, sigma in enumerate(sigmas):
         if sum(sigma) == 1:
             continue
-        result = join(result, _tagged(k_lambda(sigma), idx))
+        factor = SimplicialComplex(tuple((idx, x) for x in F) for F in k_lambda(sigma).facets)
+        result = join(result, factor)
     return result
 
 
-def link_of_face(face, q: int, certify: bool = True) -> LinkOfFaceReport:
+def _certify(L: SimplicialComplex, model: SimplicialComplex, image: dict, where: str) -> None:
+    """DisagreementError naming a witness unless image is injective on the
+    vertices of L and carries the facets of L onto those of the model."""
+    preimage: dict = {}
+    for u in sorted(L.vertices):
+        w = preimage.setdefault(image[u], u)
+        if w != u:
+            raise DisagreementError(f"{where}: {w} and {u} both map to {image[u]}")
+    mapped = {frozenset(image[u] for u in F): F for F in L.facets}
+    for G, F in mapped.items():
+        if G not in model.facets:
+            raise DisagreementError(f"{where}: {sorted(F)} maps to {sorted(G)}, no model facet")
+    missed = model.facets.difference(mapped)
+    if missed:
+        raise DisagreementError(f"{where}: model facet {min(map(sorted, missed))} has no preimage")
+
+
+def link_of_face(face, q: int) -> LinkOfFaceReport:
     """Link of a face given by its vertices, with its combinatorial type.
 
     The direct link collects the facets of the star of the face's bottom
-    vertex that contain the whole face.  The model is a join of one factor
-    per block; certify=True verifies the two are isomorphic.
+    vertex b that contain the whole face.  The label sets of the face cut
+    [k] into blocks, and the model is a join of one factor per block.  The
+    walk from b to a link vertex ends inside one block; counting its labels
+    per group of that block gives the model vertex, and that map is checked.
     """
     verts = {tuple(v) for v in face}
     if not verts:
@@ -469,22 +455,22 @@ def link_of_face(face, q: int, certify: bool = True) -> LinkOfFaceReport:
     if not keep:
         raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
     L = SimplicialComplex(F - face_set for F in keep)
-    blocks, sigmas = _face_blocks(chain, q)
-    cls = FaceLinkClass(
-        tuple(sorted((len(b) for b in blocks), reverse=True)),
-        tuple(sorted(sigmas)),
-    )
+    b = chain[0]
+    walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
+    blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
+    groups = [_block_groups(block, b, q) for block in blocks]
+    sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
+    sizes = tuple(sorted(map(len, blocks), reverse=True))
+    cls = FaceLinkClass(sizes, tuple(sorted(sigmas)))
     model = model_link_complex(sigmas)
-    certified = False
-    if certify:
-        if not are_isomorphic(L, model, max_vertices=max(24, len(L.vertices))):
-            raise DisagreementError(f"link of {chain} does not match its block model")
-        certified = True
-    return LinkOfFaceReport(chain, blocks, cls, L, model, certified)
-
-
-def classify_link_of_face(face, q: int) -> FaceLinkClass:
-    return link_of_face(face, q, certify=False).link_class
+    image = {}
+    for u in L.vertices:
+        labels = _label_set(u, b)
+        # u's block follows the last face label set that its own contains.
+        i = sum(P <= labels for P in walk[1:-1])
+        image[u] = (i, tuple(len(labels & g) for g in groups[i]))
+    _certify(L, model, image, f"link of {chain}")
+    return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, L, model)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_criterion_05_vertex_links_match_models():
     barycentric = {k: k_lambda((1,) * k) for k in range(2, 6)}
     for k, q in [(k, q) for k in range(2, 6) for q in range(1, 5)]:
         for v in vertex_set(k, q):
-            lk = link_of_vertex(v, q, certify=True)  # asserts iso to the model
+            lk = link_of_vertex(v, q)  # asserts iso to the model
             if is_interior_vertex(v, q):
                 assert are_isomorphic(
                     lk, barycentric[k], max_vertices=max(24, len(lk.vertices))
@@ -204,7 +204,7 @@ def test_criterion_10_property_suite():
                     assert len(facet & set(decode_facet(other, q))) == k - 1
     for k, q in [(k, q) for k in range(2, 6) for q in range(1, 4)]:
         for v in vertex_set(k, q):
-            lk = link_of_vertex(v, q, certify=False)
+            lk = link_of_vertex(v, q)
             assert star_of_vertex(v, q) == join(full_simplex([v]), lk)
             assert sum(vertex_partition(v, q)) == k
     _report("criterion 10: exhaustive round-trips, ridges, and star factorizations", start, 60.0)

@@ -223,6 +223,9 @@ def test_determinism(capsys):
         (("star-cluster", "-k", "3", "-q", "7", "--base", "2,4", "--face", "1,2"), 2),
         # build's cap, the same check as every other capped verb
         (("build", "-k", "4", "-q", "3", "--max-facets", "10"), 3),
+        # a star-cluster face raising one coordinate twice
+        (("star-cluster", "-k", "4", "-q", "9", "--face", "1,2,3", "--face", "1,2,4",
+          "--face", "1,2,5"), 2),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):
@@ -250,10 +253,10 @@ BREACHES = [
      lambda f: lambda K, order: _invalid(f(K, order)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", cli, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
-    ("failed vertex link certification", subdivision, "are_isomorphic",
-     lambda f: lambda *args, **kwargs: False, "link -k 3 -q 3 --vertex 1,2"),
-    ("failed face link certification", subdivision, "are_isomorphic",
-     lambda f: lambda *args, **kwargs: False, "link -k 3 -q 3 --face 1,1 --face 1,2"),
+    ("failed vertex link certification", subdivision, "k_lambda",
+     lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --vertex 1,2"),
+    ("failed face link certification", subdivision, "k_lambda",
+     lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
 ]

@@ -99,7 +99,7 @@ def test_ridge_neighbors_symmetric(data):
 def test_star_is_vertex_join_link(data):
     v, q = data
     star = star_of_vertex(v, q)
-    lk = link_of_vertex(v, q, certify=False)
+    lk = link_of_vertex(v, q)
     assert star == join(full_simplex([v]), lk)
 
 
@@ -142,6 +142,6 @@ def test_model_complex_h_routes_agree(lam):
 def test_link_h_vector_matches_model(data):
     v, q = data
     lam = vertex_partition(v, q)
-    lk = link_of_vertex(v, q, certify=False)
+    lk = link_of_vertex(v, q)
     if sum(lam) >= 2:
         assert h_vector(lk) == h_k_lambda(lam)

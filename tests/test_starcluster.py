@@ -185,6 +185,10 @@ def test_general_face_rejects_bad_input():
         sc_count_general_face([(0, 2)], 6)  # boundary vertex
     with pytest.raises(ValueError):
         sc_count_general_face([(1, 2), (3, 4)], 6)  # not one facet step
+    with pytest.raises(ValueError):
+        sc_count_general_face([(1, 2), (2, 3, 4)], 9)  # vertices of different lengths
+    with pytest.raises(ValueError):
+        sc_count_general_face([(1, 2, 3), (1, 2, 4), (1, 2, 5)], 9)  # coordinate 3 raised twice
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -7,11 +7,14 @@ import math
 
 import pytest
 
+from edgewise import subdivision
 from edgewise.combinat import partitions
 from edgewise.complexes import (
     CapacityError,
+    DisagreementError,
     SimplicialComplex,
     are_isomorphic,
+    find_isomorphism,
     full_simplex,
     join,
 )
@@ -19,7 +22,6 @@ from edgewise.posets import k_lambda
 from edgewise.subdivision import (
     VertexType,
     build_complex,
-    classify_link_of_face,
     code_of_facet,
     corner_support_partition,
     corners,
@@ -258,7 +260,7 @@ class TestStars:
         for v in [(0, 1), (1, 1), (0, 2, 3), (1, 1, 2)]:
             q = 3
             S = star_of_vertex(v, q)
-            L = link_of_vertex(v, q, certify=False)
+            L = link_of_vertex(v, q)
             assert S == join(full_simplex((v,)), L)
 
 
@@ -266,18 +268,18 @@ class TestVertexLinks:
     def test_links_certify_small_grid(self):
         for k, q in [(3, 3), (4, 2), (4, 4)]:
             for v in vertex_set(k, q):
-                link_of_vertex(v, q, certify=True)
+                link_of_vertex(v, q)
 
     def test_link_vertex_count(self):
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
                 lam = vertex_partition(v, q)
-                L = link_of_vertex(v, q, certify=False)
+                L = link_of_vertex(v, q)
                 assert len(L.vertices) == math.prod(p + 1 for p in lam) - 2
 
     def test_interior_link_is_barycentric_sphere(self):
         v = (1, 2, 3)
-        L = link_of_vertex(v, 4, certify=True)
+        L = link_of_vertex(v, 4)
         assert are_isomorphic(L, k_lambda((1, 1, 1, 1)), max_vertices=24)
 
     def test_all_link_types_realized(self):
@@ -297,7 +299,7 @@ class TestFaceLinks:
             (2, 2, 3, 3, 3, 6, 8),
             (2, 2, 3, 3, 4, 7, 8),
         ]
-        report = link_of_face(face, 9, certify=True)
+        report = link_of_face(face, 9)
         assert report.blocks == ((1, 2, 7), (5, 6), (3, 4, 8))
         assert report.link_class.block_sizes == (3, 3, 2)
         assert report.link_class.signatures == (
@@ -306,20 +308,19 @@ class TestFaceLinks:
             (2, 1),
         )
         assert report.link_class.simplex_part == 0
-        assert report.certified
 
     def test_single_vertex_face_matches_vertex_route(self):
         q = 3
         for v in vertex_set(4, q):
-            report = link_of_face([v], q, certify=True)
+            report = link_of_face([v], q)
             lam = vertex_partition(v, q)
             assert report.link_class.signatures == (lam,)
-            direct = link_of_vertex(v, q, certify=False)
+            direct = link_of_vertex(v, q)
             assert report.link == direct
 
     def test_facet_face_has_empty_link(self):
         chain = decode_facet((1, 0, 2), 3)
-        report = link_of_face(chain, 3, certify=True)
+        report = link_of_face(chain, 3)
         assert report.link == SimplicialComplex([()])
         assert all(sum(s) == 1 for s in report.link_class.signatures)
 
@@ -327,7 +328,7 @@ class TestFaceLinks:
         K = build_complex(4, 3)
         edges = {f for f in K.faces() if len(f) == 2}
         for edge in edges:
-            link_of_face(tuple(edge), 3, certify=True)
+            link_of_face(tuple(edge), 3)
 
     def test_non_face_rejected(self):
         with pytest.raises(ValueError):
@@ -339,11 +340,59 @@ class TestFaceLinks:
         # A face whose blocks all have one value group yields a simplex link.
         chain = decode_facet((0, 0, 0), 3)
         face = [chain[0], chain[3]]
-        report = link_of_face(face, 3, certify=True)
+        report = link_of_face(face, 3)
         p = report.link_class.simplex_part
         assert report.link_class.join_parts == ()
         assert report.link == full_simplex(report.link.vertices)
         assert len(report.link.vertices) == p
+
+
+class TestLinkCertificate:
+    """The constructed map certifies each link; the generic isomorphism
+    search, which no verb calls, stays an independent oracle."""
+
+    def test_search_oracle_confirms_models(self):
+        for k in (2, 3, 4):
+            for q in (1, 2, 3, 4):
+                for v in vertex_set(k, q):
+                    report = link_of_face([v], q)
+                    assert find_isomorphism(report.link, report.model) is not None, (k, q, v)
+        for face in build_complex(4, 3).faces():
+            if face:
+                report = link_of_face(tuple(face), 3)
+                assert find_isomorphism(report.link, report.model) is not None, face
+
+    def test_one_part_model_rejected(self, monkeypatch):
+        link = link_of_vertex((1, 2), 3)
+        real = subdivision.k_lambda
+        monkeypatch.setattr(subdivision, "k_lambda", lambda parts: real((sum(parts),)))
+        with pytest.raises(DisagreementError, match="no model facet") as exc:
+            link_of_vertex((1, 2), 3)
+        assert any(str(sorted(F)) in str(exc.value) for F in link.facets)
+
+    def test_dropped_star_facet_rejected(self, monkeypatch):
+        face = [(1, 1, 2), (1, 2, 2)]
+        model = link_of_face(face, 3).model
+        real = subdivision.star_of_vertex
+
+        def star_minus_one(v, q):
+            facets = sorted(real(v, q).facets, key=sorted)
+            drop = next(F for F in facets if set(face) <= F)
+            return SimplicialComplex(F for F in facets if F != drop)
+
+        monkeypatch.setattr(subdivision, "star_of_vertex", star_minus_one)
+        with pytest.raises(DisagreementError, match="has no preimage") as exc:
+            link_of_face(face, 3)
+        assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
+
+    def test_collision_names_both_vertices(self, monkeypatch):
+        # One group per block: the map forgets which labels were walked.
+        link = link_of_vertex((1, 2), 3)
+        monkeypatch.setattr(subdivision, "_block_groups", lambda block, b, q: [block])
+        with pytest.raises(DisagreementError, match="both map to") as exc:
+            link_of_vertex((1, 2), 3)
+        named = [u for u in link.vertices if str(u) in str(exc.value)]
+        assert len(named) == 2
 
 
 class TestLinkTypeCensus:
@@ -353,7 +402,7 @@ class TestLinkTypeCensus:
         for face in K.faces():
             if len(face) != t:
                 continue
-            keys.add(classify_link_of_face(tuple(face), q).iso_key)
+            keys.add(link_of_face(tuple(face), q).link_class.iso_key)
         return len(keys)
 
     @pytest.mark.parametrize("k,q", [(4, 1), (4, 2), (4, 3), (4, 4), (5, 2), (3, 3)])
