@@ -1,7 +1,8 @@
 """Walk through the layered star cluster of an interior facet.
 
-Shows the layer sizes, the agreeing counts, the shelling verdict, and the
-h-vector against the weighted-table formula:
+Shows the layer sizes, the agreeing counts and the h-vector against the
+weighted-table formula (sc_shelling_and_h raises when they disagree or the
+order is not a shelling):
     python3 scripts/star_cluster_walk.py --kmax 5
 """
 
@@ -25,7 +26,6 @@ def run(args: argparse.Namespace) -> None:
               f" inclusion-exclusion {report.count_inclusion_exclusion},"
               f" partition formula {report.count_partition_formula},"
               f" X value {report.x_value}")
-        print(f"  shelling valid: {report.certificate.valid}")
         print(f"  h = {report.h[:-1]}  formula {sc_h_formula(k)}")
         if args.show_layers:
             for row in report.rows:

@@ -44,6 +44,7 @@ from .posets import (
     k_lambda,
 )
 from .shelling import (
+    certify_order,
     h_by_ascents,
     h_by_binomial,
     h_by_polynomial,

@@ -57,34 +57,41 @@ def predicted_restriction(code: Code, q: int) -> frozenset[Vertex]:
     return frozenset(chain[k - i] for i in ascent_positions(code))
 
 
+def certify_order(codes, q: int) -> ShellingCertificate:
+    """Certificate of these facet codes, in order, as a shelling of their
+    complex; DisagreementError names a witness pair by position and code."""
+    facets = [decode_facet(code, q) for code in codes]
+    cert = verify_shelling(SimplicialComplex(facets), [frozenset(F) for F in facets])
+    if not cert.valid:
+        i, j = cert.witness
+        raise DisagreementError(f"not a shelling: witness facets {i} {codes[i]}, {j} {codes[j]}")
+    return cert
+
+
 @dataclass(frozen=True)
 class SubdivisionShellingReport:
-    k: int
-    q: int
     order: tuple[Code, ...]
     certificate: ShellingCertificate
     predicted_restrictions: tuple[frozenset[Vertex], ...]
-    restrictions_match: bool
     h: tuple[int, ...]
 
 
 def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> SubdivisionShellingReport:
-    """Shell the whole subdivision and check the closed-form restrictions.
+    """Shell the whole subdivision and check the closed-form restrictions;
+    DisagreementError names the first facet whose restriction differs.
 
     Quadratic in the number of facets; guarded by max_facets.
     """
     order = shelling_order(k, q, max_facets)
-    facets = [decode_facet(code, q) for code in order]
-    K = SimplicialComplex(facets)
-    cert = verify_shelling(K, [frozenset(F) for F in facets])
+    cert = certify_order(order, q)
     predicted = tuple(predicted_restriction(code, q) for code in order)
+    for code, got, want in zip(order, cert.restrictions, predicted):
+        if got != want:
+            raise DisagreementError(f"facet {code} restricts to {sorted(got)}, not {sorted(want)}")
     return SubdivisionShellingReport(
-        k=k,
-        q=q,
         order=order,
         certificate=cert,
         predicted_restrictions=predicted,
-        restrictions_match=cert.restrictions == predicted,
         h=cert.type_histogram(),
     )
 

@@ -29,10 +29,10 @@ from .combinat import (
     partitions,
     x_sequence,
 )
-from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex, verify_shelling
+from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex
+from .shelling import certify_order
 from .subdivision import (
     Code,
-    Vertex,
     decode_facet,
     facet_code_for_permutation,
     is_interior_vertex,
@@ -245,10 +245,7 @@ def init_shelling_order(k: int):
 class StarClusterReport:
     """Everything the structured star cluster enumeration establishes."""
 
-    k: int
-    q: int
     base_code: Code
-    base_chain: tuple[Vertex, ...]
     rows: tuple[LayerFacet, ...]
     layer_sizes: tuple[int, ...]
     certificate: ShellingCertificate
@@ -263,28 +260,32 @@ def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     """Build the star cluster of an interior facet, shell it, and cross-count.
 
     The certificate is computed by the generic shelling verifier on the
-    structured order; h is its restriction type histogram.
+    structured order; h is its restriction type histogram.  DisagreementError
+    names the witness unless the order is a shelling, the four counts agree,
+    and h is the weighted table formula followed by h_k = 0.
     """
     rows = sc_layers(base, q)
     k = len(base) + 1
-    chain = decode_facet(base, q)
-    facets = [decode_facet(row.code, q) for row in rows]
-    K = SimplicialComplex(facets)
-    cert = verify_shelling(K, [frozenset(F) for F in facets])
+    cert = certify_order([row.code for row in rows], q)
+    counts = {
+        "count_enumerated": len(rows),
+        "count_inclusion_exclusion": sc_count_inclusion_exclusion(k),
+        "count_partition_formula": sc_count_partition_formula(k),
+        "x_value": x_sequence(k + 1)[k],
+    }
+    if len(set(counts.values())) != 1:
+        raise DisagreementError(f"star cluster counts disagree: {counts}")
+    h = cert.type_histogram()
+    if h != sc_h_formula(k) + (0,):
+        raise DisagreementError(f"star cluster h {h} is not the formula {sc_h_formula(k)} + (0,)")
     sizes = tuple(
         sum(1 for row in rows if row.layer == j) for j in range(1, k + 1)
     )
     return StarClusterReport(
-        k=k,
-        q=q,
         base_code=tuple(base),
-        base_chain=chain,
         rows=rows,
         layer_sizes=sizes,
         certificate=cert,
-        h=cert.type_histogram(),
-        count_enumerated=len(rows),
-        count_inclusion_exclusion=sc_count_inclusion_exclusion(k),
-        count_partition_formula=sc_count_partition_formula(k),
-        x_value=x_sequence(k + 1)[k],
+        h=h,
+        **counts,
     )

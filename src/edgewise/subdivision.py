@@ -587,24 +587,17 @@ def off_export(k: int, q: int, max_facets: int = 10**6) -> str:
     Uses the classic 3-column OFF header when the ambient dimension k-1 is
     at most 3 (padding coordinates with zeros) and the nOFF variant above.
     """
-    K = build_complex(k, q, max_facets=max_facets)
-    verts = sorted(K.vertices)
+    check_facet_budget(k, q, max_facets)
+    verts = vertex_set(k, q)
     index = {v: i for i, v in enumerate(verts)}
-    rows = sorted(sorted(index[v] for v in F) for F in K.facets)
+    rows = sorted(sorted(index[v] for v in decode_facet(a, q)) for a in facet_codes(k, q))
     dim = k - 1
-    lines: list[str] = []
     if dim <= 3:
-        lines.append("OFF")
-        lines.append(f"{len(verts)} {len(rows)} 0")
-        for v in verts:
-            padded = tuple(v) + (0,) * (3 - dim)
-            lines.append(" ".join(str(c) for c in padded))
+        lines = ["OFF", f"{len(verts)} {len(rows)} 0"]
+        padding = (0,) * (3 - dim)
     else:
-        lines.append("nOFF")
-        lines.append(str(dim))
-        lines.append(f"{len(verts)} {len(rows)} 0")
-        for v in verts:
-            lines.append(" ".join(str(c) for c in v))
-    for row in rows:
-        lines.append(f"{k} " + " ".join(str(i) for i in row))
+        lines = ["nOFF", str(dim), f"{len(verts)} {len(rows)} 0"]
+        padding = ()
+    lines += [" ".join(str(c) for c in v + padding) for v in verts]
+    lines += [f"{k} " + " ".join(str(i) for i in row) for row in rows]
     return "\n".join(lines) + "\n"

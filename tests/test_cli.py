@@ -226,6 +226,9 @@ def test_determinism(capsys):
         # a star-cluster face raising one coordinate twice
         (("star-cluster", "-k", "4", "-q", "9", "--face", "1,2,3", "--face", "1,2,4",
           "--face", "1,2,5"), 2),
+        # a --face vertex given twice
+        (("link", "-k", "3", "-q", "3", "--face", "1,2", "--face", "1,2"), 2),
+        (("star-cluster", "-k", "3", "-q", "6", "--face", "1,2", "--face", "1,2"), 2),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):
@@ -249,9 +252,9 @@ BREACHES = [
      lambda f: lambda code, q: frozenset(), "shell -k 3 -q 3"),
     ("star-cluster counts disagree", starcluster, "sc_count_partition_formula",
      lambda f: lambda k: f(k) + 1, "star-cluster -k 3 -q 7"),
-    ("invalid star-cluster shelling", starcluster, "verify_shelling",
+    ("invalid star-cluster shelling", shelling, "verify_shelling",
      lambda f: lambda K, order: _invalid(f(K, order)), "star-cluster -k 3 -q 7"),
-    ("star-cluster h off the formula", cli, "sc_h_formula",
+    ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "k_lambda",
      lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --vertex 1,2"),
@@ -272,15 +275,26 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
     assert "invariant breach" in err
 
 
-def test_invariant_breach_survives_optimize():
-    """Agreeing h routes that end in a nonzero h_k still exit 1 under python -O."""
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        ("import edgewise.cli as cli\n"
+         "cli.h_routes = lambda k, q, m: {'binomial': (1, 2, 0, 1), 'polynomial': (1, 2, 0, 1)}\n"
+         "raise SystemExit(cli.main(['hvector', '-k', '3', '-q', '2']))\n",
+         "invariant breach"),
+        ("import edgewise.starcluster as sc\n"
+         "sc.sc_count_partition_formula = lambda k: sc.sc_count_inclusion_exclusion(k) + 1\n"
+         "sc.sc_shelling_and_h((1, 2), 6)\n",
+         "DisagreementError: star cluster counts disagree"),
+    ],
+    ids=["cli h_k nonzero", "library star-cluster count"],
+)
+def test_invariant_breach_survives_optimize(code, message):
+    """Under python -O, agreeing h routes that end in a nonzero h_k still
+    exit 1 through the CLI, and a star-cluster count off by one still raises
+    out of the library."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import edgewise.cli as cli\n"
-        "cli.h_routes = lambda k, q, m: {'binomial': (1, 2, 0, 1), 'polynomial': (1, 2, 0, 1)}\n"
-        "raise SystemExit(cli.main(['hvector', '-k', '3', '-q', '2']))\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -289,7 +303,7 @@ def test_invariant_breach_survives_optimize():
         timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
-    assert "invariant breach" in proc.stderr
+    assert message in proc.stderr
 
 
 def test_capacity_message(capsys):

@@ -30,3 +30,25 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert "MISMATCH" not in proc.stdout
+
+
+def test_walk_fails_on_a_wrong_count():
+    """A star-cluster count off by one stops the walk with a nonzero exit."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import runpy, sys\n"
+        "import edgewise.starcluster as sc\n"
+        "count = sc.sc_count_partition_formula\n"
+        "sc.sc_count_partition_formula = lambda k: count(k) + 1\n"
+        "sys.argv = ['star_cluster_walk.py', '--kmax', '3']\n"
+        f"runpy.run_path({str(ROOT / 'scripts' / 'star_cluster_walk.py')!r}, run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode != 0
+    assert "counts disagree" in proc.stderr

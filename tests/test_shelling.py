@@ -1,12 +1,15 @@
 """Shelling of the full subdivision: certificate, restrictions, h-vectors."""
 
+import dataclasses
 from math import comb
 
 import pytest
 
-from edgewise.complexes import CapacityError, h_vector
+from edgewise import shelling
+from edgewise.complexes import CapacityError, DisagreementError, h_vector
 from edgewise.shelling import (
     ascent_positions,
+    certify_order,
     h_by_ascents,
     h_by_binomial,
     h_by_polynomial,
@@ -32,8 +35,29 @@ def test_shelling_certificate_valid(k, q):
 @pytest.mark.parametrize("k,q", GRID)
 def test_closed_form_restrictions_match(k, q):
     report = shelling_certificate(k, q)
-    assert report.restrictions_match
     assert report.certificate.restrictions == report.predicted_restrictions
+
+
+def test_certify_order_names_witness():
+    # facets (0, 0) and (0, 1) of T_{3,2} share only a vertex
+    with pytest.raises(DisagreementError, match=r"witness facets 0 \(0, 0\), 1 \(0, 1\)"):
+        certify_order(((0, 0), (0, 1), (1, 0), (1, 1)), 2)
+
+
+def test_invalid_certificate_raises(monkeypatch):
+    verify = shelling.verify_shelling
+    monkeypatch.setattr(
+        shelling, "verify_shelling",
+        lambda K, order: dataclasses.replace(verify(K, order), valid=False, witness=(0, 1)),
+    )
+    with pytest.raises(DisagreementError, match=r"witness facets 0 \(0, 0\), 1 \(1, 0\)"):
+        shelling_certificate(3, 3)
+
+
+def test_restriction_off_closed_form_raises(monkeypatch):
+    monkeypatch.setattr(shelling, "predicted_restriction", lambda code, q: frozenset())
+    with pytest.raises(DisagreementError, match=r"facet \(1, 0\) restricts to \[\(1, 2\)\], not \[\]"):
+        shelling_certificate(3, 3)
 
 
 def test_first_facet_has_empty_restriction():

@@ -1,11 +1,13 @@
 """Star clusters: structured enumeration vs brute force, counts, shellings."""
 
+import dataclasses
 import itertools
 
 import pytest
 
+from edgewise import shelling, starcluster
 from edgewise.combinat import des, eulerian_vector, init, x_sequence
-from edgewise.complexes import SimplicialComplex, verify_shelling
+from edgewise.complexes import DisagreementError, SimplicialComplex, verify_shelling
 from edgewise.posets import k_lambda
 from edgewise.starcluster import (
     base_facet_code,
@@ -131,6 +133,29 @@ def test_star_cluster_h_k3():
     report = sc_shelling_and_h((1, 2), 6)
     assert report.count_enumerated == 13
     assert report.h == (1, 9, 3, 0)
+
+
+def test_counts_disagree_raises(monkeypatch):
+    count = starcluster.sc_count_partition_formula
+    monkeypatch.setattr(starcluster, "sc_count_partition_formula", lambda k: count(k) + 1)
+    with pytest.raises(DisagreementError, match="counts disagree: .*'count_partition_formula': 14"):
+        sc_shelling_and_h((1, 2), 6)
+
+
+def test_invalid_shelling_raises(monkeypatch):
+    verify = shelling.verify_shelling
+    monkeypatch.setattr(
+        shelling, "verify_shelling",
+        lambda K, order: dataclasses.replace(verify(K, order), valid=False, witness=(0, 1)),
+    )
+    with pytest.raises(DisagreementError, match=r"witness facets 0 \(2, 1\), 1 \(1, 1\)"):
+        sc_shelling_and_h((1, 2), 6)
+
+
+def test_h_off_formula_raises(monkeypatch):
+    monkeypatch.setattr(starcluster, "sc_h_formula", lambda k: (1,) * k)
+    with pytest.raises(DisagreementError, match=r"h \(1, 9, 3, 0\) is not the formula \(1, 1, 1\)"):
+        sc_shelling_and_h((1, 2), 6)
 
 
 def test_sc_h_formula_totals():
