@@ -2,11 +2,12 @@
 
 Enumerates every face of T_{k,q}, classifies its link by combinatorial
 type, and compares the distinct-type counts per dimension with the closed
-counting formulas:
+counting formulas; any disagreement goes to stderr and the exit status is 1:
     python3 scripts/link_census.py -k 4 -q 3
 """
 
 import argparse
+import sys
 from collections import Counter
 
 from edgewise.subdivision import (
@@ -27,9 +28,11 @@ def run(args: argparse.Namespace) -> None:
     print("\nvertices by link type:")
     for lam, n in sorted(by_partition.items()):
         print(f"  {lam}: {n}")
+    mismatches = []
     formula = count_link_types(k, q)
-    marker = "" if formula == len(by_partition) else f"  MISMATCH formula {formula}"
-    print(f"  distinct types: {len(by_partition)}{marker}")
+    if formula != len(by_partition):
+        mismatches.append(f"vertex link types: {len(by_partition)}, formula {formula}")
+    print(f"  distinct types: {len(by_partition)}")
 
     print("\ndistinct link types by face size:")
     for t in range(1, k + 1):
@@ -39,8 +42,11 @@ def run(args: argparse.Namespace) -> None:
             if len(face) == t
         }
         formula = count_link_types_of_faces(k, q, t)
-        marker = "" if formula == len(keys) else f"  MISMATCH formula {formula}"
-        print(f"  size {t}: {len(keys)} types{marker}")
+        if formula != len(keys):
+            mismatches.append(f"size {t} face link types: {len(keys)}, formula {formula}")
+        print(f"  size {t}: {len(keys)} types")
+    if mismatches:
+        sys.exit("\n".join(f"MISMATCH {m}" for m in mismatches))
 
 
 def main() -> None:

@@ -80,7 +80,8 @@ def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> Subdivision
     """Shell the whole subdivision and check the closed-form restrictions;
     DisagreementError names the first facet whose restriction differs.
 
-    Quadratic in the number of facets; guarded by max_facets.
+    Near-linear in the number of facets (each vertex lies in at most k!
+    facets, which bounds verify_shelling's scan); guarded by max_facets.
     """
     order = shelling_order(k, q, max_facets)
     cert = certify_order(order, q)

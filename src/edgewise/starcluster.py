@@ -262,7 +262,8 @@ def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     The certificate is computed by the generic shelling verifier on the
     structured order; h is its restriction type histogram.  DisagreementError
     names the witness unless the order is a shelling, the four counts agree,
-    and h is the weighted table formula followed by h_k = 0.
+    every facet's restriction type is des(label), and h is the weighted
+    table formula followed by h_k = 0.
     """
     rows = sc_layers(base, q)
     k = len(base) + 1
@@ -275,6 +276,12 @@ def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     }
     if len(set(counts.values())) != 1:
         raise DisagreementError(f"star cluster counts disagree: {counts}")
+    for row, got in zip(rows, cert.types):
+        if got != des(row.label):
+            raise DisagreementError(
+                f"star cluster facet layer {row.layer} label {row.label} code {row.code}"
+                f" has restriction type {got}, not des(label) = {des(row.label)}"
+            )
     h = cert.type_histogram()
     if h != sc_h_formula(k) + (0,):
         raise DisagreementError(f"star cluster h {h} is not the formula {sc_h_formula(k)} + (0,)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from edgewise.complexes import (
     star,
     verify_shelling,
 )
+from edgewise.shelling import shelling_order
+from edgewise.subdivision import decode_facet
 
 
 def boundary_of_simplex(n: int) -> SimplicialComplex:
@@ -138,6 +141,7 @@ class TestVerifyShelling:
         assert cert.valid
         assert cert.witness is None
         assert cert.types == (0, 1, 1)
+        # Vertex 4 lies in no earlier facet, so nothing contains R_1 = {4}.
         assert cert.restrictions[1] == frozenset({4})
         assert cert.type_histogram() == (1, 2, 0, 0)
         assert cert.type_histogram() == h_vector(K)
@@ -147,6 +151,9 @@ class TestVerifyShelling:
         cert = verify_shelling(K, [(1, 2, 3), (3, 4, 5), (2, 3, 4)])
         assert not cert.valid
         assert cert.witness == (0, 1)
+        # Restrictions and types still cover every facet after the witness.
+        assert cert.restrictions == (frozenset(), frozenset(), frozenset({2, 4}))
+        assert cert.types == (0, 0, 2)
 
     def test_boundary_any_order_is_shelling(self):
         K = boundary_of_simplex(4)
@@ -188,7 +195,83 @@ class TestVerifyShelling:
         K = SimplicialComplex([(1, 2, 3), (2, 3, 4), (5, 6, 7), (4, 5, 6)])
         cert = verify_shelling(K, [(1, 2, 3), (2, 3, 4), (5, 6, 7), (4, 5, 6)])
         assert not cert.valid
+        assert cert.restrictions[2] == frozenset()
         assert cert.witness == (0, 2)
+
+
+def _quadratic_certificate(order):
+    """Oracle for verify_shelling: restrictions straight from the definition
+    and the witness from a scan of every earlier facet for every later one.
+
+    Returns (valid, witness, restrictions, types)."""
+    seq = [frozenset(F) for F in order]
+    restrictions = [
+        frozenset(v for v in F if any(F - {v} <= G for G in seq[:j]))
+        for j, F in enumerate(seq)
+    ]
+    witness = None
+    for j in range(1, len(seq)):
+        rest = restrictions[j]
+        for i in range(j):
+            if not any(v not in seq[i] for v in rest):
+                witness = (i, j)
+                break
+        if witness is not None:
+            break
+    return witness is None, witness, tuple(restrictions), tuple(len(r) for r in restrictions)
+
+
+def _perturbed_orders(k: int, q: int, seed: int):
+    """The shelling order of T_{k,q}, a shuffle of it, one facet moved
+    earlier and two facets swapped, as lists of facets."""
+    rng = random.Random(seed)
+    base = [frozenset(decode_facet(code, q)) for code in shelling_order(k, q)]
+    shuffled = base[:]
+    rng.shuffle(shuffled)
+    moved = base[:]
+    j = rng.randrange(1, len(moved))
+    moved.insert(rng.randrange(j), moved.pop(j))
+    swapped = base[:]
+    a, b = sorted(rng.sample(range(len(swapped)), 2))
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    return base, shuffled, moved, swapped
+
+
+class TestShellingOracle:
+    """verify_shelling's incidence-list witness against the quadratic scan."""
+
+    def test_matches_oracle_on_perturbed_orders(self):
+        witnesses = []
+        for k, q in [(3, 3), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3)]:
+            K = SimplicialComplex(
+                frozenset(decode_facet(code, q)) for code in shelling_order(k, q)
+            )
+            for seed in range(6):
+                for order in _perturbed_orders(k, q, seed):
+                    cert = verify_shelling(K, order)
+                    got = (cert.valid, cert.witness, cert.restrictions, cert.types)
+                    assert got == _quadratic_certificate(order), (k, q, seed)
+                    witnesses.append(cert.witness)
+        # The orders reach valid shellings, empty restrictions (i = 0) and
+        # nonempty restrictions inside a later facet (i > 0).
+        assert None in witnesses
+        assert any(w is not None and w[0] == 0 for w in witnesses)
+        assert any(w is not None and w[0] > 0 for w in witnesses)
+
+    def test_witness_takes_the_first_facet_holding_the_restriction(self):
+        # R_4 = {5} lies in facets 1 and 2 but not 0; R_1..R_3 are new vertices.
+        order = [(1, 2, 6), (2, 5, 6), (3, 5, 6), (1, 2, 4), (1, 4, 5)]
+        cert = verify_shelling(SimplicialComplex(order), order)
+        assert cert.restrictions[1:] == tuple(map(frozenset, ({5}, {3}, {4}, {5})))
+        assert cert.witness == (1, 4)
+
+    def test_witness_past_the_head_of_the_incidence_list(self):
+        # R_5 = {1, 4}: vertex 1 lies in facets 0, 2, 4 and vertex 4 in
+        # 1, 2, 3, so either list must be read past its first facet.
+        order = [(1, 3, 5, 6), (3, 4, 5, 6), (1, 4, 5, 6), (2, 3, 4, 6), (1, 2, 3, 6), (1, 2, 3, 4)]
+        cert = verify_shelling(SimplicialComplex(order), order)
+        assert cert.restrictions[5] == frozenset({1, 4})
+        assert cert.witness == (2, 5)
 
 
 class TestIsomorphism:

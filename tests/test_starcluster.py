@@ -158,6 +158,24 @@ def test_h_off_formula_raises(monkeypatch):
         sc_shelling_and_h((1, 2), 6)
 
 
+def test_swapped_types_raise_despite_the_histogram(monkeypatch):
+    """Two facet types swapped keep h but fail the per-facet des check."""
+    verify = shelling.verify_shelling
+
+    def swap_types(K, order):
+        cert = verify(K, order)
+        types = list(cert.types)
+        types[0], types[-1] = types[-1], types[0]
+        return dataclasses.replace(cert, types=tuple(types))
+
+    monkeypatch.setattr(shelling, "verify_shelling", swap_types)
+    with pytest.raises(
+        DisagreementError,
+        match=r"facet layer 1 label \(1, 2, 3\) code \(2, 1\) has restriction type 2, not des\(label\) = 0",
+    ):
+        sc_shelling_and_h((1, 2), 6)
+
+
 def test_sc_h_formula_totals():
     for k in range(2, 8):
         assert sum(sc_h_formula(k)) == x_sequence(k + 1)[k]
