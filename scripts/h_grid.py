@@ -7,6 +7,7 @@ Every cell is computed by all available routes and they must agree:
 import argparse
 
 from edgewise.shelling import h_vector_checked
+from edgewise.subdivision import MAX_FACETS
 
 
 def run(args: argparse.Namespace) -> None:
@@ -22,7 +23,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=6)
     parser.add_argument("--qmax", type=int, default=5)
-    parser.add_argument("--max-facets", type=int, default=10**6)
+    parser.add_argument("--max-facets", type=int, default=MAX_FACETS)
     run(parser.parse_args())
 
 

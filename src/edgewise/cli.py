@@ -28,6 +28,7 @@ from .starcluster import (
     sc_shelling_and_h,
 )
 from .subdivision import (
+    MAX_FACETS,
     check_facet_budget,
     count_distinct_links_dim,
     count_faces_with_link_type,
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--out", type=Path, default=None, help="write the report to this path")
         if capped:
-            p.add_argument("--max-facets", type=int, default=10**6)
+            p.add_argument("--max-facets", type=int, default=MAX_FACETS)
         return p
 
     tabular = ("text", "json", "csv")
@@ -426,18 +427,18 @@ def main(argv=None) -> int:
         if "k" in args:
             _check_grid(args)
         report = _render(args, *args.verb(args))
+        if args.out is not None:
+            args.out.write_text(report)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
     except DisagreementError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        args.out.write_text(report)
-    else:
+    if args.out is None:
         sys.stdout.write(report)
     return 0
 

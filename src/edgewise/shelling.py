@@ -23,6 +23,7 @@ from .complexes import (
     verify_shelling,
 )
 from .subdivision import (
+    MAX_FACETS,
     Code,
     Vertex,
     check_facet_budget,
@@ -37,7 +38,7 @@ def shelling_key(code: Code):
     return (max(code), sum(code), tuple(-c for c in code))
 
 
-def shelling_order(k: int, q: int, max_facets: int = 10**6) -> tuple[Code, ...]:
+def shelling_order(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[Code, ...]:
     """All facet codes in shelling order."""
     check_facet_budget(k, q, max_facets)
     return tuple(sorted(facet_codes(k, q), key=shelling_key))
@@ -49,10 +50,11 @@ def ascent_positions(code: Code) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(word)) if word[i - 1] < word[i])
 
 
-def predicted_restriction(code: Code, q: int) -> frozenset[Vertex]:
-    """Restriction face of the facet in the shelling: chain vertex
-    v^(k+1-i) for every ascent position i."""
-    chain = decode_facet(code, q)
+def predicted_restriction(code: Code, facet: frozenset[Vertex]) -> frozenset[Vertex]:
+    """Restriction face of the facet with this code in the shelling: chain
+    vertex v^(k+1-i) for every ascent position i.  Chain vertices rise
+    coordinatewise, so the sorted facet is the chain."""
+    chain = sorted(facet)
     k = len(chain)
     return frozenset(chain[k - i] for i in ascent_positions(code))
 
@@ -60,8 +62,8 @@ def predicted_restriction(code: Code, q: int) -> frozenset[Vertex]:
 def certify_order(codes, q: int) -> ShellingCertificate:
     """Certificate of these facet codes, in order, as a shelling of their
     complex; DisagreementError names a witness pair by position and code."""
-    facets = [decode_facet(code, q) for code in codes]
-    cert = verify_shelling(SimplicialComplex(facets), [frozenset(F) for F in facets])
+    facets = [frozenset(decode_facet(code, q)) for code in codes]
+    cert = verify_shelling(SimplicialComplex(facets), facets)
     if not cert.valid:
         i, j = cert.witness
         raise DisagreementError(f"not a shelling: witness facets {i} {codes[i]}, {j} {codes[j]}")
@@ -76,7 +78,7 @@ class SubdivisionShellingReport:
     h: tuple[int, ...]
 
 
-def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> SubdivisionShellingReport:
+def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> SubdivisionShellingReport:
     """Shell the whole subdivision and check the closed-form restrictions;
     DisagreementError names the first facet whose restriction differs.
 
@@ -85,7 +87,7 @@ def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> Subdivision
     """
     order = shelling_order(k, q, max_facets)
     cert = certify_order(order, q)
-    predicted = tuple(predicted_restriction(code, q) for code in order)
+    predicted = tuple(map(predicted_restriction, order, cert.order))
     for code, got, want in zip(order, cert.restrictions, predicted):
         if got != want:
             raise DisagreementError(f"facet {code} restricts to {sorted(got)}, not {sorted(want)}")
@@ -97,7 +99,7 @@ def shelling_certificate(k: int, q: int, max_facets: int = 10**6) -> Subdivision
     )
 
 
-def h_by_ascents(k: int, q: int, max_facets: int = 10**6) -> tuple[int, ...]:
+def h_by_ascents(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...]:
     """Histogram of codes by ascent count of the padded word; exhaustive."""
     check_facet_budget(k, q, max_facets)
     h = [0] * (k + 1)
@@ -151,7 +153,7 @@ def h_by_polynomial(k: int, q: int) -> tuple[int, ...]:
     return tuple(coeffs[i * q] if i * q < len(coeffs) else 0 for i in range(k + 1))
 
 
-def h_routes(k: int, q: int, max_facets: int = 10**6) -> dict[str, tuple[int, ...]]:
+def h_routes(k: int, q: int, max_facets: int = MAX_FACETS) -> dict[str, tuple[int, ...]]:
     """All available h-vector routes; the exhaustive one is skipped past
     the capacity cap."""
     routes = {
@@ -173,6 +175,6 @@ def consensus(routes: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     return values.pop()
 
 
-def h_vector_checked(k: int, q: int, max_facets: int = 10**6) -> tuple[int, ...]:
+def h_vector_checked(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...]:
     """The h-vector, with every route required to agree."""
     return consensus(h_routes(k, q, max_facets))

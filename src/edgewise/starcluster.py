@@ -124,18 +124,11 @@ def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
     order = init_lex_order(k)
     rows: list[LayerFacet] = []
     for j in range(1, k + 1):
-        vj = chain[j - 1]
-        if j == 1:
-            for pi in order:
-                rows.append(LayerFacet(1, pi, pi, facet_code_for_permutation(vj, pi, q)))
-        else:
-            for sigma in order:
-                if init(sigma) < j:
-                    continue
-                pi = shifted_reversal_inverse(sigma, j)
-                rows.append(
-                    LayerFacet(j, sigma, pi, facet_code_for_permutation(vj, pi, q))
-                )
+        for sigma in order:
+            if init(sigma) < j:
+                continue
+            pi = sigma if j == 1 else shifted_reversal_inverse(sigma, j)
+            rows.append(LayerFacet(j, sigma, pi, facet_code_for_permutation(chain[j - 1], pi)))
     codes = [row.code for row in rows]
     if len(set(codes)) != len(codes):
         raise DisagreementError("structured enumeration repeated a facet")

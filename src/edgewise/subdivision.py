@@ -35,6 +35,7 @@ from .posets import k_lambda
 
 Vertex = tuple[int, ...]
 Code = tuple[int, ...]
+MAX_FACETS = 10**6  # default facet cap of every capacity-bounded operation
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def code_of_facet(vertices, q: int) -> Code:
     return encode_facet(chain[0], pi, q)
 
 
-def build_complex(k: int, q: int, max_facets: int = 10**6) -> SimplicialComplex:
+def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
     """The full subdivision complex; vertices are labeled by their tuples."""
     check_facet_budget(k, q, max_facets)
     return SimplicialComplex(decode_facet(a, q) for a in facet_codes(k, q))
@@ -299,29 +300,25 @@ def s_v_permutations(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_interleavings([list(c) for c in _label_chains(v, q)]))
 
 
-def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...], q: int) -> Code:
+def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     """Code of the facet of star(v) indexed by pi in S_v.
 
     With k at position i of pi, the code reads the coordinates before k in
     reverse, then the coordinates after k in reverse with entries lowered
     by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
+    Its callers validate v once and decode_facet validates the code.
     """
-    _validate_vertex(v, q)
     k = len(v) + 1
-    if sorted(pi) != list(range(1, k + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{k}")
     i = pi.index(k)
     prefix = tuple(v[pi[j] - 1] for j in range(i - 1, -1, -1))
     suffix = tuple(v[pi[j] - 1] - 1 for j in range(k - 1, i, -1))
-    a = prefix + suffix
-    _validate_code(a, q)
-    return a
+    return prefix + suffix
 
 
 def star_facet_codes(v: Vertex, q: int) -> tuple[Code, ...]:
     """Codes of all facets containing v, one per permutation in S_v."""
     pis = s_v_permutations(v, q)
-    codes = tuple(facet_code_for_permutation(v, pi, q) for pi in pis)
+    codes = tuple(facet_code_for_permutation(v, pi) for pi in pis)
     if len(set(codes)) != len(codes):
         raise DisagreementError(f"duplicate star codes at {v}")
     return codes
@@ -337,9 +334,14 @@ def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
 
 
 def link_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
-    """Link of v, certified against the chain-product model of
-    vertex_partition(v, q) as the link of the one-vertex face (v,)."""
-    return link_of_face((v,), q).link
+    """Link of v, certified as the link of the one-vertex face (v,);
+    DisagreementError unless its model's partition is vertex_partition(v, q)."""
+    report = link_of_face((v,), q)
+    (sigma,) = report.link_class.signatures
+    lam = vertex_partition(v, q)
+    if sigma != lam:
+        raise DisagreementError(f"link of {tuple(v)}: run structure gives {lam}, the model {sigma}")
+    return report.link
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +583,7 @@ def count_link_types_of_faces(k: int, q: int, t: int) -> int:
 # Geometry export
 
 
-def off_export(k: int, q: int, max_facets: int = 10**6) -> str:
+def off_export(k: int, q: int, max_facets: int = MAX_FACETS) -> str:
     """OFF description of the subdivision, vertices at their lattice points.
 
     Uses the classic 3-column OFF header when the ambient dimension k-1 is

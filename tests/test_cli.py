@@ -182,6 +182,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["h"] == [1, 7, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "build -k 3 -q 2 --out {tmp}/missing/x.txt",
+        "build -k 3 -q 2 --out {tmp}",
+        "tables --out {tmp}/file.txt",
+    ],
+    ids=["missing directory", "directory as report", "file as table directory"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "file.txt").write_text("")
+    rc, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ")
+
+
 def test_determinism(capsys):
     first = run(capsys, "shell", "-k", "4", "-q", "2", "--format", "json")
     second = run(capsys, "shell", "-k", "4", "-q", "2", "--format", "json")
@@ -258,6 +274,8 @@ BREACHES = [
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "k_lambda",
      lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --vertex 1,2"),
+    ("run-structure partition off the link model", subdivision.VertexType, "partition",
+     lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
     ("failed face link certification", subdivision, "k_lambda",
      lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",

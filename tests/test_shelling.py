@@ -20,7 +20,7 @@ from edgewise.shelling import (
     shelling_certificate,
     shelling_order,
 )
-from edgewise.subdivision import build_complex, number_of_facets
+from edgewise.subdivision import build_complex, facet_codes, number_of_facets
 
 GRID = [(k, q) for k in range(2, 6) for q in range(1, 5)]
 
@@ -70,7 +70,18 @@ def test_restriction_example():
     # code (1, 0) in T_{3,2}: padded word (0, 1, 0) has one ascent, at the
     # first step, selecting the top chain vertex
     assert ascent_positions((1, 0)) == (1,)
-    assert predicted_restriction((1, 0), 2) == frozenset({(1, 2)})
+    facet = frozenset({(0, 1), (1, 1), (1, 2)})
+    assert predicted_restriction((1, 0), facet) == frozenset({(1, 2)})
+
+
+def test_each_facet_decoded_once(monkeypatch):
+    decoded = []
+    decode = shelling.decode_facet
+    monkeypatch.setattr(
+        shelling, "decode_facet", lambda code, q: decoded.append(code) or decode(code, q)
+    )
+    shelling_certificate(4, 3)
+    assert sorted(decoded) == sorted(facet_codes(4, 3))
 
 
 @pytest.mark.parametrize("k,q", [(k, q) for k in range(2, 7) for q in range(1, 5)])

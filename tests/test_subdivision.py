@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -256,6 +257,18 @@ class TestStars:
                 assert len(s_v_permutations(v, q)) == expected
                 assert star_of_vertex(v, q).num_facets == expected
 
+    def test_out_of_range_star_code_rejected_by_decode(self, monkeypatch):
+        v, q = (1, 2), 3
+        bad = tuple(c + q for c in subdivision.star_facet_codes(v, q)[0])
+        real = subdivision.facet_code_for_permutation
+        monkeypatch.setattr(
+            subdivision, "facet_code_for_permutation",
+            lambda v, pi: tuple(c + q for c in real(v, pi)),
+        )
+        message = f"{bad} is not a code with entries in 0..{q - 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            star_of_vertex(v, q)
+
     def test_star_is_vertex_join_link(self):
         for v in [(0, 1), (1, 1), (0, 2, 3), (1, 1, 2)]:
             q = 3
@@ -384,6 +397,12 @@ class TestLinkCertificate:
         with pytest.raises(DisagreementError, match="has no preimage") as exc:
             link_of_face(face, 3)
         assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
+
+    def test_partition_off_the_model_rejected(self, monkeypatch):
+        monkeypatch.setattr(subdivision, "vertex_partition", lambda v, q: (3,))
+        message = "link of (1, 2): run structure gives (3,), the model (1, 1, 1)"
+        with pytest.raises(DisagreementError, match=re.escape(message)):
+            link_of_vertex((1, 2), 3)
 
     def test_collision_names_both_vertices(self, monkeypatch):
         # One group per block: the map forgets which labels were walked.
