@@ -33,8 +33,6 @@ from .complexes import (
     h_from_f,
     h_vector,
     join,
-    link,
-    star,
     verify_shelling,
 )
 from .posets import (

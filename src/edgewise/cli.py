@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from math import factorial, prod
 from pathlib import Path
 
 from .combinat import partitions
@@ -29,6 +30,7 @@ from .starcluster import (
 )
 from .subdivision import (
     MAX_FACETS,
+    _check_cap,
     check_facet_budget,
     count_distinct_links_dim,
     count_faces_with_link_type,
@@ -235,6 +237,7 @@ def _classify(args):
     if args.partition is not None:
         lam = tuple(sorted(args.partition, reverse=True))
         count = count_faces_with_link_type(k, q, lam)
+        _check_cap(factorial(k) // prod(map(factorial, lam)))
         h_model = h_k_lambda(lam)
         model_vertices = len(k_lambda(lam).vertices) if sum(lam) >= 2 else 0
         payload = {

@@ -205,13 +205,6 @@ class DescentInitTable:
     k: int
     rows: tuple[tuple[int, ...], ...]
 
-    def cell(self, init_value: int, descents: int) -> int:
-        if not 1 <= init_value <= self.k:
-            raise ValueError(f"init value {init_value} out of range 1..{self.k}")
-        if not 0 <= descents <= self.k - 1:
-            raise ValueError(f"descent count {descents} out of range 0..{self.k - 1}")
-        return self.rows[init_value - 1][descents]
-
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(row[d] for row in self.rows) for d in range(self.k))
 

@@ -141,22 +141,6 @@ def h_vector(K: SimplicialComplex) -> tuple[int, ...]:
     return h_from_f(K.f_vector())
 
 
-def star(K: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Closed star: all faces of facets containing sigma."""
-    s = frozenset(sigma)
-    if not K.has_face(s):
-        raise ValueError(f"{set(sigma)} is not a face of the complex")
-    return SimplicialComplex(F for F in K.facets if s <= F)
-
-
-def link(K: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Link: faces disjoint from sigma whose union with sigma is a face."""
-    s = frozenset(sigma)
-    if not K.has_face(s):
-        raise ValueError(f"{set(sigma)} is not a face of the complex")
-    return SimplicialComplex(F - s for F in K.facets if s <= F)
-
-
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; vertex sets must be disjoint."""
     overlap = A.vertices & B.vertices

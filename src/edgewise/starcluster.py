@@ -24,15 +24,16 @@ from .combinat import (
     cyclic_gaps,
     des,
     h_rows_recursive,
-    init,
     multiplicities,
     partitions,
+    permutations_by_init,
     x_sequence,
 )
 from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex
 from .shelling import certify_order
 from .subdivision import (
     Code,
+    _check_cap,
     decode_facet,
     facet_code_for_permutation,
     is_interior_vertex,
@@ -81,22 +82,16 @@ def _validate_interior_base(code: Code, q: int) -> None:
         )
 
 
-def shifted_reversal(pi: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """The label (pi_k + j)(pi_{k-1} + j)...(pi_1 + j) mod k, values in 1..k."""
-    k = len(pi)
-    return tuple((pi[k - 1 - i] + j - 1) % k + 1 for i in range(k))
-
-
 def shifted_reversal_inverse(sigma: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The pi whose shifted reversal (pi_k + j)...(pi_1 + j) mod k is sigma."""
     k = len(sigma)
     return tuple((sigma[k - 1 - i] - j - 1) % k + 1 for i in range(k))
 
 
 def init_lex_order(k: int) -> tuple[tuple[int, ...], ...]:
     """All of S_k sorted by faithful initial part, then lexicographically."""
-    return tuple(
-        sorted(itertools.permutations(range(1, k + 1)), key=lambda p: (init(p), p))
-    )
+    groups = permutations_by_init(k)
+    return tuple(itertools.chain.from_iterable(groups[t] for t in range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -111,24 +106,24 @@ class LayerFacet:
 
     layer: int
     label: tuple[int, ...]
-    pi: tuple[int, ...]
     code: Code
 
 
 def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
     """Structured enumeration of the star cluster of an interior facet,
-    in shelling order."""
+    in shelling order: layer j lists the labels with faithful initial part
+    j, ..., k, each group in lex order.  CapacityError when the cluster has
+    more than MAX_FACETS facets."""
     _validate_interior_base(base, q)
     chain = decode_facet(base, q)
     k = len(base) + 1
-    order = init_lex_order(k)
+    _check_cap(x_sequence(k + 1)[k])
+    groups = permutations_by_init(k)
     rows: list[LayerFacet] = []
     for j in range(1, k + 1):
-        for sigma in order:
-            if init(sigma) < j:
-                continue
+        for sigma in itertools.chain.from_iterable(groups[t] for t in range(j, k + 1)):
             pi = sigma if j == 1 else shifted_reversal_inverse(sigma, j)
-            rows.append(LayerFacet(j, sigma, pi, facet_code_for_permutation(chain[j - 1], pi)))
+            rows.append(LayerFacet(j, sigma, facet_code_for_permutation(chain[j - 1], pi)))
     codes = [row.code for row in rows]
     if len(set(codes)) != len(codes):
         raise DisagreementError("structured enumeration repeated a facet")
@@ -162,16 +157,10 @@ def sc_count_partition_formula(k: int) -> int:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     total = 0
-    for s in range(1, k + 1):
-        for lam in partitions(k, s):
-            denom = 1
-            for _, m in multiplicities(lam):
-                denom *= factorial(m)
-            count = k * factorial(s - 1) // denom
-            term = count
-            for part in lam:
-                term *= factorial(part)
-            total += (-1) ** (s - 1) * term
+    for lam in partitions(k):
+        s = len(lam)
+        count = k * factorial(s - 1) // prod(factorial(m) for _, m in multiplicities(lam))
+        total += (-1) ** (s - 1) * count * prod(map(factorial, lam))
     return total
 
 

@@ -29,7 +29,13 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
 
-from .combinat import cyclic_gaps, multiplicities, partitions, validate_partition
+from .combinat import (
+    cyclic_gaps,
+    multiplicities,
+    multiset_permutations,
+    partitions,
+    validate_partition,
+)
 from .complexes import CapacityError, DisagreementError, SimplicialComplex, join
 from .posets import k_lambda
 
@@ -62,7 +68,12 @@ def validate_kq(k: int, q: int) -> None:
 
 def check_facet_budget(k: int, q: int, max_facets: int) -> int:
     """The facet count q^(k-1); CapacityError when it exceeds max_facets."""
-    count = number_of_facets(k, q)
+    return _check_cap(number_of_facets(k, q), max_facets)
+
+
+def _check_cap(count: int, max_facets: int = MAX_FACETS) -> int:
+    """count, the size of an enumeration about to start; CapacityError when
+    it exceeds max_facets."""
     if count > max_facets:
         raise CapacityError(f"{count} facets exceed the cap of {max_facets}")
     return count
@@ -283,21 +294,20 @@ def _label_chains(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-def _interleavings(seqs):
-    """All merges of the given sequences that keep each sequence's order."""
-    seqs = [s for s in seqs if s]
-    if not seqs:
-        yield ()
-        return
-    for i, s in enumerate(seqs):
-        rest = seqs[:i] + [list(s[1:])] + seqs[i + 1 :]
-        for tail in _interleavings(rest):
-            yield (s[0],) + tail
-
-
 def s_v_permutations(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
-    """The permutations of 1..k indexing the facets that contain v."""
-    return tuple(_interleavings([list(c) for c in _label_chains(v, q)]))
+    """The permutations of 1..k indexing the facets that contain v.
+
+    With the label chains sorted longest first, each multiset word over
+    their lengths gives one interleaving: letter i takes the next label of
+    chain i.  CapacityError when there are more than MAX_FACETS of them.
+    """
+    chains = sorted(_label_chains(v, q), key=len, reverse=True)
+    _check_cap(factorial(len(v) + 1) // prod(factorial(len(c)) for c in chains))
+    perms = []
+    for word in multiset_permutations(tuple(map(len, chains))):
+        labels = [iter(c) for c in chains]
+        perms.append(tuple(next(labels[i - 1]) for i in word))
+    return tuple(perms)
 
 
 def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:

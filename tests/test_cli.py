@@ -245,11 +245,17 @@ def test_determinism(capsys):
         # a --face vertex given twice
         (("link", "-k", "3", "-q", "3", "--face", "1,2", "--face", "1,2"), 2),
         (("star-cluster", "-k", "3", "-q", "6", "--face", "1,2", "--face", "1,2"), 2),
+        # k!-sized enumerations past the facet cap: a star, a star cluster, K_lambda
+        (("link", "-k", "10", "-q", "11", "--vertex", "1,2,3,4,5,6,7,8,9"), 3),
+        (("star-cluster", "-k", "9", "-q", "12"), 3),
+        (("classify-links", "-k", "10", "-q", "10", "--partition", "1,1,1,1,1,1,1,1,1,1"), 3),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):
     rc, _, err = run(capsys, *argv)
     assert rc == expected
+    if expected == 3:
+        assert err.startswith("capacity: ")
 
 
 def _invalid(cert):

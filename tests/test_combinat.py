@@ -224,14 +224,6 @@ class TestDescentInitTable:
     def test_k1_rows(self):
         assert h_matrix(1).rows == ((1,),)
 
-    def test_cell_accessor(self):
-        table = h_matrix(3)
-        assert table.cell(3, 1) == 2
-        with pytest.raises(ValueError):
-            table.cell(0, 1)
-        with pytest.raises(ValueError):
-            table.cell(1, 3)
-
     def test_column_sums_are_eulerian(self):
         for k in range(1, 8):
             assert h_matrix(k).column_sums() == eulerian_vector(k)

@@ -12,12 +12,9 @@ from edgewise.complexes import (
     SimplicialComplex,
     are_isomorphic,
     find_isomorphism,
-    full_simplex,
     h_from_f,
     h_vector,
     join,
-    link,
-    star,
     verify_shelling,
 )
 from edgewise.shelling import shelling_order
@@ -94,29 +91,6 @@ class TestFAndH:
 
 
 class TestLinkStarJoin:
-    def test_link_in_full_simplex(self):
-        K = full_simplex((1, 2, 3, 4))
-        L = link(K, (1,))
-        assert L == full_simplex((2, 3, 4))
-
-    def test_star_is_vertex_join_link(self):
-        K = SimplicialComplex([(1, 2, 3), (2, 3, 4), (3, 4, 5), (5, 6)])
-        for v in sorted(K.vertices):
-            S = star(K, (v,))
-            L = link(K, (v,))
-            assert S == join(full_simplex((v,)), L)
-
-    def test_link_of_missing_face_rejected(self):
-        K = SimplicialComplex([(1, 2)])
-        with pytest.raises(ValueError):
-            link(K, (3,))
-        with pytest.raises(ValueError):
-            star(K, (1, 3))
-
-    def test_link_of_facet_is_empty_complex(self):
-        K = SimplicialComplex([(1, 2)])
-        assert link(K, (1, 2)) == SimplicialComplex([()])
-
     def test_join_identity(self):
         K = SimplicialComplex([(1, 2), (2, 3)])
         E = SimplicialComplex([()])

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from edgewise import shelling, starcluster
+from edgewise import combinat, shelling, starcluster
 from edgewise.combinat import des, eulerian_vector, init, x_sequence
 from edgewise.complexes import DisagreementError, SimplicialComplex, verify_shelling
 from edgewise.posets import k_lambda
@@ -20,7 +20,6 @@ from edgewise.starcluster import (
     sc_h_formula,
     sc_layers,
     sc_shelling_and_h,
-    shifted_reversal,
     shifted_reversal_inverse,
     star_cluster,
 )
@@ -57,16 +56,33 @@ def test_interior_facet_code_checks():
 
 def test_shifted_reversal_round_trip():
     for k in range(2, 6):
-        for pi in itertools.permutations(range(1, k + 1)):
-            for j in range(1, k + 1):
-                sigma = shifted_reversal(pi, j)
-                assert sorted(sigma) == list(range(1, k + 1))
-                assert shifted_reversal_inverse(sigma, j) == pi
+        perms = list(itertools.permutations(range(1, k + 1)))
+        for j in range(1, k + 1):
+            preimages = [shifted_reversal_inverse(sigma, j) for sigma in perms]
+            assert sorted(preimages) == perms  # a bijection of S_k
+            for sigma, pi in zip(perms, preimages):
+                # sigma is the shifted reversal (pi_k + j)...(pi_1 + j) mod k
+                assert all((pi[k - 1 - i] + j - sigma[i]) % k == 0 for i in range(k))
 
 
 def test_shifted_reversal_example():
     # k=3, j=2: 123 -> (3+2)(2+2)(1+2) = 213 after reducing mod 3 into 1..3
-    assert shifted_reversal((1, 2, 3), 2) == (2, 1, 3)
+    assert shifted_reversal_inverse((2, 1, 3), 2) == (1, 2, 3)
+
+
+def test_sc_layers_calls_init_once_per_permutation(monkeypatch):
+    calls = []
+    real = combinat.init
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    for module in (combinat, starcluster):
+        if hasattr(module, "init"):
+            monkeypatch.setattr(module, "init", counting)
+    sc_layers((1, 2, 3, 4, 5, 6), 10)
+    assert len(calls) == 5040
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -246,6 +262,7 @@ def test_init_shelling_order(k):
 
 def test_init_lex_order_is_grouped_by_init():
     order = init_lex_order(4)
+    assert sorted(order) == list(itertools.permutations(range(1, 5)))
     inits = [init(p) for p in order]
     assert inits == sorted(inits)
     # within one init value the order is lexicographic

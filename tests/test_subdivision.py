@@ -257,6 +257,20 @@ class TestStars:
                 assert len(s_v_permutations(v, q)) == expected
                 assert star_of_vertex(v, q).num_facets == expected
 
+    def test_s_v_is_every_order_of_the_label_chains(self):
+        for k in range(2, 7):
+            perms = list(itertools.permutations(range(1, k + 1)))
+            for q in range(1, 5):
+                for v in vertex_set(k, q):
+                    chains = subdivision._label_chains(v, q)
+                    brute = {
+                        pi for pi in perms
+                        if all([x for x in pi if x in c] == list(c) for c in chains)
+                    }
+                    got = s_v_permutations(v, q)
+                    assert len(set(got)) == len(got)
+                    assert set(got) == brute, (k, q, v)
+
     def test_out_of_range_star_code_rejected_by_decode(self, monkeypatch):
         v, q = (1, 2), 3
         bad = tuple(c + q for c in subdivision.star_facet_codes(v, q)[0])
