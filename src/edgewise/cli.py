@@ -16,12 +16,12 @@ import csv
 import io
 import json
 import sys
-from math import factorial, prod
+from math import prod
 from pathlib import Path
 
 from .combinat import partitions
-from .complexes import CapacityError, DisagreementError
-from .posets import h_k_lambda, k_lambda
+from .complexes import MAX_FACETS, CapacityError, DisagreementError
+from .posets import h_k_lambda
 from .shelling import consensus, h_routes, shelling_certificate
 from .starcluster import (
     base_facet_code,
@@ -29,8 +29,6 @@ from .starcluster import (
     sc_shelling_and_h,
 )
 from .subdivision import (
-    MAX_FACETS,
-    _check_cap,
     check_facet_budget,
     count_distinct_links_dim,
     count_faces_with_link_type,
@@ -237,9 +235,9 @@ def _classify(args):
     if args.partition is not None:
         lam = tuple(sorted(args.partition, reverse=True))
         count = count_faces_with_link_type(k, q, lam)
-        _check_cap(factorial(k) // prod(map(factorial, lam)))
         h_model = h_k_lambda(lam)
-        model_vertices = len(k_lambda(lam).vertices) if sum(lam) >= 2 else 0
+        # The box prod [0, lam_i] without its bottom and top.
+        model_vertices = prod(p + 1 for p in lam) - 2
         payload = {
             "partition": lam,
             "count": count,

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .complexes import check_cap
+
 
 def partitions(k: int, s: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All partitions of k (into exactly s parts if given), reverse-lex order.
@@ -78,11 +80,13 @@ def cyclic_gaps(positions, k: int) -> list[int]:
 
 def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All words over the multiset {1^parts[0], 2^parts[1], ...}, lex order.
+    CapacityError when there are more than MAX_FACETS of them.
 
     >>> multiset_permutations((2, 1))
     ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     """
     validate_partition(parts)
+    check_cap(math.factorial(sum(parts)) // math.prod(map(math.factorial, parts)))
     counts = list(parts)
     word: list[int] = []
     out: list[tuple[int, ...]] = []

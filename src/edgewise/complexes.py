@@ -15,9 +15,19 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+MAX_FACETS = 10**6  # default facet cap of every capacity-bounded operation
+
 
 class CapacityError(Exception):
     """Raised when an operation would exceed its configured size budget."""
+
+
+def check_cap(count: int, max_facets: int = MAX_FACETS) -> int:
+    """count, the size of an enumeration about to start; CapacityError when
+    it exceeds max_facets."""
+    if count > max_facets:
+        raise CapacityError(f"{count} facets exceed the cap of {max_facets}")
+    return count
 
 
 class DisagreementError(Exception):
@@ -200,12 +210,14 @@ def verify_shelling(K: SimplicialComplex, order) -> ShellingCertificate:
 
     restrictions: list[frozenset] = []
     types: list[int] = []
-    seen_ridges: set[frozenset] = set()
+    # Ridges as sorted tuples, a fraction of a frozenset's memory.
+    seen_ridges: set[tuple] = set()
     # vertex -> positions of the earlier facets through it, increasing.
     incident: dict = {}
     witness: tuple[int, int] | None = None
     for j, F in enumerate(seq):
-        ridges = {v: F - {v} for v in F}
+        chain = tuple(sorted(F))
+        ridges = {v: chain[:p] + chain[p + 1 :] for p, v in enumerate(chain)}
         rest = frozenset(v for v, ridge in ridges.items() if ridge in seen_ridges)
         restrictions.append(rest)
         types.append(len(rest))

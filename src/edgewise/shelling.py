@@ -15,15 +15,15 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .combinat import convolve
 from .complexes import (
+    MAX_FACETS,
+    CapacityError,
     DisagreementError,
     ShellingCertificate,
     SimplicialComplex,
     verify_shelling,
 )
 from .subdivision import (
-    MAX_FACETS,
     Code,
     Vertex,
     check_facet_budget,
@@ -108,26 +108,30 @@ def h_by_ascents(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...
     return tuple(h)
 
 
+def _check_table(k: int, q: int) -> None:
+    """validate_kq; CapacityError before a k x q table past MAX_FACETS."""
+    validate_kq(k, q)
+    if k * q > MAX_FACETS:
+        raise CapacityError(f"an h table of {k} x {q} entries exceeds the cap of {MAX_FACETS}")
+
+
 def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
     """Same histogram by a last-value/ascent-count recurrence.
 
-    table[j][e] counts padded words of the current length that end at value
+    rows[e][j] counts padded words of the current length that end at value
     j with e ascents; extending by j' adds an ascent exactly when j < j'.
+    Suffix and prefix sums over j make each extension O(k q).
     """
-    validate_kq(k, q)
-    table = [[0] * (k + 1) for _ in range(q)]
-    for j in range(q):
-        table[j][1 if j > 0 else 0] = 1
+    _check_table(k, q)
+    rows = [[0] * q for _ in range(k + 1)]
+    rows[0][0] = 1
+    rows[1][1:] = [1] * (q - 1)
     for _ in range(3, k + 1):
-        new = [[0] * (k + 1) for _ in range(q)]
-        for j in range(q):
-            for e in range(k + 1):
-                total = sum(table[p][e] for p in range(j, q))
-                if e > 0:
-                    total += sum(table[p][e - 1] for p in range(j))
-                new[j][e] = total
-        table = new
-    return tuple(sum(table[j][e] for j in range(q)) for e in range(k + 1))
+        # A word ending at p >= j' keeps its ascents; one ending at p < j' gains one.
+        kept = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
+        gained = [[0] * q] + [[0, *itertools.accumulate(row)][:q] for row in rows[:-1]]
+        rows = [[a + b for a, b in zip(*pair)] for pair in zip(kept, gained)]
+    return tuple(map(sum, rows))
 
 
 def h_by_binomial(k: int, q: int) -> tuple[int, ...]:
@@ -145,11 +149,16 @@ def h_by_binomial(k: int, q: int) -> tuple[int, ...]:
 
 
 def h_by_polynomial(k: int, q: int) -> tuple[int, ...]:
-    """h_i is the x^(iq) coefficient of (1 + x + ... + x^(q-1))^k."""
-    validate_kq(k, q)
-    coeffs = (1,)
+    """h_i is the x^(iq) coefficient of (1 + x + ... + x^(q-1))^k.
+
+    Each factor maps coefficients to their sums over a window of q, read
+    off prefix sums.
+    """
+    _check_table(k, q)
+    coeffs = [1]
     for _ in range(k):
-        coeffs = convolve(coeffs, (1,) * q)
+        prefix = [0, *itertools.accumulate(coeffs + [0] * (q - 1))]
+        coeffs = [prefix[n] - prefix[max(0, n - q)] for n in range(1, len(prefix))]
     return tuple(coeffs[i * q] if i * q < len(coeffs) else 0 for i in range(k + 1))
 
 

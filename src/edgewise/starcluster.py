@@ -24,19 +24,20 @@ from .combinat import (
     cyclic_gaps,
     des,
     h_rows_recursive,
-    multiplicities,
     partitions,
     permutations_by_init,
     x_sequence,
 )
-from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex
+from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex, check_cap
 from .shelling import certify_order
 from .subdivision import (
     Code,
-    _check_cap,
+    count_faces_with_link_type,
     decode_facet,
     facet_code_for_permutation,
     is_interior_vertex,
+    is_vertex,
+    validate_kq,
 )
 
 
@@ -48,38 +49,12 @@ def star_cluster(K: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(F for F in K.facets if F & s)
 
 
-def is_interior_facet_code(code: Code, q: int) -> bool:
-    """True when the facet with this code lies entirely inside the region.
-
-    The code of such a facet is its own bottom vertex: a strictly increasing
-    tuple with 1 <= code[0] and code[-1] <= q-2, so that the whole chain up
-    to v + (1,...,1) stays strictly inside.
-    """
-    return (
-        all(isinstance(c, int) for c in code)
-        and len(code) >= 1
-        and code[0] >= 1
-        and code[-1] <= q - 2
-        and all(code[i] < code[i + 1] for i in range(len(code) - 1))
-    )
-
-
 def base_facet_code(k: int, q: int) -> Code:
-    """The canonical interior facet (1, 2, ..., k-1); needs q >= k+1."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    code = tuple(range(1, k))
-    if not is_interior_facet_code(code, q):
+    """The canonical interior facet F((1, 2, ..., k-1), Id); needs q >= k+1."""
+    validate_kq(k, q)
+    if q < k + 1:
         raise ValueError(f"no interior facet (1,...,{k - 1}) for q={q}; need q >= {k + 1}")
-    return code
-
-
-def _validate_interior_base(code: Code, q: int) -> None:
-    if not is_interior_facet_code(code, q):
-        raise ValueError(
-            f"{code} is not an interior facet code for q={q}: "
-            "entries must rise strictly from >=1 to <=q-2"
-        )
+    return tuple(range(1, k))
 
 
 def shifted_reversal_inverse(sigma: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -112,12 +87,18 @@ class LayerFacet:
 def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
     """Structured enumeration of the star cluster of an interior facet,
     in shelling order: layer j lists the labels with faithful initial part
-    j, ..., k, each group in lex order.  CapacityError when the cluster has
+    j, ..., k, each group in lex order.  The base must be a facet F(v, Id),
+    whose code is its bottom vertex v; the facet is interior exactly when v
+    is an interior vertex of T_{k,q-1}.  CapacityError when the cluster has
     more than MAX_FACETS facets."""
-    _validate_interior_base(base, q)
+    if not (is_vertex(base, q - 1) and is_interior_vertex(base, q - 1)):
+        raise ValueError(
+            f"{base} is not an interior facet F(v, Id) for q={q}: its code is its"
+            " bottom vertex v, so entries must rise strictly from >=1 to <=q-2"
+        )
     chain = decode_facet(base, q)
     k = len(base) + 1
-    _check_cap(x_sequence(k + 1)[k])
+    check_cap(x_sequence(k + 1)[k])
     groups = permutations_by_init(k)
     rows: list[LayerFacet] = []
     for j in range(1, k + 1):
@@ -152,16 +133,15 @@ def sc_count_inclusion_exclusion(k: int) -> int:
 
 def sc_count_partition_formula(k: int) -> int:
     """Star cluster size grouped by the cyclic gap partition:
-    sum over partitions lam of k with s parts of
-    (-1)^(s-1) * k (s-1)!/(prod of multiplicity factorials) * prod(lam_i!)."""
+    sum over partitions lam of k with s parts of (-1)^(s-1) times the
+    number of faces of the region with link type lam, k (s-1)!/(prod of
+    multiplicity factorials), times prod(lam_i!)."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    total = 0
-    for lam in partitions(k):
-        s = len(lam)
-        count = k * factorial(s - 1) // prod(factorial(m) for _, m in multiplicities(lam))
-        total += (-1) ** (s - 1) * count * prod(map(factorial, lam))
-    return total
+    return sum(
+        (-1) ** (len(lam) - 1) * count_faces_with_link_type(k, k, lam) * prod(map(factorial, lam))
+        for lam in partitions(k)
+    )
 
 
 def sc_count_general_face(face, q: int) -> int:

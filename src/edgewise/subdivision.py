@@ -36,12 +36,11 @@ from .combinat import (
     partitions,
     validate_partition,
 )
-from .complexes import CapacityError, DisagreementError, SimplicialComplex, join
+from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap, join
 from .posets import k_lambda
 
 Vertex = tuple[int, ...]
 Code = tuple[int, ...]
-MAX_FACETS = 10**6  # default facet cap of every capacity-bounded operation
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +67,7 @@ def validate_kq(k: int, q: int) -> None:
 
 def check_facet_budget(k: int, q: int, max_facets: int) -> int:
     """The facet count q^(k-1); CapacityError when it exceeds max_facets."""
-    return _check_cap(number_of_facets(k, q), max_facets)
-
-
-def _check_cap(count: int, max_facets: int = MAX_FACETS) -> int:
-    """count, the size of an enumeration about to start; CapacityError when
-    it exceeds max_facets."""
-    if count > max_facets:
-        raise CapacityError(f"{count} facets exceed the cap of {max_facets}")
-    return count
+    return check_cap(number_of_facets(k, q), max_facets)
 
 
 def is_vertex(v: Vertex, q: int) -> bool:
@@ -302,7 +293,6 @@ def s_v_permutations(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
     chain i.  CapacityError when there are more than MAX_FACETS of them.
     """
     chains = sorted(_label_chains(v, q), key=len, reverse=True)
-    _check_cap(factorial(len(v) + 1) // prod(factorial(len(c)) for c in chains))
     perms = []
     for word in multiset_permutations(tuple(map(len, chains))):
         labels = [iter(c) for c in chains]
@@ -519,9 +509,10 @@ def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
 
 
 def count_link_types(k: int, q: int) -> int:
-    """Number of distinct combinatorial types of vertex links in T_{k,q}."""
+    """Number of distinct combinatorial types of vertex links in T_{k,q}:
+    the partitions of k into at most q parts."""
     validate_kq(k, q)
-    return sum(len(partitions(k, s)) for s in range(1, min(k, q) + 1))
+    return _partitions_at_most(k, q)
 
 
 def _multichoose(a: int, b: int) -> int:
@@ -533,33 +524,33 @@ def _multichoose(a: int, b: int) -> int:
     return comb(a + b - 1, b)
 
 
-def _partition_count(n: int) -> int:
-    return len(partitions(n)) if n >= 1 else 1
-
-
-def _partition_count_at_most(n: int, parts: int) -> int:
+def _partitions_at_most(n: int, parts: int) -> int:
+    """Partitions of n into at most parts parts."""
     return sum(1 for p in partitions(n) if len(p) <= parts)
+
+
+def _join_types(s: int, max_parts: int, q: int) -> int:
+    """s-dimensional joins of at most max_parts multi-part chain-product
+    complexes K_lam, each lam with at most q parts.
+
+    The sum runs over partitions mu of s+1: each part value n with
+    multiplicity m contributes multichoose(p_{<=q}(n+1) - 1, m) choices of
+    multi-part partitions of n+1.
+    """
+    return sum(
+        prod(_multichoose(_partitions_at_most(n + 1, q) - 1, m) for n, m in multiplicities(mu))
+        for mu in partitions(s + 1)
+        if len(mu) <= max_parts
+    )
 
 
 def q_sequence(s_max: int) -> tuple[int, ...]:
     """(Q_0, ..., Q_{s_max}): Q_s counts s-dimensional joins of multi-part
-    chain-product complexes.
-
-    Q_s sums over partitions mu of s+1: each part value n with multiplicity
-    m contributes multichoose(p(n+1) - 1, m) choices of multi-part partitions.
-    """
+    chain-product complexes, with no bound on factors or parts (a partition
+    of n+1 <= s+2 has at most s+2 parts)."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    out = []
-    for s in range(s_max + 1):
-        total = 0
-        for mu in partitions(s + 1):
-            total += prod(
-                _multichoose(_partition_count(n + 1) - 1, m)
-                for n, m in multiplicities(mu)
-            )
-        out.append(total)
-    return tuple(out)
+    return tuple(_join_types(s, s + 1, s + 2) for s in range(s_max + 1))
 
 
 def count_distinct_links_dim(m: int) -> int:
@@ -576,17 +567,7 @@ def count_link_types_of_faces(k: int, q: int, t: int) -> int:
     validate_kq(k, q)
     if not 1 <= t <= k:
         raise ValueError(f"t must lie in 1..{k}, got {t}")
-    total = 1
-    for s in range(k - t):
-        max_parts = t - 1 if s < k - t - 1 else t
-        for mu in partitions(s + 1):
-            if len(mu) > max_parts:
-                continue
-            total += prod(
-                _multichoose(_partition_count_at_most(n + 1, q) - 1, m)
-                for n, m in multiplicities(mu)
-            )
-    return total
+    return 1 + sum(_join_types(s, t - 1 if s < k - t - 1 else t, q) for s in range(k - t))
 
 
 # ---------------------------------------------------------------------------

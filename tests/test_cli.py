@@ -249,6 +249,10 @@ def test_determinism(capsys):
         (("link", "-k", "10", "-q", "11", "--vertex", "1,2,3,4,5,6,7,8,9"), 3),
         (("star-cluster", "-k", "9", "-q", "12"), 3),
         (("classify-links", "-k", "10", "-q", "10", "--partition", "1,1,1,1,1,1,1,1,1,1"), 3),
+        # an interior base facet that is not F(v, Id)
+        (("star-cluster", "-k", "3", "-q", "6", "--base", "3,1"), 2),
+        # the closed h routes' tables are capped too
+        (("hvector", "-k", "2", "-q", "2000000"), 3),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):

@@ -24,6 +24,7 @@ from edgewise.combinat import (
     validate_partition,
     x_sequence,
 )
+from edgewise.complexes import CapacityError
 
 
 def partition_count_oracle(n: int) -> int:
@@ -114,6 +115,11 @@ class TestMultisetPermutations:
     def test_lex_order_and_no_duplicates(self):
         words = multiset_permutations((3, 2, 2))
         assert list(words) == sorted(set(words))
+
+    def test_capacity(self):
+        # 10! words exceed the default cap before any is listed.
+        with pytest.raises(CapacityError, match="3628800 facets"):
+            multiset_permutations((1,) * 10)
 
 
 class TestDescentStats:

@@ -128,6 +128,12 @@ class TestKLambda:
                 assert K.num_facets == expected
                 assert K.is_pure() and K.dim == k - 2
 
+    def test_vertex_count_closed_form(self):
+        # The box prod [0, lam_i] without its bottom and top.
+        for k in range(2, 8):
+            for lam in partitions(k):
+                assert len(k_lambda(lam).vertices) == math.prod(p + 1 for p in lam) - 2
+
     def test_all_singletons_is_barycentric_boundary(self):
         for k in range(2, 6):
             assert are_isomorphic(
@@ -180,6 +186,11 @@ class TestHKLambda:
     def test_simplex_h(self):
         assert h_k_lambda((4,)) == (1, 0, 0, 0)
         assert h_k_lambda((2, 1)) == (1, 2, 0)
+
+    def test_capacity(self):
+        # The word route's enumerator refuses 10! words.
+        with pytest.raises(CapacityError):
+            h_k_lambda((1,) * 10)
 
 
 class TestJoinIrreducible:

@@ -146,6 +146,20 @@ def test_order_is_deterministic():
     assert shelling_order(3, 2) == ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+@pytest.mark.parametrize("k,q", [(3, 4000), (8, 300)])
+def test_closed_routes_agree_at_large_q(k, q):
+    assert h_by_recurrence(k, q) == h_by_binomial(k, q)
+    assert h_by_polynomial(k, q) == h_by_binomial(k, q)
+
+
+def test_closed_route_table_cap():
+    # A 2 x 2000000 table exceeds the 10^6-entry cap; nothing is allocated.
+    with pytest.raises(CapacityError, match="2 x 2000000"):
+        h_by_recurrence(2, 2_000_000)
+    with pytest.raises(CapacityError, match="2 x 2000000"):
+        h_by_polynomial(2, 2_000_000)
+
+
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         h_by_recurrence(1, 3)

@@ -13,7 +13,6 @@ from edgewise.starcluster import (
     base_facet_code,
     init_lex_order,
     init_shelling_order,
-    is_interior_facet_code,
     sc_count_general_face,
     sc_count_inclusion_exclusion,
     sc_count_partition_formula,
@@ -45,10 +44,15 @@ def test_star_cluster_rejects_non_face():
 
 
 def test_interior_facet_code_checks():
-    assert is_interior_facet_code((1, 2), 4)
-    assert not is_interior_facet_code((1, 2), 3)  # needs top <= q-2
-    assert not is_interior_facet_code((0, 1), 4)
-    assert not is_interior_facet_code((1, 1), 5)  # must rise strictly
+    assert len(sc_layers((1, 2), 4)) == x_sequence(4)[3]
+    for base, q in [
+        ((1, 2), 3),  # needs top <= q-2
+        ((0, 1), 4),
+        ((1, 1), 5),  # must rise strictly
+        ((3, 1), 6),  # an interior facet, but not F(v, Id)
+    ]:
+        with pytest.raises(ValueError, match=r"F\(v, Id\)"):
+            sc_layers(base, q)
     assert base_facet_code(3, 4) == (1, 2)
     with pytest.raises(ValueError):
         base_facet_code(4, 4)
