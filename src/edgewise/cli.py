@@ -298,7 +298,7 @@ def _star_cluster(args):
         "partition_formula": report.count_partition_formula,
         "x_value": report.x_value,
     }
-    h = report.h[:-1]
+    h = _trim(report.h)
     payload = {
         "base": base,
         "num_facets": report.count_enumerated,

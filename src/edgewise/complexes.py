@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 MAX_FACETS = 10**6  # default facet cap of every capacity-bounded operation
@@ -38,6 +39,7 @@ class DisagreementError(Exception):
 Face = frozenset
 
 
+@dataclass(frozen=True)
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
 
@@ -48,40 +50,23 @@ class SimplicialComplex:
     1
     """
 
-    __slots__ = ("facets", "_faces", "_fvec")
+    facets: frozenset
 
     def __init__(self, facets) -> None:
         candidates = {frozenset(F) for F in facets}
         if not candidates:
             raise ValueError("a complex needs at least one face; got none")
-        by_size: dict[int, list] = {}
-        for F in candidates:
-            by_size.setdefault(len(F), []).append(F)
-        # A face can only be swallowed by a strictly larger one.
-        maximal = set()
-        sizes = sorted(by_size)
-        for size in sizes:
-            bigger = [G for s in sizes if s > size for G in by_size[s]]
-            for F in by_size[size]:
-                if not any(F < G for G in bigger):
-                    maximal.add(F)
-        object.__setattr__(self, "facets", frozenset(maximal))
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_fvec", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
-
-    def __hash__(self) -> int:
-        return hash(self.facets)
+        # A face of the largest size is maximal; any other may lie in a larger one.
+        top = max(map(len, candidates))
+        maximal = frozenset(
+            F for F in candidates if len(F) == top or not any(F < G for G in candidates)
+        )
+        object.__setattr__(self, "facets", maximal)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({self.num_facets} facets, dim {self.dim})"
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
         return frozenset(v for F in self.facets for v in F)
 
@@ -99,14 +84,15 @@ class SimplicialComplex:
 
     def faces(self) -> frozenset:
         """All faces, the empty face included."""
-        if self._faces is None:
-            found = set()
-            for F in self.facets:
-                members = tuple(F)
-                for r in range(len(members) + 1):
-                    found.update(map(frozenset, itertools.combinations(members, r)))
-            object.__setattr__(self, "_faces", frozenset(found))
         return self._faces
+
+    @cached_property
+    def _faces(self) -> frozenset:
+        found = set()
+        for F in self.facets:
+            for r in range(len(F) + 1):
+                found.update(map(frozenset, itertools.combinations(F, r)))
+        return frozenset(found)
 
     def has_face(self, sigma) -> bool:
         s = frozenset(sigma)
@@ -114,12 +100,14 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_d); f_{-1} = 1 for the empty face."""
-        if self._fvec is None:
-            counts = [0] * (self.dim + 2)
-            for face in self.faces():
-                counts[len(face)] += 1
-            object.__setattr__(self, "_fvec", tuple(counts))
-        return self._fvec
+        return self._f_vector
+
+    @cached_property
+    def _f_vector(self) -> tuple[int, ...]:
+        counts = [0] * (self.dim + 2)
+        for face in self.faces():
+            counts[len(face)] += 1
+        return tuple(counts)
 
 
 def full_simplex(vertices) -> SimplicialComplex:

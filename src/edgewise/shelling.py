@@ -108,11 +108,12 @@ def h_by_ascents(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...
     return tuple(h)
 
 
-def _check_table(k: int, q: int) -> None:
-    """validate_kq; CapacityError before a k x q table past MAX_FACETS."""
+def _check_work(k: int, q: int) -> None:
+    """validate_kq; CapacityError before a closed route's k^2 max(k, q)
+    steps, each on integers of about k log2(q) bits, exceed MAX_FACETS."""
     validate_kq(k, q)
-    if k * q > MAX_FACETS:
-        raise CapacityError(f"an h table of {k} x {q} entries exceeds the cap of {MAX_FACETS}")
+    if k * k * max(k, q) > MAX_FACETS:
+        raise CapacityError(f"closed h routes at {k} x {q} take k^2 max(k, q) > {MAX_FACETS} steps")
 
 
 def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
@@ -122,7 +123,7 @@ def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
     j with e ascents; extending by j' adds an ascent exactly when j < j'.
     Suffix and prefix sums over j make each extension O(k q).
     """
-    _check_table(k, q)
+    _check_work(k, q)
     rows = [[0] * q for _ in range(k + 1)]
     rows[0][0] = 1
     rows[1][1:] = [1] * (q - 1)
@@ -136,7 +137,7 @@ def h_by_recurrence(k: int, q: int) -> tuple[int, ...]:
 
 def h_by_binomial(k: int, q: int) -> tuple[int, ...]:
     """h_i = sum_j (-1)^j C(k, j) C((i-j)q + k - 1, k - 1)."""
-    validate_kq(k, q)
+    _check_work(k, q)
     h = []
     for i in range(k + 1):
         total = 0
@@ -154,7 +155,7 @@ def h_by_polynomial(k: int, q: int) -> tuple[int, ...]:
     Each factor maps coefficients to their sums over a window of q, read
     off prefix sums.
     """
-    _check_table(k, q)
+    _check_work(k, q)
     coeffs = [1]
     for _ in range(k):
         prefix = [0, *itertools.accumulate(coeffs + [0] * (q - 1))]

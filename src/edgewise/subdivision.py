@@ -36,7 +36,7 @@ from .combinat import (
     partitions,
     validate_partition,
 )
-from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap, join
+from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap
 from .posets import k_lambda
 
 Vertex = tuple[int, ...]
@@ -405,15 +405,15 @@ def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[in
 
 
 def model_link_complex(sigmas) -> SimplicialComplex:
-    """Join of the chain-product complexes of the block signatures; the
-    vertex x of block idx's factor is labeled (idx, x)."""
-    result = SimplicialComplex([()])
-    for idx, sigma in enumerate(sigmas):
-        if sum(sigma) == 1:
-            continue
-        factor = SimplicialComplex(tuple((idx, x) for x in F) for F in k_lambda(sigma).facets)
-        result = join(result, factor)
-    return result
+    """Join of the chain-product complexes of the block signatures: a facet
+    unites one facet of each factor, the vertex x of block idx's factor
+    labeled (idx, x).  With no block of two or more labels it is {()}."""
+    factors = [
+        [frozenset((idx, x) for x in F) for F in k_lambda(sigma).facets]
+        for idx, sigma in enumerate(sigmas)
+        if sum(sigma) > 1
+    ]
+    return SimplicialComplex(frozenset().union(*parts) for parts in itertools.product(*factors))
 
 
 def _certify(L: SimplicialComplex, model: SimplicialComplex, image: dict, where: str) -> None:

@@ -253,6 +253,9 @@ def test_determinism(capsys):
         (("star-cluster", "-k", "3", "-q", "6", "--base", "3,1"), 2),
         # the closed h routes' tables are capped too
         (("hvector", "-k", "2", "-q", "2000000"), 3),
+        # the closed h routes' work is capped, not only their table's length
+        (("hvector", "-k", "1200", "-q", "1"), 3),
+        (("hvector", "-k", "100", "-q", "10000"), 3),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):
@@ -264,6 +267,10 @@ def test_error_exit_codes(capsys, argv, expected):
 
 def _invalid(cert):
     return dataclasses.replace(cert, valid=False, witness=(0, 1))
+
+
+def _h_ends_in_1(report):
+    return dataclasses.replace(report, h=report.h[:-1] + (1,))
 
 
 # (what breaks, module, name, replacement built from the original, argv)
@@ -290,6 +297,8 @@ BREACHES = [
      lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
+    ("star-cluster h_k nonzero", cli, "sc_shelling_and_h",
+     lambda f: lambda base, q: _h_ends_in_1(f(base, q)), "star-cluster -k 3 -q 7"),
 ]
 
 

@@ -36,6 +36,9 @@ class TestConstruction:
     def test_antichain_reduction(self):
         K = SimplicialComplex([(1, 2), (2,), (2, 3), (1, 2)])
         assert K.facets == frozenset({frozenset({1, 2}), frozenset({2, 3})})
+        # The edge lies in no triangle, only in the tetrahedron.
+        K = SimplicialComplex([(1, 2), (2, 3, 4), (1, 2, 3, 4), (5, 6, 7)])
+        assert K.facets == frozenset({frozenset({1, 2, 3, 4}), frozenset({5, 6, 7})})
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
@@ -53,6 +56,12 @@ class TestConstruction:
             K.facets = frozenset()
         assert K == SimplicialComplex([(2, 1)])
         assert len({K, SimplicialComplex([(1, 2)])}) == 1
+
+    def test_vertices_cached_and_complex_not_its_facets(self):
+        K = SimplicialComplex([(1, 2), (2, 3)])
+        assert K.vertices is K.vertices
+        assert K != K.facets
+        assert K.facets != K
 
     def test_has_face(self):
         K = SimplicialComplex([(1, 2, 3)])

@@ -153,11 +153,24 @@ def test_closed_routes_agree_at_large_q(k, q):
 
 
 def test_closed_route_table_cap():
-    # A 2 x 2000000 table exceeds the 10^6-entry cap; nothing is allocated.
+    # 2 x 2000000 takes k^2 max(k, q) = 8 * 10^6 steps, past the 10^6 cap;
+    # nothing is allocated.
     with pytest.raises(CapacityError, match="2 x 2000000"):
         h_by_recurrence(2, 2_000_000)
     with pytest.raises(CapacityError, match="2 x 2000000"):
         h_by_polynomial(2, 2_000_000)
+    with pytest.raises(CapacityError, match="2 x 2000000"):
+        h_by_binomial(2, 2_000_000)
+
+
+@pytest.mark.parametrize("route", [h_by_recurrence, h_by_binomial, h_by_polynomial])
+def test_closed_route_work_cap_corners(route):
+    """k^2 max(k, q) = 10^6 runs at both corners, one step past raises."""
+    assert route(100, 1) == (1,) + (0,) * 100
+    assert route(2, 250_000) == (1, 249_999, 0)
+    for k, q in [(101, 1), (2, 250_001), (1200, 1), (100, 10_000)]:
+        with pytest.raises(CapacityError, match=f"{k} x {q}"):
+            route(k, q)
 
 
 def test_rejects_bad_parameters():

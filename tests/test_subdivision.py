@@ -36,6 +36,7 @@ from edgewise.subdivision import (
     is_interior_vertex,
     link_of_face,
     link_of_vertex,
+    model_link_complex,
     number_of_facets,
     number_of_vertices,
     off_export,
@@ -426,6 +427,46 @@ class TestLinkCertificate:
             link_of_vertex((1, 2), 3)
         named = [u for u in link.vertices if str(u) in str(exc.value)]
         assert len(named) == 2
+
+
+def join_of_relabelled_factors(sigmas) -> SimplicialComplex:
+    """The model built one join at a time, each K_sigma relabelled (idx, x)
+    first: the oracle for model_link_complex's one-pass product."""
+    result = SimplicialComplex([()])
+    for idx, sigma in enumerate(sigmas):
+        if sum(sigma) > 1:
+            factor = SimplicialComplex(tuple((idx, x) for x in F) for F in k_lambda(sigma).facets)
+            result = join(result, factor)
+    return result
+
+
+class TestModelLinkComplex:
+    def test_matches_joins_on_every_face_of_t43(self, monkeypatch):
+        seen = []
+        real = subdivision.model_link_complex
+
+        def recording(sigmas):
+            seen.append(sigmas)
+            return real(sigmas)
+
+        monkeypatch.setattr(subdivision, "model_link_complex", recording)
+        for face in build_complex(4, 3).faces():
+            if face:
+                report = link_of_face(tuple(face), 3)
+                assert report.model == join_of_relabelled_factors(seen[-1]), face
+        assert {len(sigmas) for sigmas in seen} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_joins_on_every_partition(self, k):
+        for lam in partitions(k):
+            assert model_link_complex((lam,)) == join_of_relabelled_factors((lam,)), lam
+            sigmas = ((1,), lam, (2,), lam)
+            assert model_link_complex(sigmas) == join_of_relabelled_factors(sigmas), lam
+
+    def test_single_label_blocks_give_the_empty_complex(self):
+        for n in (1, 2, 4):
+            assert model_link_complex(((1,),) * n) == SimplicialComplex([()])
+            assert join_of_relabelled_factors(((1,),) * n) == SimplicialComplex([()])
 
 
 class TestLinkTypeCensus:
