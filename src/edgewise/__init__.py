@@ -36,9 +36,7 @@ from .complexes import (
     verify_shelling,
 )
 from .posets import (
-    check_r_labeling,
     h_k_lambda,
-    is_join_irreducible,
     k_lambda,
 )
 from .shelling import (
@@ -56,13 +54,11 @@ from .shelling import (
 from .starcluster import (
     StarClusterReport,
     base_facet_code,
-    init_shelling_order,
     sc_count_general_face,
     sc_count_inclusion_exclusion,
     sc_count_partition_formula,
     sc_h_formula,
     sc_shelling_and_h,
-    star_cluster,
 )
 from .subdivision import (
     build_complex,
@@ -78,7 +74,6 @@ from .subdivision import (
     link_of_face,
     link_of_vertex,
     number_of_facets,
-    number_of_vertices,
     off_export,
     q_sequence,
     ridge_neighbors,

@@ -78,6 +78,16 @@ def cyclic_gaps(positions, k: int) -> list[int]:
     return gaps
 
 
+def multinomial(parts) -> int:
+    """(p_1 + ... + p_s)! / (p_1! ... p_s!): the number of words over the
+    multiset {1^p_1, ..., s^p_s}.
+
+    >>> multinomial((2, 1))
+    3
+    """
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
 def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All words over the multiset {1^parts[0], 2^parts[1], ...}, lex order.
     CapacityError when there are more than MAX_FACETS of them.
@@ -86,7 +96,7 @@ def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     """
     validate_partition(parts)
-    check_cap(math.factorial(sum(parts)) // math.prod(map(math.factorial, parts)))
+    check_cap(multinomial(parts))
     counts = list(parts)
     word: list[int] = []
     out: list[tuple[int, ...]] = []

@@ -20,43 +20,12 @@ import itertools
 from math import comb
 
 from .combinat import des, multiset_permutations, validate_partition
-from .complexes import CapacityError, DisagreementError, SimplicialComplex, h_vector
+from .complexes import DisagreementError, SimplicialComplex, h_vector
 
 
 def _box(lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All integer tuples x with 0 <= x[i] <= lengths[i], in lex order."""
     return list(itertools.product(*(range(m + 1) for m in lengths)))
-
-
-def check_r_labeling(lengths: tuple[int, ...]) -> None:
-    """Exhaustively check the R-labeling of the box with these chain lengths.
-
-    Every interval [x, y] must have exactly one maximal chain whose label
-    word (the raised coordinate of each step, 1-based) is weakly increasing;
-    DisagreementError names the first interval that does not.
-    """
-    box = _box(lengths)
-    for x in box:
-        for y in box:
-            if not all(a <= b for a, b in zip(x, y)) or x == y:
-                continue
-            rising = sum(
-                all(a <= b for a, b in zip(word, word[1:]))
-                for word in _interval_label_words(x, y)
-            )
-            if rising != 1:
-                raise DisagreementError(f"interval [{x}, {y}] has {rising} weakly rising chains")
-
-
-def _interval_label_words(x: tuple[int, ...], y: tuple[int, ...]):
-    if x == y:
-        yield ()
-        return
-    for i in range(len(x)):
-        if x[i] < y[i]:
-            step = x[:i] + (x[i] + 1,) + x[i + 1 :]
-            for rest in _interval_label_words(step, y):
-                yield (i + 1,) + rest
 
 
 def k_lambda(parts: tuple[int, ...]) -> SimplicialComplex:
@@ -139,7 +108,7 @@ def h_k_lambda(parts: tuple[int, ...]) -> tuple[int, ...]:
     """h-vector of K_lam, cross-checked between the two counting routes.
 
     (The third route, h from the f-vector of the built complex, costs the
-    complex construction; use h_vector(k_lambda(parts)) for it.)
+    complex construction; use h_k_lambda_from_complex(parts) for it.)
     """
     words = h_k_lambda_by_words(parts)
     rec = h_k_lambda_recurrence(parts)
@@ -155,61 +124,3 @@ def h_k_lambda_from_complex(parts: tuple[int, ...]) -> tuple[int, ...]:
     indices 0..k-1) as the counting routes.
     """
     return h_vector(k_lambda(parts))
-
-
-def is_join_irreducible(K: SimplicialComplex, max_components: int = 20) -> bool:
-    """True when K admits no splitting K = M * N with both factors nonempty.
-
-    Factor candidates are unions of connected components of the graph joining
-    two vertices when they share no facet.  A split works when every union of
-    an M-trace and an N-trace of facets is again a facet.  Raises
-    CapacityError when the graph has more than max_components components.
-    """
-    vertices = sorted(K.vertices, key=repr)
-    if len(vertices) < 2:
-        return True
-
-    together: dict = {v: set() for v in vertices}
-    for F in K.facets:
-        for u, v in itertools.combinations(F, 2):
-            together[u].add(v)
-            together[v].add(u)
-
-    # Components of the complement relation: u ~ v when never in a common facet.
-    component_of: dict = {}
-    components: list[list] = []
-    for v in vertices:
-        if v in component_of:
-            continue
-        comp = [v]
-        component_of[v] = len(components)
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in vertices:
-                if w not in component_of and w not in together[u] and w != u:
-                    component_of[w] = len(components)
-                    comp.append(w)
-                    frontier.append(w)
-        components.append(comp)
-
-    c = len(components)
-    if c < 2:
-        return True
-    if c > max_components:
-        raise CapacityError(
-            f"join-irreducibility split search over {c} components exceeds {max_components}"
-        )
-
-    facets = list(K.facets)
-    for bits in range(1, 2 ** (c - 1)):
-        side_m = frozenset(
-            v for idx, comp in enumerate(components) if bits & (1 << idx) for v in comp
-        )
-        traces_m = {F & side_m for F in facets}
-        traces_n = {F - side_m for F in facets}
-        if not all(traces_m) or not all(traces_n):
-            continue
-        if all(m | n in K.facets for m in traces_m for n in traces_n):
-            return False
-    return True

@@ -28,7 +28,7 @@ from .combinat import (
     permutations_by_init,
     x_sequence,
 )
-from .complexes import DisagreementError, ShellingCertificate, SimplicialComplex, check_cap
+from .complexes import DisagreementError, ShellingCertificate, check_cap
 from .shelling import certify_order
 from .subdivision import (
     Code,
@@ -39,14 +39,6 @@ from .subdivision import (
     is_vertex,
     validate_kq,
 )
-
-
-def star_cluster(K: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Union of the closed stars of the vertices of the face sigma."""
-    s = frozenset(sigma)
-    if not K.has_face(s):
-        raise ValueError(f"{set(sigma)} is not a face of the complex")
-    return SimplicialComplex(F for F in K.facets if F & s)
 
 
 def base_facet_code(k: int, q: int) -> Code:
@@ -61,12 +53,6 @@ def shifted_reversal_inverse(sigma: tuple[int, ...], j: int) -> tuple[int, ...]:
     """The pi whose shifted reversal (pi_k + j)...(pi_1 + j) mod k is sigma."""
     k = len(sigma)
     return tuple((sigma[k - 1 - i] - j - 1) % k + 1 for i in range(k))
-
-
-def init_lex_order(k: int) -> tuple[tuple[int, ...], ...]:
-    """All of S_k sorted by faithful initial part, then lexicographically."""
-    groups = permutations_by_init(k)
-    return tuple(itertools.chain.from_iterable(groups[t] for t in range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -177,30 +163,6 @@ def sc_h_formula(k: int) -> tuple[int, ...]:
     return tuple(
         sum((t + 1) * rows[t][d] for t in range(k)) for d in range(k)
     )
-
-
-def init_shelling_order(k: int):
-    """The init-then-lex facet order of the barycentrically subdivided
-    boundary of the (k-1)-simplex.
-
-    Returns (complex, order): vertices are proper 0/1 indicator tuples, the
-    facet of a permutation pi is its flag of prefixes {pi_1}, {pi_1, pi_2},
-    ..., minus the full set.
-    """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    order = []
-    for pi in init_lex_order(k):
-        vec = [0] * k
-        flag = []
-        for x in pi[:-1]:
-            vec[x - 1] = 1
-            flag.append(tuple(vec))
-        order.append(frozenset(flag))
-    K = SimplicialComplex(order)
-    if K.num_facets != len(order):
-        raise DisagreementError("init-then-lex order repeated a facet")
-    return K, tuple(order)
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import mul, sub
 
 from .combinat import (
     cyclic_gaps,
+    multinomial,
     multiplicities,
     multiset_permutations,
     partitions,
     validate_partition,
 )
 from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap
-from .posets import k_lambda
 
 Vertex = tuple[int, ...]
 Code = tuple[int, ...]
@@ -45,11 +46,6 @@ Code = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # Vertices and facet codes
-
-
-def number_of_vertices(k: int, q: int) -> int:
-    validate_kq(k, q)
-    return comb(q + k - 1, k - 1)
 
 
 def number_of_facets(k: int, q: int) -> int:
@@ -71,12 +67,8 @@ def check_facet_budget(k: int, q: int, max_facets: int) -> int:
 
 
 def is_vertex(v: Vertex, q: int) -> bool:
-    return (
-        len(v) >= 1
-        and all(isinstance(c, int) for c in v)
-        and all(0 <= c <= q for c in v)
-        and all(v[i] <= v[i + 1] for i in range(len(v) - 1))
-    )
+    in_range = len(v) >= 1 and all(isinstance(c, int) and 0 <= c <= q for c in v)
+    return in_range and all(map(int.__le__, v, v[1:]))
 
 
 def _validate_vertex(v: Vertex, q: int) -> None:
@@ -92,12 +84,6 @@ def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
     """
     validate_kq(k, q)
     return tuple(itertools.combinations_with_replacement(range(q + 1), k - 1))
-
-
-def corners(k: int, q: int) -> tuple[Vertex, ...]:
-    """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
-    validate_kq(k, q)
-    return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
 
 
 def facet_codes(k: int, q: int) -> tuple[Code, ...]:
@@ -150,9 +136,7 @@ def encode_facet(v: Vertex, pi: tuple[int, ...], q: int) -> Code:
     position = {x: j for j, x in enumerate(pi)}
     for i in range(1, n):
         if v[i - 1] == v[i] and position[i] > position[i + 1]:
-            raise ValueError(
-                f"{pi} is not compatible with {v}: {i} must precede {i + 1}"
-            )
+            raise ValueError(f"{pi} is not compatible with {v}: {i} must precede {i + 1}")
     a = tuple(v[x - 1] for x in pi)
     if any(x > q - 1 for x in a):
         raise ValueError(f"facet ({v}, {pi}) does not fit in the region for q={q}")
@@ -199,12 +183,7 @@ def ridge_neighbors(a: Code, q: int) -> dict[int, Code | None]:
     out[k] = (a[1:] + (a[0] - 1,)) if a[0] > 0 else None
     out[1] = ((a[n - 1] + 1,) + a[: n - 1]) if a[n - 1] <= q - 2 else None
     for i in range(1, n):
-        if a[i - 1] != a[i]:
-            swapped = list(a)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            out[k - i] = tuple(swapped)
-        else:
-            out[k - i] = None
+        out[k - i] = a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :] if a[i - 1] != a[i] else None
     return out
 
 
@@ -239,10 +218,7 @@ def vertex_type(v: Vertex, q: int) -> VertexType:
     _validate_vertex(v, q)
     leading = sum(1 for _ in itertools.takewhile(lambda c: c == 0, v))
     trailing = sum(1 for _ in itertools.takewhile(lambda c: c == q, reversed(v)))
-    inner = tuple(
-        len(tuple(g))
-        for value, g in itertools.groupby(v[leading : len(v) - trailing])
-    )
+    inner = tuple(len(tuple(g)) for _, g in itertools.groupby(v[leading : len(v) - trailing]))
     return VertexType(leading, inner, trailing)
 
 
@@ -258,11 +234,7 @@ def vertex_partition(v: Vertex, q: int) -> tuple[int, ...]:
 def is_interior_vertex(v: Vertex, q: int) -> bool:
     """True when v avoids the boundary: 0 < v_1 < ... < v_{k-1} < q."""
     _validate_vertex(v, q)
-    return (
-        v[0] > 0
-        and v[-1] < q
-        and all(v[i] < v[i + 1] for i in range(len(v) - 1))
-    )
+    return 0 < v[0] and v[-1] < q and all(map(int.__lt__, v, v[1:]))
 
 
 def _label_chains(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
@@ -377,11 +349,14 @@ class FaceLinkClass:
 
 @dataclass(frozen=True)
 class LinkOfFaceReport:
+    """A face, bottom vertex b first; for each face vertex, the labels walked
+    from it to the next one (the last wraps round to b); the link's type;
+    and the link, certified against the join of one K_sigma per block."""
+
     face: tuple[Vertex, ...]
     blocks: tuple[tuple[int, ...], ...]
     link_class: FaceLinkClass
     link: SimplicialComplex
-    model: SimplicialComplex
 
 
 def _label_set(u: Vertex, b: Vertex) -> frozenset[int]:
@@ -404,33 +379,63 @@ def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[in
     return sorted(map(frozenset, by_value.values()), key=len, reverse=True)
 
 
-def model_link_complex(sigmas) -> SimplicialComplex:
-    """Join of the chain-product complexes of the block signatures: a facet
-    unites one facet of each factor, the vertex x of block idx's factor
-    labeled (idx, x).  With no block of two or more labels it is {()}."""
-    factors = [
-        [frozenset((idx, x) for x in F) for F in k_lambda(sigma).facets]
-        for idx, sigma in enumerate(sigmas)
-        if sum(sigma) > 1
-    ]
-    return SimplicialComplex(frozenset().union(*parts) for parts in itertools.product(*factors))
+def _chain_rule(sigmas):
+    """The join of the K_sigma as one walk.  A facet of K_sigma is a saturated
+    chain of the box prod [0, sigma_j] with both ends dropped (Bjorner-Wachs),
+    so with the boxes laid end to end a model facet and the block ends make
+    one chain of k unit steps, its rank-p point in slot p of a row.  Coded in
+    mixed radix over all coordinates, points of consecutive rank differ by a
+    radix just at a unit step (a carry lowers the rank).  Returns place(i, x),
+    the slot and value of point x of block i; the row of block ends; the
+    radices.  A value adds h, a digit above every code, so a slot filled twice
+    or never breaks a step: a box's bottom or top spoils its block end's slot,
+    and a point off its box adds h to slot 0."""
+    radix = list(itertools.accumulate([t + 1 for sigma in sigmas for t in sigma], mul, initial=1))
+    first = list(itertools.accumulate(map(len, sigmas), initial=0))
+    start = list(itertools.accumulate(map(sum, sigmas), initial=0))
+    row = [0] * (start[-1] + 1)
+    for r, c in zip(start, first):
+        row[r] = radix[-1] + radix[c] - 1
+
+    def place(i, x):
+        sigma = sigmas[i]
+        if len(x) == len(sigma) and all(0 <= a <= top for a, top in zip(x, sigma)):
+            return start[i] + sum(x), row[start[i]] + sum(map(mul, x, radix[first[i] :]))
+        return 0, radix[-1]
+
+    return place, row, frozenset(radix[:-1])
 
 
-def _certify(L: SimplicialComplex, model: SimplicialComplex, image: dict, where: str) -> None:
+def _certify(facets, image: dict, sigmas, where: str) -> None:
     """DisagreementError naming a witness unless image is injective on the
-    vertices of L and carries the facets of L onto those of the model."""
+    link vertices (its keys), each facet's image passes the chain rule and
+    the facets number prod multinomial(sigma), so the map is onto the model."""
     preimage: dict = {}
-    for u in sorted(L.vertices):
+    for u in sorted(image):
         w = preimage.setdefault(image[u], u)
         if w != u:
             raise DisagreementError(f"{where}: {w} and {u} both map to {image[u]}")
-    mapped = {frozenset(image[u] for u in F): F for F in L.facets}
-    for G, F in mapped.items():
-        if G not in model.facets:
-            raise DisagreementError(f"{where}: {sorted(F)} maps to {sorted(G)}, no model facet")
-    missed = model.facets.difference(mapped)
-    if missed:
-        raise DisagreementError(f"{where}: model facet {min(map(sorted, missed))} has no preimage")
+    place, start, steps = _chain_rule(sigmas)
+    at = {u: place(*x) for u, x in image.items()}
+    for F in facets:
+        row = start.copy()
+        for u in F:
+            slot, value = at[u]
+            row[slot] += value
+        if not steps.issuperset(map(sub, row[1:], row)):
+            p = next(p for p in range(len(row) - 1) if row[p + 1] - row[p] not in steps)
+            i, t = [(i, t) for i, sigma in enumerate(sigmas) for t in range(1, sum(sigma) + 1)][p]
+            bad = f"{sorted(F)} maps to {sorted(image[u] for u in F)}"
+            raise DisagreementError(f"{where}: {bad}, no model facet: block {i} step {t}")
+    if len(facets) != prod(map(multinomial, sigmas)):
+        # Only a shortfall lists the model: each word over a block's multiset
+        # is a chain, whose point r counts the word's letters among its first r.
+        chains = [[[(i, tuple(map(w[:r].count, range(1, len(s) + 1)))) for r in range(1, len(w))]
+                   for w in multiset_permutations(s)] for i, s in enumerate(sigmas)]
+        model = (sorted(itertools.chain(*parts)) for parts in itertools.product(*chains))
+        mapped = {frozenset(image[u] for u in F) for F in facets}
+        missed = min((G for G in model if frozenset(G) not in mapped), default=None)
+        raise DisagreementError(f"{where}: model facet {missed} has no preimage")
 
 
 def link_of_face(face, q: int) -> LinkOfFaceReport:
@@ -440,7 +445,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     vertex b that contain the whole face.  The label sets of the face cut
     [k] into blocks, and the model is a join of one factor per block.  The
     walk from b to a link vertex ends inside one block; counting its labels
-    per group of that block gives the model vertex, and that map is checked.
+    per group of that block gives the model vertex; _certify checks the map.
     """
     verts = {tuple(v) for v in face}
     if not verts:
@@ -449,11 +454,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
         _validate_vertex(v, q)
     chain = tuple(sorted(verts, key=sum))
     face_set = frozenset(chain)
-    keep = [
-        F
-        for F in star_of_vertex(chain[0], q).facets
-        if face_set <= F
-    ]
+    keep = [F for F in star_of_vertex(chain[0], q).facets if face_set <= F]
     if not keep:
         raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
     L = SimplicialComplex(F - face_set for F in keep)
@@ -464,15 +465,14 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
     sizes = tuple(sorted(map(len, blocks), reverse=True))
     cls = FaceLinkClass(sizes, tuple(sorted(sigmas)))
-    model = model_link_complex(sigmas)
     image = {}
     for u in L.vertices:
         labels = _label_set(u, b)
         # u's block follows the last face label set that its own contains.
         i = sum(P <= labels for P in walk[1:-1])
         image[u] = (i, tuple(len(labels & g) for g in groups[i]))
-    _certify(L, model, image, f"link of {chain}")
-    return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, L, model)
+    _certify(L.facets, image, sigmas, f"link of {chain}")
+    return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, L)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""Checks and constructions that only the tests call.
+
+Each is an independent oracle for an answer the library certifies another
+way: vertex counts and corners of the subdivision, the R-labeling of a box,
+join-irreducibility, a star cluster filtered out of the full complex, and
+the init-then-lex shelling of the barycentric sphere.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import comb
+
+from edgewise.combinat import permutations_by_init
+from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex
+from edgewise.subdivision import Vertex, validate_kq
+
+
+def number_of_vertices(k: int, q: int) -> int:
+    validate_kq(k, q)
+    return comb(q + k - 1, k - 1)
+
+
+def corners(k: int, q: int) -> tuple[Vertex, ...]:
+    """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
+    validate_kq(k, q)
+    return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
+
+
+def check_r_labeling(lengths: tuple[int, ...]) -> None:
+    """Exhaustively check the R-labeling of the box with these chain lengths.
+
+    Every interval [x, y] must have exactly one maximal chain whose label
+    word (the raised coordinate of each step, 1-based) is weakly increasing;
+    DisagreementError names the first interval that does not.
+    """
+    box = list(itertools.product(*(range(m + 1) for m in lengths)))
+    for x in box:
+        for y in box:
+            if not all(a <= b for a, b in zip(x, y)) or x == y:
+                continue
+            rising = sum(
+                all(a <= b for a, b in zip(word, word[1:]))
+                for word in _interval_label_words(x, y)
+            )
+            if rising != 1:
+                raise DisagreementError(f"interval [{x}, {y}] has {rising} weakly rising chains")
+
+
+def _interval_label_words(x: tuple[int, ...], y: tuple[int, ...]):
+    if x == y:
+        yield ()
+        return
+    for i in range(len(x)):
+        if x[i] < y[i]:
+            step = x[:i] + (x[i] + 1,) + x[i + 1 :]
+            for rest in _interval_label_words(step, y):
+                yield (i + 1,) + rest
+
+
+def is_join_irreducible(K: SimplicialComplex, max_components: int = 20) -> bool:
+    """True when K admits no splitting K = M * N with both factors nonempty.
+
+    Factor candidates are unions of connected components of the graph joining
+    two vertices when they share no facet.  A split works when every union of
+    an M-trace and an N-trace of facets is again a facet.  Raises
+    CapacityError when the graph has more than max_components components.
+    """
+    vertices = sorted(K.vertices, key=repr)
+    if len(vertices) < 2:
+        return True
+
+    together: dict = {v: set() for v in vertices}
+    for F in K.facets:
+        for u, v in itertools.combinations(F, 2):
+            together[u].add(v)
+            together[v].add(u)
+
+    # Components of the complement relation: u ~ v when never in a common facet.
+    component_of: dict = {}
+    components: list[list] = []
+    for v in vertices:
+        if v in component_of:
+            continue
+        comp = [v]
+        component_of[v] = len(components)
+        frontier = [v]
+        while frontier:
+            u = frontier.pop()
+            for w in vertices:
+                if w not in component_of and w not in together[u] and w != u:
+                    component_of[w] = len(components)
+                    comp.append(w)
+                    frontier.append(w)
+        components.append(comp)
+
+    c = len(components)
+    if c < 2:
+        return True
+    if c > max_components:
+        raise CapacityError(
+            f"join-irreducibility split search over {c} components exceeds {max_components}"
+        )
+
+    facets = list(K.facets)
+    for bits in range(1, 2 ** (c - 1)):
+        side_m = frozenset(
+            v for idx, comp in enumerate(components) if bits & (1 << idx) for v in comp
+        )
+        traces_m = {F & side_m for F in facets}
+        traces_n = {F - side_m for F in facets}
+        if not all(traces_m) or not all(traces_n):
+            continue
+        if all(m | n in K.facets for m in traces_m for n in traces_n):
+            return False
+    return True
+
+
+def star_cluster(K: SimplicialComplex, sigma) -> SimplicialComplex:
+    """Union of the closed stars of the vertices of the face sigma."""
+    s = frozenset(sigma)
+    if not K.has_face(s):
+        raise ValueError(f"{set(sigma)} is not a face of the complex")
+    return SimplicialComplex(F for F in K.facets if F & s)
+
+
+def init_lex_order(k: int) -> tuple[tuple[int, ...], ...]:
+    """All of S_k sorted by faithful initial part, then lexicographically."""
+    groups = permutations_by_init(k)
+    return tuple(itertools.chain.from_iterable(groups[t] for t in range(1, k + 1)))
+
+
+def init_shelling_order(k: int):
+    """The init-then-lex facet order of the barycentrically subdivided
+    boundary of the (k-1)-simplex.
+
+    Returns (complex, order): vertices are proper 0/1 indicator tuples, the
+    facet of a permutation pi is its flag of prefixes {pi_1}, {pi_1, pi_2},
+    ..., minus the full set.
+    """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    order = []
+    for pi in init_lex_order(k):
+        vec = [0] * k
+        flag = []
+        for x in pi[:-1]:
+            vec[x - 1] = 1
+            flag.append(tuple(vec))
+        order.append(frozenset(flag))
+    K = SimplicialComplex(order)
+    if K.num_facets != len(order):
+        raise DisagreementError("init-then-lex order repeated a facet")
+    return K, tuple(order)

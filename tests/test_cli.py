@@ -289,12 +289,13 @@ BREACHES = [
      lambda f: lambda K, order: _invalid(f(K, order)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
-    ("failed vertex link certification", subdivision, "k_lambda",
-     lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --vertex 1,2"),
+    ("failed vertex link certification", subdivision, "_chain_rule",
+     lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
      lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
-    ("failed face link certification", subdivision, "k_lambda",
-     lambda f: lambda parts: f((sum(parts),)), "link -k 3 -q 3 --face 1,1 --face 1,2"),
+    ("failed face link certification", subdivision, "_chain_rule",
+     lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)),
+     "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
     ("star-cluster h_k nonzero", cli, "sc_shelling_and_h",

@@ -17,14 +17,13 @@ from edgewise.complexes import (
     join,
 )
 from edgewise.posets import (
-    check_r_labeling,
     h_k_lambda,
     h_k_lambda_by_words,
     h_k_lambda_from_complex,
     h_k_lambda_recurrence,
-    is_join_irreducible,
     k_lambda,
 )
+from oracles import check_r_labeling, is_join_irreducible
 
 
 def barycentric_boundary(k: int) -> SimplicialComplex:

@@ -11,8 +11,6 @@ from edgewise.complexes import DisagreementError, SimplicialComplex, verify_shel
 from edgewise.posets import k_lambda
 from edgewise.starcluster import (
     base_facet_code,
-    init_lex_order,
-    init_shelling_order,
     sc_count_general_face,
     sc_count_inclusion_exclusion,
     sc_count_partition_formula,
@@ -20,9 +18,9 @@ from edgewise.starcluster import (
     sc_layers,
     sc_shelling_and_h,
     shifted_reversal_inverse,
-    star_cluster,
 )
 from edgewise.subdivision import build_complex, decode_facet
+from oracles import init_lex_order, init_shelling_order, star_cluster
 
 
 def brute_star_cluster_facets(k, q, face):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from edgewise import subdivision
-from edgewise.combinat import partitions
+from edgewise.combinat import multinomial, partitions
 from edgewise.complexes import (
     CapacityError,
     DisagreementError,
@@ -25,7 +25,6 @@ from edgewise.subdivision import (
     build_complex,
     code_of_facet,
     corner_support_partition,
-    corners,
     count_distinct_links_dim,
     count_faces_with_link_type,
     count_link_types,
@@ -36,9 +35,7 @@ from edgewise.subdivision import (
     is_interior_vertex,
     link_of_face,
     link_of_vertex,
-    model_link_complex,
     number_of_facets,
-    number_of_vertices,
     off_export,
     q_sequence,
     ridge_neighbors,
@@ -48,6 +45,7 @@ from edgewise.subdivision import (
     vertex_set,
     vertex_type,
 )
+from oracles import corners, number_of_vertices
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -384,23 +382,46 @@ class TestLinkCertificate:
             for q in (1, 2, 3, 4):
                 for v in vertex_set(k, q):
                     report = link_of_face([v], q)
-                    assert find_isomorphism(report.link, report.model) is not None, (k, q, v)
+                    model = join_of_relabelled_factors(report.link_class.signatures)
+                    assert find_isomorphism(report.link, model) is not None, (k, q, v)
         for face in build_complex(4, 3).faces():
             if face:
                 report = link_of_face(tuple(face), 3)
-                assert find_isomorphism(report.link, report.model) is not None, face
+                model = join_of_relabelled_factors(report.link_class.signatures)
+                assert find_isomorphism(report.link, model) is not None, face
 
     def test_one_part_model_rejected(self, monkeypatch):
         link = link_of_vertex((1, 2), 3)
-        real = subdivision.k_lambda
-        monkeypatch.setattr(subdivision, "k_lambda", lambda parts: real((sum(parts),)))
-        with pytest.raises(DisagreementError, match="no model facet") as exc:
+        real = subdivision._chain_rule
+        monkeypatch.setattr(
+            subdivision, "_chain_rule", lambda sigmas: real(tuple((sum(s),) for s in sigmas))
+        )
+        with pytest.raises(DisagreementError, match="no model facet: block 0 step 1$") as exc:
             link_of_vertex((1, 2), 3)
         assert any(str(sorted(F)) in str(exc.value) for F in link.facets)
 
+    def test_off_model_facet_rejected(self, monkeypatch):
+        # The link of (1, 2) is a hexagon.  Bending one star facet swaps its
+        # link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (0, 1) walks label
+        # 3 and (2, 3) labels 1 and 2, so the walk's second step raises two
+        # counts and lowers one.
+        real = subdivision.star_of_vertex
+        kept, bent = {(0, 1), (0, 2), (1, 2)}, frozenset({(0, 1), (1, 2), (2, 3)})
+
+        def bent_star(v, q):
+            return SimplicialComplex([bent, *(F for F in real(v, q).facets if F != kept)])
+
+        monkeypatch.setattr(subdivision, "star_of_vertex", bent_star)
+        message = (
+            "link of ((1, 2),): [(0, 1), (2, 3)] maps to [(0, (0, 0, 1)), (0, (1, 1, 0))],"
+            " no model facet: block 0 step 2"
+        )
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
+            link_of_vertex((1, 2), 3)
+
     def test_dropped_star_facet_rejected(self, monkeypatch):
         face = [(1, 1, 2), (1, 2, 2)]
-        model = link_of_face(face, 3).model
+        model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
         real = subdivision.star_of_vertex
 
         def star_minus_one(v, q):
@@ -430,8 +451,8 @@ class TestLinkCertificate:
 
 
 def join_of_relabelled_factors(sigmas) -> SimplicialComplex:
-    """The model built one join at a time, each K_sigma relabelled (idx, x)
-    first: the oracle for model_link_complex's one-pass product."""
+    """The model of a link built one join at a time, each K_sigma
+    relabelled (idx, x) first: the oracle for the saturated-chain rule."""
     result = SimplicialComplex([()])
     for idx, sigma in enumerate(sigmas):
         if sum(sigma) > 1:
@@ -440,33 +461,100 @@ def join_of_relabelled_factors(sigmas) -> SimplicialComplex:
     return result
 
 
+def block_signatures(report, q):
+    """The signatures of a face link's blocks, in block order."""
+    b = report.face[0]
+    return tuple(
+        tuple(map(len, subdivision._block_groups(frozenset(block), b, q)))
+        for block in report.blocks
+    )
+
+
+def certify_alone(facet, sigmas) -> str:
+    """The rule's verdict on one facet of points (i, x): "" when it passes,
+    else the off-model message.  A lone facet that passes may still fail
+    the count."""
+    try:
+        subdivision._certify([facet], {x: x for x in facet}, sigmas, "alone")
+    except DisagreementError as exc:
+        return "" if "has no preimage" in str(exc) else str(exc)
+    return ""
+
+
 class TestModelLinkComplex:
+    """The saturated-chain rule in _certify against the model complex built
+    by joins, which the library never lists."""
+
     def test_matches_joins_on_every_face_of_t43(self, monkeypatch):
         seen = []
-        real = subdivision.model_link_complex
+        real = subdivision._certify
 
-        def recording(sigmas):
+        def recording(facets, image, sigmas, where):
             seen.append(sigmas)
-            return real(sigmas)
+            real(facets, image, sigmas, where)
+            mapped = {frozenset(image[u] for u in F) for F in facets}
+            assert mapped == join_of_relabelled_factors(sigmas).facets, where
 
-        monkeypatch.setattr(subdivision, "model_link_complex", recording)
+        monkeypatch.setattr(subdivision, "_certify", recording)
         for face in build_complex(4, 3).faces():
             if face:
-                report = link_of_face(tuple(face), 3)
-                assert report.model == join_of_relabelled_factors(seen[-1]), face
+                link_of_face(tuple(face), 3)
         assert {len(sigmas) for sigmas in seen} == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_joins_on_every_partition(self, k):
         for lam in partitions(k):
-            assert model_link_complex((lam,)) == join_of_relabelled_factors((lam,)), lam
-            sigmas = ((1,), lam, (2,), lam)
-            assert model_link_complex(sigmas) == join_of_relabelled_factors(sigmas), lam
+            for sigmas in ((lam,), ((1,), lam, (2,), lam)):
+                model = join_of_relabelled_factors(sigmas)
+                assert model.num_facets == math.prod(map(multinomial, sigmas)), sigmas
+                subdivision._certify(model.facets, {x: x for x in model.vertices}, sigmas, "")
+                for G in filter(None, model.facets):
+                    # Raise one count of the first point: its block's walk
+                    # now misses rank t, so its step t breaks.
+                    i, x = point = min(G)
+                    j = next(j for j, top in enumerate(sigmas[i]) if x[j] < top)
+                    moved = (i, x[:j] + (x[j] + 1,) + x[j + 1 :])
+                    step = f"block {i} step {sum(x)}"
+                    assert certify_alone(G - {point} | {moved}, sigmas).endswith(step), (G, moved)
+
+    @pytest.mark.parametrize(
+        "sigmas", [((2, 1),), ((1, 1, 1),), ((2, 2),), ((1, 1), (2,)), ((1,), (1, 1), (1,))]
+    )
+    def test_rule_accepts_exactly_the_model_facets(self, sigmas):
+        # Every set of box points, block ends included, of the facet size or
+        # one off it passes the rule exactly when it is a model facet.
+        model = join_of_relabelled_factors(sigmas).facets
+        points = [
+            (i, x) for i, sigma in enumerate(sigmas)
+            for x in itertools.product(*(range(top + 1) for top in sigma))
+        ]
+        size = sum(map(sum, sigmas)) - len(sigmas)
+        for n in (size - 1, size, size + 1):
+            for facet in map(frozenset, itertools.combinations(points, max(n, 0))):
+                verdict = certify_alone(facet, sigmas)
+                assert (verdict == "") == (facet in model), (facet, verdict)
+                assert verdict == "" or re.search(r"no model facet: block \d+ step \d+$", verdict)
+
+    def test_rule_rejects_points_off_the_box(self):
+        # (2, -2, 1) has the rank and the mixed-radix code of (0, 1, 0), so
+        # only the box check tells them apart; a point with a coordinate too
+        # many lies in no box at all.  In place of a chain point or on top of
+        # a whole chain, each spoils the walk's first step.
+        sigmas, kept = ((1, 1, 1),), (0, (0, 1, 0))
+        chain = {kept, (0, (0, 1, 1))}
+        assert certify_alone(chain, sigmas) == ""
+        for bad in [(0, (2, -2, 1)), (0, (0, 1, 0, 0))]:
+            for facet in (chain - {kept} | {bad}, chain | {bad}):
+                verdict = certify_alone(facet, sigmas)
+                assert verdict.endswith("no model facet: block 0 step 1"), facet
 
     def test_single_label_blocks_give_the_empty_complex(self):
         for n in (1, 2, 4):
-            assert model_link_complex(((1,),) * n) == SimplicialComplex([()])
-            assert join_of_relabelled_factors(((1,),) * n) == SimplicialComplex([()])
+            sigmas = ((1,),) * n
+            assert join_of_relabelled_factors(sigmas) == SimplicialComplex([()])
+            subdivision._certify([frozenset()], {}, sigmas, "")
+            with pytest.raises(DisagreementError, match=r"model facet \[\] has no preimage"):
+                subdivision._certify([], {}, sigmas, "")
 
 
 class TestLinkTypeCensus:
