@@ -27,8 +27,8 @@ from .subdivision import (
     Code,
     Vertex,
     check_facet_budget,
-    decode_facet,
     facet_codes,
+    facet_sets,
     number_of_facets,
     validate_kq,
 )
@@ -62,7 +62,7 @@ def predicted_restriction(code: Code, facet: frozenset[Vertex]) -> frozenset[Ver
 def certify_order(codes, q: int) -> ShellingCertificate:
     """Certificate of these facet codes, in order, as a shelling of their
     complex; DisagreementError names a witness pair by position and code."""
-    facets = [frozenset(decode_facet(code, q)) for code in codes]
+    facets = list(facet_sets(codes, q))
     cert = verify_shelling(SimplicialComplex(facets), facets)
     if not cert.valid:
         i, j = cert.witness

@@ -122,6 +122,13 @@ def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
     return tuple(chain)
 
 
+def facet_sets(codes, q: int):
+    """Each code's facet as a frozenset, decoded once; all share one tuple per vertex."""
+    shared: dict = {}
+    for a in codes:
+        yield frozenset(shared.setdefault(u, u) for u in decode_facet(a, q))
+
+
 def encode_facet(v: Vertex, pi: tuple[int, ...], q: int) -> Code:
     """Code of the facet (v, pi): (v_{pi_1}, ..., v_{pi_{k-1}}).
 
@@ -150,6 +157,8 @@ def code_of_facet(vertices, q: int) -> Code:
     (1, 0)
     """
     chain = sorted({tuple(v) for v in vertices}, key=sum)
+    if not chain:
+        raise ValueError("a facet needs at least one vertex")
     n = len(chain[0])
     if len(chain) != n + 1:
         raise ValueError(f"a facet needs {n + 1} distinct vertices, got {len(chain)}")
@@ -167,7 +176,7 @@ def code_of_facet(vertices, q: int) -> Code:
 def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
     """The full subdivision complex; vertices are labeled by their tuples."""
     check_facet_budget(k, q, max_facets)
-    return SimplicialComplex(decode_facet(a, q) for a in facet_codes(k, q))
+    return SimplicialComplex(facet_sets(facet_codes(k, q), q))
 
 
 def ridge_neighbors(a: Code, q: int) -> dict[int, Code | None]:
@@ -297,11 +306,11 @@ def star_facet_codes(v: Vertex, q: int) -> tuple[Code, ...]:
 
 
 def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
-    """Closed star of v, built locally from its facet codes."""
-    facets = [decode_facet(a, q) for a in star_facet_codes(v, q)]
-    for chain in facets:
-        if tuple(v) not in chain:
-            raise DisagreementError(f"star facet {chain} misses {v}")
+    """Closed star of v from its facet codes: public API that no verb builds."""
+    facets = list(facet_sets(star_facet_codes(v, q), q))
+    for F in facets:
+        if tuple(v) not in F:
+            raise DisagreementError(f"star facet {tuple(sorted(F))} misses {v}")
     return SimplicialComplex(facets)
 
 
@@ -441,11 +450,11 @@ def _certify(facets, image: dict, sigmas, where: str) -> None:
 def link_of_face(face, q: int) -> LinkOfFaceReport:
     """Link of a face given by its vertices, with its combinatorial type.
 
-    The direct link collects the facets of the star of the face's bottom
-    vertex b that contain the whole face.  The label sets of the face cut
-    [k] into blocks, and the model is a join of one factor per block.  The
-    walk from b to a link vertex ends inside one block; counting its labels
-    per group of that block gives the model vertex; _certify checks the map.
+    The direct link keeps the facets with codes star_facet_codes(b, q), b the
+    bottom vertex, that contain the face; no verb builds star_of_vertex.  The
+    label sets of the face cut [k] into blocks, one join factor of the model
+    each.  The walk from b to a link vertex ends inside one block; counting its
+    labels per group of that block gives the model vertex; _certify checks it.
     """
     verts = {tuple(v) for v in face}
     if not verts:
@@ -454,7 +463,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
         _validate_vertex(v, q)
     chain = tuple(sorted(verts, key=sum))
     face_set = frozenset(chain)
-    keep = [F for F in star_of_vertex(chain[0], q).facets if face_set <= F]
+    keep = [F for F in facet_sets(star_facet_codes(chain[0], q), q) if face_set <= F]
     if not keep:
         raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
     L = SimplicialComplex(F - face_set for F in keep)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from edgewise import shelling
+from edgewise import shelling, subdivision
 from edgewise.complexes import CapacityError, DisagreementError, h_vector
 from edgewise.shelling import (
     ascent_positions,
@@ -76,9 +76,9 @@ def test_restriction_example():
 
 def test_each_facet_decoded_once(monkeypatch):
     decoded = []
-    decode = shelling.decode_facet
+    decode = subdivision.decode_facet
     monkeypatch.setattr(
-        shelling, "decode_facet", lambda code, q: decoded.append(code) or decode(code, q)
+        subdivision, "decode_facet", lambda code, q: decoded.append(code) or decode(code, q)
     )
     shelling_certificate(4, 3)
     assert sorted(decoded) == sorted(facet_codes(4, 3))

@@ -20,6 +20,7 @@ from edgewise.complexes import (
     join,
 )
 from edgewise.posets import k_lambda
+from edgewise.shelling import certify_order, shelling_order
 from edgewise.subdivision import (
     VertexType,
     build_complex,
@@ -127,6 +128,8 @@ class TestCodes:
             code_of_facet([(0, 0), (1, 1), (1, 2)], 2)
         with pytest.raises(ValueError):
             code_of_facet([(0, 0), (0, 1)], 2)
+        with pytest.raises(ValueError):
+            code_of_facet([], 2)
 
 
 class TestComplex:
@@ -372,6 +375,26 @@ class TestFaceLinks:
         assert report.link == full_simplex(report.link.vertices)
         assert len(report.link.vertices) == p
 
+    @pytest.mark.parametrize("face", [[(1, 1, 2)], [(1, 1, 2), (1, 2, 2)]])
+    def test_link_is_the_only_complex_built(self, monkeypatch, face):
+        # The star's facets come straight from its codes; only L is a complex.
+        built = []
+        real = subdivision.SimplicialComplex
+        monkeypatch.setattr(
+            subdivision, "SimplicialComplex", lambda facets: built.append(1) or real(facets)
+        )
+        link_of_face(face, 3)
+        assert len(built) == 1
+
+    def test_facets_share_vertex_tuples(self):
+        for facets in (
+            certify_order(shelling_order(4, 3), 3).order,
+            link_of_face([(1, 1, 2)], 3).link.facets,
+            link_of_face([(1, 1, 2), (1, 2, 2)], 3).link.facets,
+        ):
+            vertices = [u for F in facets for u in F]
+            assert len({id(u) for u in vertices}) == len(set(vertices))
+
 
 class TestLinkCertificate:
     """The constructed map certifies each link; the generic isomorphism
@@ -405,13 +428,13 @@ class TestLinkCertificate:
         # link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (0, 1) walks label
         # 3 and (2, 3) labels 1 and 2, so the walk's second step raises two
         # counts and lowers one.
-        real = subdivision.star_of_vertex
+        real = subdivision.facet_sets
         kept, bent = {(0, 1), (0, 2), (1, 2)}, frozenset({(0, 1), (1, 2), (2, 3)})
 
-        def bent_star(v, q):
-            return SimplicialComplex([bent, *(F for F in real(v, q).facets if F != kept)])
+        def bent_star(codes, q):
+            return [bent if F == kept else F for F in real(codes, q)]
 
-        monkeypatch.setattr(subdivision, "star_of_vertex", bent_star)
+        monkeypatch.setattr(subdivision, "facet_sets", bent_star)
         message = (
             "link of ((1, 2),): [(0, 1), (2, 3)] maps to [(0, (0, 0, 1)), (0, (1, 1, 0))],"
             " no model facet: block 0 step 2"
@@ -422,14 +445,14 @@ class TestLinkCertificate:
     def test_dropped_star_facet_rejected(self, monkeypatch):
         face = [(1, 1, 2), (1, 2, 2)]
         model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
-        real = subdivision.star_of_vertex
+        real = subdivision.facet_sets
 
-        def star_minus_one(v, q):
-            facets = sorted(real(v, q).facets, key=sorted)
+        def star_minus_one(codes, q):
+            facets = sorted(real(codes, q), key=sorted)
             drop = next(F for F in facets if set(face) <= F)
-            return SimplicialComplex(F for F in facets if F != drop)
+            return [F for F in facets if F != drop]
 
-        monkeypatch.setattr(subdivision, "star_of_vertex", star_minus_one)
+        monkeypatch.setattr(subdivision, "facet_sets", star_minus_one)
         with pytest.raises(DisagreementError, match="has no preimage") as exc:
             link_of_face(face, 3)
         assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
