@@ -72,16 +72,14 @@ def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_grid(args: argparse.Namespace) -> None:
-    """k and q in range, k-1 coordinates in every --vertex, --face and
-    --base tuple, and no --face vertex given twice."""
+    """k and q in range, and k-1 coordinates in every --vertex, --face and
+    --base tuple; subdivision.face_chain refuses a --face list that is not a
+    face, a repeated vertex included."""
     validate_kq(args.k, args.q)
     given = vars(args)
-    face = given.get("face", ())
-    for point in [*face, given.get("vertex"), given.get("base")]:
+    for point in [*given.get("face", ()), given.get("vertex"), given.get("base")]:
         if point is not None and len(point) != args.k - 1:
             raise ValueError(f"{point} has {len(point)} coordinates, not k-1 = {args.k - 1}")
-    if len(set(face)) != len(face):
-        raise ValueError(f"a --face vertex is given twice: {face}")
 
 
 def _build(args):
@@ -205,7 +203,7 @@ def _link(args):
     report = link_of_face(args.face, q)
     cls = report.link_class
     payload = {
-        "face": sorted(args.face, key=sum),
+        "face": report.face,
         "blocks": cls.block_sizes,
         "sigmas": cls.signatures,
         "iso_key": {"simplex_part": cls.iso_key[0], "join_parts": cls.iso_key[1]},

@@ -79,22 +79,23 @@ class SubdivisionShellingReport:
 
 
 def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> SubdivisionShellingReport:
-    """Shell the whole subdivision and check the closed-form restrictions;
-    DisagreementError names the first facet whose restriction differs.
+    """Shell the whole subdivision and check each closed-form restriction as
+    it is computed; DisagreementError names the first facet whose restriction
+    differs.  Once all match, predicted_restrictions is cert.restrictions.
 
     Near-linear in the number of facets (each vertex lies in at most k!
     facets, which bounds verify_shelling's scan); guarded by max_facets.
     """
     order = shelling_order(k, q, max_facets)
     cert = certify_order(order, q)
-    predicted = tuple(map(predicted_restriction, order, cert.order))
-    for code, got, want in zip(order, cert.restrictions, predicted):
+    for code, facet, got in zip(order, cert.order, cert.restrictions):
+        want = predicted_restriction(code, facet)
         if got != want:
             raise DisagreementError(f"facet {code} restricts to {sorted(got)}, not {sorted(want)}")
     return SubdivisionShellingReport(
         order=order,
         certificate=cert,
-        predicted_restrictions=predicted,
+        predicted_restrictions=cert.restrictions,
         h=cert.type_histogram(),
     )
 

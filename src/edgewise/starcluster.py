@@ -34,6 +34,7 @@ from .subdivision import (
     Code,
     count_faces_with_link_type,
     decode_facet,
+    face_chain,
     facet_code_for_permutation,
     is_interior_vertex,
     is_vertex,
@@ -133,27 +134,15 @@ def sc_count_partition_formula(k: int) -> int:
 def sc_count_general_face(face, q: int) -> int:
     """Star cluster size of a face whose vertices are all interior.
 
-    The face's vertices sit at chain positions x_1 < ... < x_m of any facet
-    through the face; inclusion-exclusion over subsets of positions uses
-    cyclic gap factorials exactly as in the single-facet case.
+    face_chain puts the face's vertices at chain positions x_1 < ... < x_m
+    of any facet through the face; inclusion-exclusion over subsets of
+    positions uses cyclic gap factorials exactly as in the single-facet case.
     """
-    verts = {tuple(v) for v in face}
-    if not verts:
-        raise ValueError("a face needs at least one vertex")
-    chain = sorted(verts, key=sum)
-    n = len(chain[0])
-    k = n + 1
+    chain = face_chain(face, q)
     for v in chain:
-        if len(v) != n or not is_interior_vertex(v, q):
-            raise ValueError(f"{v} is not an interior vertex with {n} coordinates")
-    # 0/1 steps between distinct vertices, with no coordinate raised twice
-    # overall, put the face in one facet at chain positions within 1..k.
-    for lower, upper in zip(chain, chain[1:]):
-        if any(u - l not in (0, 1) for u, l in zip(upper, lower)):
-            raise ValueError(f"{lower} -> {upper} is not a step inside one facet")
-    if any(top - bottom not in (0, 1) for top, bottom in zip(chain[-1], chain[0])):
-        raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
-    return _inclusion_exclusion([1 + sum(v) - sum(chain[0]) for v in chain], k)
+        if not is_interior_vertex(v, q):
+            raise ValueError(f"{v} is not an interior vertex for q={q}")
+    return _inclusion_exclusion([1 + sum(v) - sum(chain[0]) for v in chain], len(chain[0]) + 1)
 
 
 def sc_h_formula(k: int) -> tuple[int, ...]:

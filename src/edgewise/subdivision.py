@@ -150,27 +150,42 @@ def encode_facet(v: Vertex, pi: tuple[int, ...], q: int) -> Code:
     return a
 
 
+def face_chain(face, q: int) -> tuple[Vertex, ...]:
+    """The vertices of a face of T_{k,q}, bottom to top; ValueError unless
+    they are a chain inside one unit box (Edelsbrunner-Grayson): vertices of
+    one length that, sorted by coordinate sum, rise by steps with every entry
+    0 or 1, to a top at most 1 above the bottom in each coordinate.  A
+    repeated vertex is a step that does not rise.
+
+    >>> face_chain([(1, 2), (1, 1)], 3)
+    ((1, 1), (1, 2))
+    """
+    chain = tuple(sorted(map(tuple, face), key=sum))
+    if not chain:
+        raise ValueError("a face needs at least one vertex")
+    for v in chain:
+        _validate_vertex(v, q)
+    steps = [set(map(sub, upper, lower)) for lower, upper in zip(chain, chain[1:])]
+    if (len(set(map(len, chain))) != 1 or not all(s in ({1}, {0, 1}) for s in steps)
+            or not set(map(sub, chain[-1], chain[0])) <= {0, 1}):
+        raise ValueError(f"{sorted(chain)} is not a face of the subdivision")
+    return chain
+
+
 def code_of_facet(vertices, q: int) -> Code:
-    """Recover the code from a facet's vertex set.
+    """Recover the code from a facet's vertex set: a face_chain of k
+    vertices, whose k-1 steps each raise one coordinate.
 
     >>> code_of_facet([(1, 1), (0, 1), (1, 2)], 2)
     (1, 0)
     """
-    chain = sorted({tuple(v) for v in vertices}, key=sum)
-    if not chain:
-        raise ValueError("a facet needs at least one vertex")
+    chain = face_chain(vertices, q)
     n = len(chain[0])
     if len(chain) != n + 1:
         raise ValueError(f"a facet needs {n + 1} distinct vertices, got {len(chain)}")
-    raised = []
-    for lower, upper in zip(chain, chain[1:]):
-        delta = [j for j in range(n) if upper[j] != lower[j]]
-        if len(delta) != 1 or upper[delta[0]] != lower[delta[0]] + 1:
-            raise ValueError(f"{lower} -> {upper} is not a single unit step")
-        raised.append(delta[0])
+    raised = [list(map(sub, upper, lower)).index(1) for lower, upper in zip(chain, chain[1:])]
     # Steps read the permutation backwards: step i raises coordinate pi_{k-i}.
-    pi = tuple(raised[n - 1 - j] + 1 for j in range(n))
-    return encode_facet(chain[0], pi, q)
+    return encode_facet(chain[0], tuple(j + 1 for j in reversed(raised)), q)
 
 
 def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
@@ -450,24 +465,20 @@ def _certify(facets, image: dict, sigmas, where: str) -> None:
 def link_of_face(face, q: int) -> LinkOfFaceReport:
     """Link of a face given by its vertices, with its combinatorial type.
 
-    The direct link keeps the facets with codes star_facet_codes(b, q), b the
-    bottom vertex, that contain the face; no verb builds star_of_vertex.  The
-    label sets of the face cut [k] into blocks, one join factor of the model
-    each.  The walk from b to a link vertex ends inside one block; counting its
-    labels per group of that block gives the model vertex; _certify checks it.
+    face_chain checks the face before any star is listed.  The direct link
+    keeps the facets with codes star_facet_codes(b, q), b the bottom vertex,
+    that contain the face; DisagreementError when none does.  No verb builds
+    star_of_vertex.  The label sets of the face cut [k] into blocks, one join
+    factor of the model each.  The walk from b to a link vertex ends inside
+    one block; counting its labels per group of that block gives the model
+    vertex; _certify checks it.
     """
-    verts = {tuple(v) for v in face}
-    if not verts:
-        raise ValueError("a face needs at least one vertex")
-    for v in verts:
-        _validate_vertex(v, q)
-    chain = tuple(sorted(verts, key=sum))
-    face_set = frozenset(chain)
-    keep = [F for F in facet_sets(star_facet_codes(chain[0], q), q) if face_set <= F]
+    chain = face_chain(face, q)
+    b, face_set = chain[0], frozenset(chain)
+    keep = [F for F in facet_sets(star_facet_codes(b, q), q) if face_set <= F]
     if not keep:
-        raise ValueError(f"{sorted(verts)} is not a face of the subdivision")
+        raise DisagreementError(f"link of {chain}: no facet of the star of {b} contains the face")
     L = SimplicialComplex(F - face_set for F in keep)
-    b = chain[0]
     walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
     blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
     groups = [_block_groups(block, b, q) for block in blocks]

@@ -245,6 +245,9 @@ def test_determinism(capsys):
         # a --face vertex given twice
         (("link", "-k", "3", "-q", "3", "--face", "1,2", "--face", "1,2"), 2),
         (("star-cluster", "-k", "3", "-q", "6", "--face", "1,2", "--face", "1,2"), 2),
+        # a non-face whose bottom vertex's star is past the facet cap
+        (("link", "-k", "10", "-q", "11", "--face", "1,2,3,4,5,6,7,8,9",
+          "--face", "3,4,5,6,7,8,9,10,10"), 2),
         # k!-sized enumerations past the facet cap: a star, a star cluster, K_lambda
         (("link", "-k", "10", "-q", "11", "--vertex", "1,2,3,4,5,6,7,8,9"), 3),
         (("star-cluster", "-k", "9", "-q", "12"), 3),
@@ -324,13 +327,18 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.sc_count_partition_formula = lambda k: sc.sc_count_inclusion_exclusion(k) + 1\n"
          "sc.sc_shelling_and_h((1, 2), 6)\n",
          "DisagreementError: star cluster counts disagree"),
+        ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
+         "sd.star_facet_codes = lambda v, q: ()\n"
+         "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
+         "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
     ],
-    ids=["cli h_k nonzero", "library star-cluster count"],
+    ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
-    exit 1 through the CLI, and a star-cluster count off by one still raises
-    out of the library."""
+    exit 1 through the CLI, a star-cluster count off by one still raises
+    out of the library, and a star with no facet through an accepted face
+    still exits 1 naming the face."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

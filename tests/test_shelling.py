@@ -35,7 +35,9 @@ def test_shelling_certificate_valid(k, q):
 @pytest.mark.parametrize("k,q", GRID)
 def test_closed_form_restrictions_match(k, q):
     report = shelling_certificate(k, q)
-    assert report.certificate.restrictions == report.predicted_restrictions
+    cert = report.certificate
+    assert cert.restrictions == tuple(map(predicted_restriction, report.order, cert.order))
+    assert report.predicted_restrictions is cert.restrictions
 
 
 def test_certify_order_names_witness():

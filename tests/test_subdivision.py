@@ -32,6 +32,7 @@ from edgewise.subdivision import (
     count_link_types_of_faces,
     decode_facet,
     encode_facet,
+    face_chain,
     facet_codes,
     is_interior_vertex,
     link_of_face,
@@ -170,6 +171,54 @@ class TestComplex:
                 diff = {a - b for a, b in zip(u, v)}
                 expected = diff <= {0, 1} or diff <= {-1, 0}
                 assert (frozenset((u, v)) in cofacet) == expected, (u, v)
+
+
+class TestFaceChain:
+    """face_chain is the one face rule: a chain inside one unit box."""
+
+    GRIDS = [(2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2)]
+
+    @staticmethod
+    def accepts(face, q):
+        try:
+            chain = face_chain(face, q)
+        except ValueError as exc:
+            assert "is not a face of the subdivision" in str(exc)
+            return False
+        assert set(chain) == set(face) and len(chain) == len(face)
+        return True
+
+    def test_agrees_with_the_complex_on_every_vertex_set(self):
+        checked = 0
+        for k, q in self.GRIDS:
+            faces = build_complex(k, q).faces()
+            for size in range(1, k + 1):
+                for verts in itertools.combinations(vertex_set(k, q), size):
+                    assert self.accepts(verts, q) == (frozenset(verts) in faces), (k, q, verts)
+                    checked += 1
+        assert checked == 12346
+
+    def test_chain_rises_bottom_to_top(self):
+        assert face_chain([(1, 2, 2), (1, 1, 2), (2, 2, 2)], 3) == ((1, 1, 2), (1, 2, 2), (2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "face",
+        [
+            [(1, 2), (1, 2)],  # a repeated vertex does not rise
+            [(1, 2), (2, 3, 4)],  # vertices of different lengths
+            [(1, 2, 3), (1, 2, 4), (1, 2, 5)],  # coordinate 3 raised twice
+            [(1, 1), (0, 2)],  # equal sums, so one step lowers a coordinate
+        ],
+    )
+    def test_rejects_non_faces(self, face):
+        with pytest.raises(ValueError, match="is not a face of the subdivision"):
+            face_chain(face, 9)
+
+    def test_rejects_empty_and_non_vertices(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            face_chain([], 2)
+        with pytest.raises(ValueError, match="not a weakly increasing tuple"):
+            face_chain([(2, 1)], 3)
 
 
 class TestRidges:
@@ -364,6 +413,22 @@ class TestFaceLinks:
             link_of_face([(0, 0), (1, 2)], 2)
         with pytest.raises(ValueError):
             link_of_face([], 2)
+
+    def test_non_face_rejected_before_any_star_is_listed(self, monkeypatch):
+        # At k = 9 the bottom vertex's star has 9! facets.
+        def listed(v, q):
+            raise AssertionError(f"listed the star of {v}")
+
+        monkeypatch.setattr(subdivision, "star_facet_codes", listed)
+        face = [(1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 9, 9)]
+        with pytest.raises(ValueError, match="is not a face of the subdivision"):
+            link_of_face(face, 10)
+
+    def test_star_missing_the_face_is_a_breach(self, monkeypatch):
+        monkeypatch.setattr(subdivision, "star_facet_codes", lambda v, q: ())
+        message = "link of ((1, 1), (1, 2)): no facet of the star of (1, 1) contains the face"
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
+            link_of_face([(1, 2), (1, 1)], 3)
 
     def test_simplex_part_key(self):
         # A face whose blocks all have one value group yields a simplex link.
