@@ -68,7 +68,6 @@ from .subdivision import (
     count_link_types,
     count_link_types_of_faces,
     decode_facet,
-    encode_facet,
     facet_codes,
     is_interior_vertex,
     link_of_face,

@@ -12,7 +12,8 @@ facets are in bijection with codes a in {0,...,q-1}^(k-1):
 
 Equivalently a facet is a pair (v, pi) of a vertex and a permutation pi of
 1..k-1 compatible with v (ties v_i = v_{i+1} force i before i+1 in pi); its
-code is (v_{pi_1}, ..., v_{pi_{k-1}}).
+code is (v_{pi_1}, ..., v_{pi_{k-1}}), which the one encoder
+facet_code_for_permutation(v, (*reversed(pi), k)) computes.
 
 Two vertices lie in a common facet iff their difference has all entries in
 {0,1} or all in {-1,0}.  The link of a vertex v is determined by the run
@@ -105,19 +106,19 @@ def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
     """
     _validate_code(a, q)
     n = len(a)
-    order = sorted(range(n), key=lambda j: (a[j], j))
     rank = [0] * n
-    for r, j in enumerate(order):
+    for r, j in enumerate(sorted(range(n), key=a.__getitem__)):
         rank[j] = r
-    v = list(sorted(a))
-    chain = [tuple(v)]
+    v = sorted(a) + [q]
+    chain = [tuple(v[:n])]
     # Reading the code right to left, each entry names (by its stable rank)
-    # the coordinate of the bottom vertex to raise next.
-    for j in range(n - 1, -1, -1):
-        v[rank[j]] += 1
-        chain.append(tuple(v))
-    for u in chain:
-        if any(u[i] > u[i + 1] for i in range(n - 1)):
+    # the coordinate of the bottom vertex to raise next.  The bottom is sorted
+    # and a raise can overtake only its right neighbour (the bound q after the
+    # last coordinate), so one comparison per step keeps the chain monotone.
+    for c in reversed(rank):
+        v[c] += 1
+        chain.append(tuple(v[:n]))
+        if v[c] > v[c + 1]:
             raise DisagreementError(f"code {a} decoded to a chain that is not monotone: {chain}")
     return tuple(chain)
 
@@ -127,27 +128,6 @@ def facet_sets(codes, q: int):
     shared: dict = {}
     for a in codes:
         yield frozenset(shared.setdefault(u, u) for u in decode_facet(a, q))
-
-
-def encode_facet(v: Vertex, pi: tuple[int, ...], q: int) -> Code:
-    """Code of the facet (v, pi): (v_{pi_1}, ..., v_{pi_{k-1}}).
-
-    pi must be a permutation of 1..k-1 compatible with v (equal consecutive
-    entries of v keep their index order in pi), and the facet must fit in the
-    region (equivalently max(v) <= q-1).
-    """
-    _validate_vertex(v, q)
-    n = len(v)
-    if sorted(pi) != list(range(1, n + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{n}")
-    position = {x: j for j, x in enumerate(pi)}
-    for i in range(1, n):
-        if v[i - 1] == v[i] and position[i] > position[i + 1]:
-            raise ValueError(f"{pi} is not compatible with {v}: {i} must precede {i + 1}")
-    a = tuple(v[x - 1] for x in pi)
-    if any(x > q - 1 for x in a):
-        raise ValueError(f"facet ({v}, {pi}) does not fit in the region for q={q}")
-    return a
 
 
 def face_chain(face, q: int) -> tuple[Vertex, ...]:
@@ -174,7 +154,9 @@ def face_chain(face, q: int) -> tuple[Vertex, ...]:
 
 def code_of_facet(vertices, q: int) -> Code:
     """Recover the code from a facet's vertex set: a face_chain of k
-    vertices, whose k-1 steps each raise one coordinate.
+    vertices, whose k-1 steps each raise one coordinate.  The chain's checks
+    imply that ties of the bottom are raised right first and that the bottom
+    has max at most q-1, so the code needs no check of its own.
 
     >>> code_of_facet([(1, 1), (0, 1), (1, 2)], 2)
     (1, 0)
@@ -183,9 +165,9 @@ def code_of_facet(vertices, q: int) -> Code:
     n = len(chain[0])
     if len(chain) != n + 1:
         raise ValueError(f"a facet needs {n + 1} distinct vertices, got {len(chain)}")
-    raised = [list(map(sub, upper, lower)).index(1) for lower, upper in zip(chain, chain[1:])]
-    # Steps read the permutation backwards: step i raises coordinate pi_{k-i}.
-    return encode_facet(chain[0], tuple(j + 1 for j in reversed(raised)), q)
+    raised = [list(map(sub, upper, lower)).index(1) + 1 for lower, upper in zip(chain, chain[1:])]
+    # The walk from the bottom raises these labels in order, then wraps (k).
+    return facet_code_for_permutation(chain[0], (*raised, n + 1))
 
 
 def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
@@ -302,7 +284,8 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     With k at position i of pi, the code reads the coordinates before k in
     reverse, then the coordinates after k in reverse with entries lowered
     by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
-    Its callers validate v once and decode_facet validates the code.
+    Its callers validate v once and decode_facet validates the code;
+    code_of_facet passes the bottom and walk of a checked chain.
     """
     k = len(v) + 1
     i = pi.index(k)
@@ -475,10 +458,10 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     """
     chain = face_chain(face, q)
     b, face_set = chain[0], frozenset(chain)
-    keep = [F for F in facet_sets(star_facet_codes(b, q), q) if face_set <= F]
-    if not keep:
+    rest = [F - face_set for F in facet_sets(star_facet_codes(b, q), q) if face_set <= F]
+    if not rest:
         raise DisagreementError(f"link of {chain}: no facet of the star of {b} contains the face")
-    L = SimplicialComplex(F - face_set for F in keep)
+    L = SimplicialComplex(rest)
     walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
     blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
     groups = [_block_groups(block, b, q) for block in blocks]
@@ -603,7 +586,8 @@ def off_export(k: int, q: int, max_facets: int = MAX_FACETS) -> str:
     check_facet_budget(k, q, max_facets)
     verts = vertex_set(k, q)
     index = {v: i for i, v in enumerate(verts)}
-    rows = sorted(sorted(index[v] for v in decode_facet(a, q)) for a in facet_codes(k, q))
+    # Chain vertices rise lexicographically, as do their indices.
+    rows = sorted([index[v] for v in decode_facet(a, q)] for a in facet_codes(k, q))
     dim = k - 1
     if dim <= 3:
         lines = ["OFF", f"{len(verts)} {len(rows)} 0"]

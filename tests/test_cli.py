@@ -331,14 +331,20 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sd.star_facet_codes = lambda v, q: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
          "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
+        ("import builtins, edgewise.subdivision as sd\n"
+         "sd.sorted = lambda it, key=None: builtins.sorted(it, key=key)[::-1 if key else 1]\n"
+         "sd.decode_facet((0, 0), 2)\n",
+         "DisagreementError: code (0, 0) decoded to a chain that is not monotone"),
     ],
-    ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face"],
+    ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
+         "library non-monotone decode"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
     exit 1 through the CLI, a star-cluster count off by one still raises
-    out of the library, and a star with no facet through an accepted face
-    still exits 1 naming the face."""
+    out of the library, a star with no facet through an accepted face
+    still exits 1 naming the face, and a decode walk that is not monotone
+    still raises naming the code."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -31,8 +31,8 @@ from edgewise.subdivision import (
     count_link_types,
     count_link_types_of_faces,
     decode_facet,
-    encode_facet,
     face_chain,
+    facet_code_for_permutation,
     facet_codes,
     is_interior_vertex,
     link_of_face,
@@ -103,26 +103,29 @@ class TestCodes:
         assert code_of_facet(reversed(chain), 3) == (2, 0, 1)
 
     def test_encode_decode_bijection(self):
-        # Every compatible, in-region pair (v, pi) hits each code exactly once.
+        # Every pair (v, pi) whose ties keep their order in pi and whose v has
+        # max(v) <= q-1 hits each code exactly once.
         for k, q in [(3, 2), (4, 2), (3, 3)]:
             seen = []
             for v in vertex_set(k, q):
                 for pi in itertools.permutations(range(1, k)):
-                    try:
-                        seen.append(encode_facet(v, pi, q))
-                    except ValueError:
-                        continue
+                    ties_kept = all(pi.index(i) < pi.index(i + 1)
+                                    for i in range(1, k - 1) if v[i - 1] == v[i])
+                    if ties_kept and max(v) <= q - 1:
+                        seen.append(facet_code_for_permutation(v, (*reversed(pi), k)))
             assert sorted(seen) == sorted(facet_codes(k, q))
             assert len(set(seen)) == len(seen)
 
-    def test_encode_rejects_incompatible_tie(self):
-        with pytest.raises(ValueError):
-            encode_facet((1, 1), (2, 1), 3)
-        assert encode_facet((1, 1), (1, 2), 3) == (1, 1)
-
-    def test_encode_rejects_out_of_region(self):
-        with pytest.raises(ValueError):
-            encode_facet((0, 2), (1, 2), 2)
+    def test_non_monotone_walk_rejected(self, monkeypatch):
+        # A rank sort that comes back reversed raises the tied coordinates
+        # left first; the walk's own comparison names the code.
+        monkeypatch.setattr(
+            subdivision, "sorted",
+            lambda items, key=None: sorted(items, key=key)[::-1 if key else 1],
+            raising=False,
+        )
+        with pytest.raises(DisagreementError, match=re.escape("code (0, 0) decoded to a chain")):
+            decode_facet((0, 0), 2)
 
     def test_code_of_facet_rejects_non_facets(self):
         with pytest.raises(ValueError):
