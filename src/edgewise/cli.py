@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 broken internal invariant (a cross-check that must
 agree did not), 2 usage error, 3 capacity cap exceeded.  All reports are
 deterministic: identical inputs give byte-identical output.
 
+Each verb hands over its report as chunks of whole lines, and main writes
+each chunk as it comes, so no report is held whole.  A verb makes its checks
+before its first chunk, except that build decodes, and so checks, each facet
+as it reaches its row: a breach there exits 1 after part of the report may
+already be on stdout.  An --out file is removed when the report fails.
+
 Displayed h-vectors for the subdivision and for star clusters drop the
 trailing entry h_k, which is structurally zero for these complexes; model
 complex h-vectors (whose last entry can be nonzero) are shown in full.
@@ -13,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 from .combinat import partitions
 from .complexes import MAX_FACETS, CapacityError, DisagreementError
@@ -46,18 +54,113 @@ from .subdivision import (
 )
 
 SCHEMA = 1
+# The most text one write holds, unless a single piece is longer.
+CHUNK = 1 << 15
+# Tuples of ints of one depth that the JSON writer keeps rendered; past this
+# it starts over.
+MEMO_ROWS = 1 << 14
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _csv_report(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _chunked(pieces: Iterable[str]) -> Iterator[str]:
+    """Pieces of whole lines, joined into writes of at most CHUNK characters;
+    a longer piece is written alone."""
+    batch, size = [], 0
+    for piece in pieces:
+        n = len(piece)
+        if size + n > CHUNK and batch:
+            yield "".join(batch)
+            batch, size = [], 0
+        batch.append(piece)
+        size += n
+    if batch:
+        yield "".join(batch)
+
+
+def _csv_lines(header: list[str], rows) -> Iterator[str]:
+    """The header and then each row as one CSV line, all through one csv.writer."""
+    line = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for row in itertools.chain([header], rows):
+        writer.writerow(row)
+        yield line.pop()
+
+
+def _json_lines(value) -> Iterator[str]:
+    """json.dumps(value, indent=2, sort_keys=True) + "\n", in pieces of whole lines.
+
+    A dict streams entry by entry and a list, a tuple or any other iterable
+    item by item, so a lazy iterable is never held whole; each item is
+    rendered whole.  json.dumps renders only the scalars and the keys, which
+    must be strings.  Inside an item, a list of tuples of ints (a chain of
+    vertices) renders each tuple once per depth and then reuses it, through a
+    memo that starts over once it holds MEMO_ROWS tuples of one depth.
+    """
+    memo, quoted = {}, {}
+
+    def key_text(key: str) -> str:
+        text = quoted.get(key)
+        if text is None:
+            text = quoted[key] = json.dumps(key)
+        return text
+
+    def whole(value, depth: int) -> str:
+        if isinstance(value, (str, int, float)) or value is None:
+            return str(value) if type(value) is int else json.dumps(value)
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            cells = [f"{key_text(key)}: {whole(item, depth + 1)}"
+                     for key, item in sorted(value.items())]
+            brackets = "{}"
+        else:
+            items = list(value)
+            kinds = {*map(type, items)}
+            if kinds == {int}:
+                cells = list(map(str, items))
+            elif kinds == {tuple} and {*map(type, itertools.chain.from_iterable(items))} == {int}:
+                rows = memo.setdefault(depth + 1, {})
+                if len(rows) >= MEMO_ROWS:
+                    rows.clear()
+                cells = [rows.get(row) or rows.setdefault(row, whole(row, depth + 1))
+                         for row in items]
+            else:
+                cells = [whole(item, depth + 1) for item in items]
+            brackets = "[]"
+        if not cells:
+            return brackets
+        return f"{brackets[0]}{pad}{(',' + pad).join(cells)}{pad[:-2]}{brackets[1]}"
+
+    def stream(value, depth: int, head: str, tail: str) -> Iterator[str]:
+        """The lines of head, then value at the given depth, then tail."""
+        indent = "  " * depth
+        inner = indent + "  "
+        if isinstance(value, dict) and value:
+            yield head + "{\n"
+            entries = sorted(value.items())
+            last = len(entries) - 1
+            for i, (key, item) in enumerate(entries):
+                yield from stream(item, depth + 1, f"{inner}{key_text(key)}: ",
+                                  "," if i < last else "")
+            yield f"{indent}}}{tail}\n"
+        elif isinstance(value, (str, int, float, dict)) or value is None:
+            yield f"{head}{whole(value, depth)}{tail}\n"
+        else:
+            items = iter(value)
+            done = object()
+            prev = next(items, done)
+            if prev is done:
+                yield f"{head}[]{tail}\n"
+                return
+            yield head + "[\n"
+            for item in items:
+                yield f"{inner}{whole(prev, depth + 1)},\n"
+                prev = item
+            yield f"{inner}{whole(prev, depth + 1)}\n{indent}]{tail}\n"
+
+    return stream(value, 0, "", "")
 
 
 def _spaced(values) -> str:
@@ -86,12 +189,17 @@ def _build(args):
     k, q = args.k, args.q
     total = check_facet_budget(k, q, args.max_facets)
     vertices = vertex_set(k, q)
-    facets = [{"code": code, "chain": decode_facet(code, q)} for code in facet_codes(k, q)]
+
+    def facets():
+        """(code, chain) of each facet, decoded as the report reaches it."""
+        for code in facet_codes(k, q):
+            yield code, decode_facet(code, q)
+
     payload = {
         "num_vertices": len(vertices),
         "num_facets": total,
         "vertices": vertices,
-        "facets": facets,
+        "facets": ({"code": code, "chain": chain} for code, chain in facets()),
     }
 
     def text():
@@ -100,17 +208,14 @@ def _build(args):
         yield f"facets: {total}"
         for v in vertices:
             yield f"v {v}"
-        for facet in facets:
-            yield f"f {facet['code']}: {_spaced(facet['chain'])}"
+        for code, chain in facets():
+            yield f"f {code}: {_spaced(chain)}"
 
     def table():
-        rows = (
-            [_spaced(facet["code"]), ";".join(_spaced(v) for v in facet["chain"])]
-            for facet in facets
-        )
+        rows = ([_spaced(code), ";".join(_spaced(v) for v in chain)] for code, chain in facets())
         return ["code", "chain"], rows
 
-    return payload, text, table
+    return _render(args, payload, text, table)
 
 
 def _hvector(args):
@@ -131,14 +236,17 @@ def _hvector(args):
         rows += [[name, _spaced(hh)] for name, hh in trimmed.items()]
         return ["route", "h"], rows
 
-    return payload, text, table
+    return _render(args, payload, text, table)
 
 
 def _shell(args):
     report = shelling_certificate(args.k, args.q, args.max_facets)
     cert = report.certificate
     h = _trim(report.h)
-    restrictions = [sorted(r) for r in cert.restrictions]
+
+    def restrictions():
+        return map(sorted, cert.restrictions)
+
     payload = {
         "num_facets": len(report.order),
         "valid": True,
@@ -146,7 +254,7 @@ def _shell(args):
         "h": h,
         "order": report.order,
         "types": cert.types,
-        "restrictions": restrictions,
+        "restrictions": restrictions(),
     }
 
     def text():
@@ -155,17 +263,17 @@ def _shell(args):
         yield "valid shelling: yes"
         yield "restrictions match closed form: yes"
         yield f"h = {h}"
-        for code, t, r in zip(report.order, cert.types, restrictions):
+        for code, t, r in zip(report.order, cert.types, restrictions()):
             yield f"{code} type {t}: {_spaced(r)}"
 
     def table():
         rows = (
             [_spaced(code), t, ";".join(_spaced(v) for v in r)]
-            for code, t, r in zip(report.order, cert.types, restrictions)
+            for code, t, r in zip(report.order, cert.types, restrictions())
         )
         return ["code", "type", "restriction"], rows
 
-    return payload, text, table
+    return _render(args, payload, text, table)
 
 
 def _link(args):
@@ -199,7 +307,7 @@ def _link(args):
             yield f"link facets: {link.num_facets}"
             yield f"link is K{lam}: certified"
 
-        return payload, text, None
+        return _render(args, payload, text, None)
     report = link_of_face(args.face, q)
     cls = report.link_class
     payload = {
@@ -219,7 +327,7 @@ def _link(args):
         yield f"link facets: {report.link.num_facets}"
         yield "link matches the chain-product join model: certified"
 
-    return payload, text, None
+    return _render(args, payload, text, None)
 
 
 def _face_count_table(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
@@ -249,7 +357,7 @@ def _classify(args):
             yield f"model h-vector: {h_model}"
             yield f"model vertices: {model_vertices}"
 
-        return payload, text, None
+        return _render(args, payload, text, None)
     if args.table:
         counts = _face_count_table(k, q)
         payload = {"table": [{"partition": lam, "count": c} for lam, c in counts]}
@@ -263,7 +371,7 @@ def _classify(args):
         def table():
             return ["partition", "count"], ([_spaced(lam), c] for lam, c in counts)
 
-        return payload, text, table
+        return _render(args, payload, text, table)
     vertex_types = count_link_types(k, q)
     by_size = [[t, count_link_types_of_faces(k, q, t)] for t in range(1, k + 1)]
     payload = {"vertex_link_types": vertex_types, "face_link_types_by_size": by_size}
@@ -274,7 +382,7 @@ def _classify(args):
         for t, c in by_size:
             yield f"faces of dimension {t - 1}: {c} link types"
 
-    return payload, text, lambda: (["face_size", "link_types"], by_size)
+    return _render(args, payload, text, lambda: (["face_size", "link_types"], by_size))
 
 
 def _star_cluster(args):
@@ -287,7 +395,7 @@ def _star_cluster(args):
             yield f"k={k} q={q} face of {len(args.face)} vertices"
             yield f"star cluster facets: {count}"
 
-        return payload, text, None
+        return _render(args, payload, text, None)
     base = args.base if args.base is not None else base_facet_code(k, q)
     report = sc_shelling_and_h(base, q)
     counts = {
@@ -315,48 +423,51 @@ def _star_cluster(args):
         yield "valid shelling: yes"
         yield f"h = {h}"
 
-    return payload, text, None
+    return _render(args, payload, text, None)
 
 
 def _tables(args):
     face_rows = [[_spaced(lam), c] for lam, c in _face_count_table(6, 6)]
     tables = {
-        "face_counts_k6.csv": _csv_report(["partition", "count"], face_rows),
-        "q_sequence.csv": _csv_report(["s", "q_s"], enumerate(q_sequence(9))),
-        "distinct_links.csv": _csv_report(
+        "face_counts_k6.csv": (["partition", "count"], face_rows),
+        "q_sequence.csv": (["s", "q_s"], enumerate(q_sequence(9))),
+        "distinct_links.csv": (
             ["dim", "count"], [[m, count_distinct_links_dim(m)] for m in range(10)]
         ),
     }
+    contents = {name: "".join(_csv_lines(*tables[name])) for name in sorted(tables)}
     if args.directory is not None:
         args.directory.mkdir(parents=True, exist_ok=True)
-        for name, content in sorted(tables.items()):
+        for name, content in contents.items():
             (args.directory / name).write_text(content)
-        return None, lambda: (f"wrote {args.directory / name}" for name in sorted(tables)), None
+        return _render(args, None, lambda: (f"wrote {args.directory / name}" for name in contents),
+                       None)
 
     def text():
-        for name, content in sorted(tables.items()):
+        for name, content in contents.items():
             yield f"# {name}"
             yield from content.splitlines()
 
-    return None, text, None
+    return _render(args, None, text, None)
 
 
 def _export(args):
-    return None, off_export(args.k, args.q, args.max_facets).splitlines, None
+    return [off_export(args.k, args.q, args.max_facets)]
 
 
-def _render(args: argparse.Namespace, payload, text, table) -> str:
-    """The report in the format args.fmt names, from what a verb returns: its
-    JSON payload, a function yielding its text lines, and a function giving
-    its CSV (header, rows) or None.  The forms not asked for are never built."""
+def _render(args: argparse.Namespace, payload, text, table) -> Iterator[str]:
+    """The report in the format args.fmt names, as chunks of whole lines, from
+    a verb's JSON payload, a function yielding its text lines, and a function
+    giving its CSV (header, rows) or None.  The forms not asked for are never
+    built, and lazy parts of the one asked for are rendered as they come."""
     if args.fmt == "json":
         header = {"schema": SCHEMA, "command": args.command, "k": args.k, "q": args.q}
-        return json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n"
+        return _chunked(_json_lines({**header, **payload}))
     if args.fmt == "csv":
         if table is None:
             raise ValueError(f"this {args.command} report has no csv form")
-        return _csv_report(*table())
-    return "".join(f"{line}\n" for line in text())
+        return _chunked(_csv_lines(*table()))
+    return _chunked(f"{line}\n" for line in text())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -417,6 +528,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_file(path: Path, chunks: Iterable[str]) -> None:
+    """Write the report to path, opened only once its first chunk is ready; a
+    report that fails part way leaves no file."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
+    out = path.open("w")
+    try:
+        with out:
+            out.write(first)
+            for chunk in chunks:
+                out.write(chunk)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -425,9 +552,12 @@ def main(argv=None) -> int:
     try:
         if "k" in args:
             _check_grid(args)
-        report = _render(args, *args.verb(args))
+        chunks = args.verb(args)
         if args.out is not None:
-            args.out.write_text(report)
+            _write_file(args.out, chunks)
+        else:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
@@ -437,8 +567,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return 2
-    if args.out is None:
-        sys.stdout.write(report)
     return 0
 
 

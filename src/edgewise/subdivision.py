@@ -27,6 +27,7 @@ one factor per block of the face's coordinate-raise decomposition.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import mul, sub
@@ -87,10 +88,10 @@ def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
     return tuple(itertools.combinations_with_replacement(range(q + 1), k - 1))
 
 
-def facet_codes(k: int, q: int) -> tuple[Code, ...]:
-    """All q^(k-1) facet codes, in lexicographic order."""
+def facet_codes(k: int, q: int) -> Iterator[Code]:
+    """All q^(k-1) facet codes, in lexicographic order, one at a time."""
     validate_kq(k, q)
-    return tuple(itertools.product(range(q), repeat=k - 1))
+    return itertools.product(range(q), repeat=k - 1)
 
 
 def _validate_code(a: Code, q: int) -> None:

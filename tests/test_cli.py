@@ -1,7 +1,9 @@
 """CLI: verbs, formats, exit codes, determinism, golden tables."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 from edgewise import cli, posets, shelling, starcluster, subdivision
 from edgewise.cli import main
+from edgewise.complexes import DisagreementError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -379,6 +382,9 @@ REPORTS = [
     ("build -k 3 -q 2 --format json", 0, "57faf201caad57dbdaa68657632dc3c933a78c89ce5f4687d6c4c24ebaf64919"),
     ("build -k 3 -q 2 --format csv", 0, "3b669e20509d52dd828b9d9a66c89667702ee954689bad549ca6130623dfb740"),
     ("build -k 4 -q 3", 0, "161d006762a5d41cd279713c268667dd93796d09935f4c89bbe082c3c9c7764c"),
+    ("build -k 5 -q 6", 0, "10f06d68dbeebc0d54764ac7c44ecdaa83db3f871da62eed70164612c50386d9"),
+    ("build -k 5 -q 6 --format json", 0, "58d26b7605591176a67a8932b9c07c7a1fb42fd441bf679dd9fdff9d1678beff"),
+    ("build -k 5 -q 6 --format csv", 0, "191ee49cc8d62c944e50eb8ba273648925524840694c484cfe69c4b59bd1ca52"),
     ("hvector -k 3 -q 2", 0, "eed6d06872093fc20c54582cb000c1b77374e1aad169c7915b2e44abaa411a1e"),
     ("hvector -k 4 -q 3 --format json", 0, "eafaad37a0bbccf0c9d3fa61f3b001f376a7b70c2130dbaa9345c82b3da22adb"),
     ("hvector -k 4 -q 3 --format csv", 0, "ee60b44ac6f6e98e6d2415b0de6d0a42e729b1bad4427a44f0ead4dd14e59075"),
@@ -431,3 +437,89 @@ REPORTS = [
 def test_report_bytes(capsys, argv, rc, digest):
     code, out, _ = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+
+class CountingStdout(io.TextIOBase):
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_build_streams_in_bounded_writes(fmt):
+    """The report reaches stdout in several writes of whole lines, none over
+    64 KiB, and with the bytes recorded above."""
+    stdout = CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["build", "-k", "5", "-q", "6", "--format", fmt]) == 0
+    argv = "build -k 5 -q 6" + ("" if fmt == "text" else f" --format {fmt}")
+    expected = next(digest for row, _, digest in REPORTS if row == argv)
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) <= 64 * 1024
+    assert all(text.endswith("\n") for text in stdout.writes)
+    assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == expected
+
+
+def _breach_at(monkeypatch, n):
+    """Make cli.decode_facet raise on the n-th code it is given."""
+    seen = []
+
+    def tampered(code, q):
+        seen.append(code)
+        if len(seen) == n:
+            raise DisagreementError(f"code {code} decoded to a chain that is not monotone")
+        return subdivision.decode_facet(code, q)
+
+    monkeypatch.setattr(cli, "decode_facet", tampered)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_build_breach_in_mid_stream_exits_1(tmp_path, capsys, monkeypatch, fmt, to_file):
+    """A breach on the 5th code exits 1 naming it, and --out leaves no file."""
+    _breach_at(monkeypatch, 5)
+    target = tmp_path / "report"
+    argv = ["build", "-k", "4", "-q", "3", "--format", fmt]
+    rc, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert rc == 1
+    assert "invariant breach: code (0, 1, 1)" in err
+    assert not target.exists()
+    assert not to_file or out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_breach_after_the_first_write_removes_the_out_file(tmp_path, capsys, monkeypatch, fmt):
+    """When the breach comes after some of the report is written, stdout may
+    hold part of it, but --out still leaves no file."""
+    _breach_at(monkeypatch, 1000)
+    rc, out, err = run(capsys, "build", "-k", "5", "-q", "6", "--format", fmt)
+    assert (rc, out != "") == (1, True)
+    assert "invariant breach: code " in err
+    _breach_at(monkeypatch, 1000)
+    target = tmp_path / "report"
+    target.write_text("an earlier report")
+    rc, out, _ = run(capsys, "build", "-k", "5", "-q", "6", "--format", fmt, "--out", str(target))
+    assert (rc, out) == (1, "")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ("build -k 8 -q 10", 3),
+        ("export -k 4 -q 3 --off --max-facets 10", 3),
+        ("classify-links -k 4 -q 3 --partition 2,1,1 --format csv", 2),
+        ("link -k 3 -q 2 --vertex 5,9", 2),
+    ],
+)
+def test_failure_before_the_report_creates_no_out_file(tmp_path, capsys, argv, expected):
+    target = tmp_path / "report"
+    rc, out, _ = run(capsys, *argv.split(), "--out", str(target))
+    assert (rc, out) == (expected, "")
+    assert not target.exists()

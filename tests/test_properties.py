@@ -1,7 +1,10 @@
 """Property-based invariants over randomly drawn instances."""
 
-from hypothesis import given, settings, strategies as st
+import json
 
+from hypothesis import example, given, settings, strategies as st
+
+from edgewise import cli
 from edgewise.combinat import partitions as gen_partitions
 from edgewise.complexes import full_simplex, h_vector, join
 from edgewise.posets import h_k_lambda, h_k_lambda_from_complex
@@ -145,3 +148,46 @@ def test_link_h_vector_matches_model(data):
     lk = link_of_vertex(v, q)
     if sum(lam) >= 2:
         assert h_vector(lk) == h_k_lambda(lam)
+
+
+# JSON values as the reports hold them: ints, bools, None and strings (any
+# code point json.dumps escapes), in dicts, lists and tuples, empty ones too.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def streamed(value) -> str:
+    return "".join(cli._json_lines(value))
+
+
+def dumped(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Rows of bools equal to rows of ints, empty containers, and one row of ints
+# at two depths: each must render as json.dumps does, memo or not.
+@given(json_values)
+@example([[(1, 0), (1, 0)], [(True, False), (True, False)]])
+@example({"\u00e9": [(), {}, []], "": [[()]]})
+@example([[(1, 2)], [[(1, 2)]]])
+def test_json_writer_matches_json_dumps(value):
+    assert streamed(value) == dumped(value)
+
+
+@given(st.lists(json_values, max_size=6))
+def test_json_writer_streams_a_generator_as_a_list(items):
+    """A list handed over as a generator, at the top, as a dict value and as
+    an item of a list, renders as the list itself."""
+    for wrap in (lambda v: v, lambda v: {"rows": v, "n": 1}, lambda v: [0, v]):
+        assert streamed(wrap(x for x in items)) == dumped(wrap(items))
+
+
+def test_json_writer_memo_starts_over_when_full(monkeypatch):
+    monkeypatch.setattr(cli, "MEMO_ROWS", 2)
+    value = [[(i, i + 1), (i, i + 1), (1, i)] for i in range(6)]
+    assert streamed(value) == dumped(value)
