@@ -46,6 +46,7 @@ from .subdivision import (
     facet_codes,
     link_of_face,
     link_of_vertex,
+    number_of_vertices,
     off_export,
     q_sequence,
     validate_kq,
@@ -56,8 +57,8 @@ from .subdivision import (
 SCHEMA = 1
 # The most text one write holds, unless a single piece is longer.
 CHUNK = 1 << 15
-# Tuples of ints of one depth that the JSON writer keeps rendered; past this
-# it starts over.
+# Tuples of ints of one depth that the JSON writer keeps rendered, and the
+# vertices whose text build's text and CSV rows keep; past this each starts over.
 MEMO_ROWS = 1 << 14
 
 
@@ -167,6 +168,21 @@ def _spaced(values) -> str:
     return " ".join(map(str, values))
 
 
+class _VertexText(dict):
+    """Each vertex's text, rendered once and then looked up; the memo starts
+    over once it holds MEMO_ROWS vertices, so its memory stays bounded."""
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, vertex) -> str:
+        if len(self) >= MEMO_ROWS:
+            self.clear()
+        text = self[vertex] = self.render(vertex)
+        return text
+
+
 def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
     """Drop the structurally-zero final entry of a ball's h-vector."""
     if h[-1] != 0:
@@ -188,31 +204,37 @@ def _check_grid(args: argparse.Namespace) -> None:
 def _build(args):
     k, q = args.k, args.q
     total = check_facet_budget(k, q, args.max_facets)
-    vertices = vertex_set(k, q)
+    num_vertices = number_of_vertices(k, q)
 
     def facets():
         """(code, chain) of each facet, decoded as the report reaches it."""
         for code in facet_codes(k, q):
             yield code, decode_facet(code, q)
 
+    def vertices():
+        """Each vertex, listed only once the report reaches the first."""
+        yield from vertex_set(k, q)
+
     payload = {
-        "num_vertices": len(vertices),
+        "num_vertices": num_vertices,
         "num_facets": total,
-        "vertices": vertices,
+        "vertices": vertices(),
         "facets": ({"code": code, "chain": chain} for code, chain in facets()),
     }
 
     def text():
         yield f"k={k} q={q}"
-        yield f"vertices: {len(vertices)}"
+        yield f"vertices: {num_vertices}"
         yield f"facets: {total}"
-        for v in vertices:
+        for v in vertices():
             yield f"v {v}"
+        shown = _VertexText(str).__getitem__
         for code, chain in facets():
-            yield f"f {code}: {_spaced(chain)}"
+            yield f"f {code}: {' '.join(map(shown, chain))}"
 
     def table():
-        rows = ([_spaced(code), ";".join(_spaced(v) for v in chain)] for code, chain in facets())
+        spaced = _VertexText(_spaced).__getitem__
+        rows = ([_spaced(code), ";".join(map(spaced, chain))] for code, chain in facets())
         return ["code", "chain"], rows
 
     return _render(args, payload, text, table)
@@ -452,7 +474,7 @@ def _tables(args):
 
 
 def _export(args):
-    return [off_export(args.k, args.q, args.max_facets)]
+    return _chunked(off_export(args.k, args.q, args.max_facets))
 
 
 def _render(args: argparse.Namespace, payload, text, table) -> Iterator[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,25 +98,33 @@ def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     """
     validate_partition(parts)
     check_cap(multinomial(parts))
-    counts = list(parts)
-    word: list[int] = []
-    out: list[tuple[int, ...]] = []
+    word = [letter for letter, m in enumerate(parts, 1) for _ in range(m)]
+    return tuple(distinct_permutations(word))
 
-    def emit(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(word))
+
+def distinct_permutations(word) -> Iterator[tuple[int, ...]]:
+    """Each distinct rearrangement of a weakly increasing word, once, in lex
+    order; the caller bounds their number.
+
+    >>> list(distinct_permutations((0, 2, 2)))
+    [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    """
+    word = list(word)
+    last = len(word) - 1
+    while True:
+        yield tuple(word)
+        # The next word in lex order: raise the rightmost letter that has a
+        # larger one after it to the least such, then sort the tail.
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1] == 0:
-                continue
-            counts[letter - 1] -= 1
-            word.append(letter)
-            emit(remaining - 1)
-            word.pop()
-            counts[letter - 1] += 1
-
-    emit(sum(parts))
-    return tuple(out)
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def descent_set(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ inclusion-exclusion binomial formula, and the x^(iq) coefficients of
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -101,11 +102,19 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
 
 
 def h_by_ascents(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...]:
-    """Histogram of codes by ascent count of the padded word; exhaustive."""
+    """Histogram of codes by ascent count of the padded word; exhaustive.
+
+    Codes are walked prefix by prefix: the ascents of a prefix (its first
+    k-2 entries) are counted once, and each last entry j then counts its own
+    code, with one more ascent exactly when the prefix ends below j.
+    """
     check_facet_budget(k, q, max_facets)
     h = [0] * (k + 1)
-    for code in itertools.product(range(q), repeat=k - 1):
-        h[len(ascent_positions(code))] += 1
+    for prefix in itertools.product(range(q), repeat=k - 2):
+        e = sum(map(operator.lt, (0,) + prefix, prefix))
+        p = prefix[-1] if prefix else 0
+        for j in range(q):
+            h[e + (p < j)] += 1
     return tuple(h)
 
 

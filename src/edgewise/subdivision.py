@@ -34,6 +34,7 @@ from operator import mul, sub
 
 from .combinat import (
     cyclic_gaps,
+    distinct_permutations,
     multinomial,
     multiplicities,
     multiset_permutations,
@@ -78,14 +79,19 @@ def _validate_vertex(v: Vertex, q: int) -> None:
         raise ValueError(f"{v} is not a weakly increasing tuple with entries in 0..{q}")
 
 
-def vertex_set(k: int, q: int) -> tuple[Vertex, ...]:
-    """All vertices of T_{k,q}, in lexicographic order.
+def number_of_vertices(k: int, q: int) -> int:
+    validate_kq(k, q)
+    return comb(q + k - 1, k - 1)
 
-    >>> vertex_set(3, 1)
+
+def vertex_set(k: int, q: int) -> Iterator[Vertex]:
+    """All C(q+k-1, k-1) vertices of T_{k,q}, in lexicographic order, one at a time.
+
+    >>> tuple(vertex_set(3, 1))
     ((0, 0), (0, 1), (1, 1))
     """
     validate_kq(k, q)
-    return tuple(itertools.combinations_with_replacement(range(q + 1), k - 1))
+    return itertools.combinations_with_replacement(range(q + 1), k - 1)
 
 
 def facet_codes(k: int, q: int) -> Iterator[Code]:
@@ -578,24 +584,33 @@ def count_link_types_of_faces(k: int, q: int, t: int) -> int:
 # Geometry export
 
 
-def off_export(k: int, q: int, max_facets: int = MAX_FACETS) -> str:
-    """OFF description of the subdivision, vertices at their lattice points.
+def off_export(k: int, q: int, max_facets: int = MAX_FACETS) -> Iterator[str]:
+    """OFF description of the subdivision, vertices at their lattice points,
+    one line at a time; CapacityError before the first.
 
     Uses the classic 3-column OFF header when the ambient dimension k-1 is
     at most 3 (padding coordinates with zeros) and the nOFF variant above.
     """
-    check_facet_budget(k, q, max_facets)
-    verts = vertex_set(k, q)
-    index = {v: i for i, v in enumerate(verts)}
-    # Chain vertices rise lexicographically, as do their indices.
-    rows = sorted([index[v] for v in decode_facet(a, q)] for a in facet_codes(k, q))
+    total = check_facet_budget(k, q, max_facets)
+    return _off_lines(k, q, total)
+
+
+def _off_lines(k: int, q: int, total: int) -> Iterator[str]:
+    """The lines of off_export.  A facet's row starts with the index of its
+    bottom vertex, its sorted code, so the rows come bottom by bottom: the
+    codes of one bottom are its distinct permutations, decoded and sorted
+    alone.  Chain vertices rise lexicographically, as do their indices, so
+    sorting the chains sorts the rows."""
+    index = {v: str(i) for i, v in enumerate(vertex_set(k, q))}
     dim = k - 1
     if dim <= 3:
-        lines = ["OFF", f"{len(verts)} {len(rows)} 0"]
+        yield f"OFF\n{len(index)} {total} 0\n"
         padding = (0,) * (3 - dim)
     else:
-        lines = ["nOFF", str(dim), f"{len(verts)} {len(rows)} 0"]
+        yield f"nOFF\n{dim}\n{len(index)} {total} 0\n"
         padding = ()
-    lines += [" ".join(str(c) for c in v + padding) for v in verts]
-    lines += [f"{k} " + " ".join(str(i) for i in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    for v in index:
+        yield " ".join(map(str, v + padding)) + "\n"
+    for bottom in itertools.combinations_with_replacement(range(q), dim):
+        for chain in sorted(decode_facet(a, q) for a in distinct_permutations(bottom)):
+            yield f"{k} {' '.join(map(index.__getitem__, chain))}\n"

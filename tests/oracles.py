@@ -1,30 +1,34 @@
 """Checks and constructions that only the tests call.
 
 Each is an independent oracle for an answer the library certifies another
-way: vertex counts and corners of the subdivision, the R-labeling of a box,
-join-irreducibility, a star cluster filtered out of the full complex, and
-the init-then-lex shelling of the barycentric sphere.
+way: the corners of the subdivision, its h-vector with the ascents of each
+code counted on their own, the R-labeling of a box, join-irreducibility, a
+star cluster filtered out of the full complex, and the init-then-lex
+shelling of the barycentric sphere.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 from edgewise.combinat import permutations_by_init
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex
-from edgewise.subdivision import Vertex, validate_kq
-
-
-def number_of_vertices(k: int, q: int) -> int:
-    validate_kq(k, q)
-    return comb(q + k - 1, k - 1)
+from edgewise.shelling import ascent_positions
+from edgewise.subdivision import Vertex, facet_codes, validate_kq
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
     """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
     validate_kq(k, q)
     return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
+
+
+def h_by_code_ascents(k: int, q: int) -> tuple[int, ...]:
+    """Histogram of facet codes by the number of ascent positions of each."""
+    h = [0] * (k + 1)
+    for code in facet_codes(k, q):
+        h[len(ascent_positions(code))] += 1
+    return tuple(h)
 
 
 def check_r_labeling(lengths: tuple[int, ...]) -> None:

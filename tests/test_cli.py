@@ -279,6 +279,10 @@ def _h_ends_in_1(report):
     return dataclasses.replace(report, h=report.h[:-1] + (1,))
 
 
+def _one_more_h0(h):
+    return (h[0] + 1, *h[1:])
+
+
 # (what breaks, module, name, replacement built from the original, argv)
 BREACHES = [
     ("h routes disagree", shelling, "h_by_binomial",
@@ -306,6 +310,8 @@ BREACHES = [
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
     ("star-cluster h_k nonzero", cli, "sc_shelling_and_h",
      lambda f: lambda base, q: _h_ends_in_1(f(base, q)), "star-cluster -k 3 -q 7"),
+    ("ascent census off by one", shelling, "h_by_ascents",
+     lambda f: lambda k, q, m: _one_more_h0(f(k, q, m)), "hvector -k 3 -q 2"),
 ]
 
 
@@ -338,16 +344,22 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sd.sorted = lambda it, key=None: builtins.sorted(it, key=key)[::-1 if key else 1]\n"
          "sd.decode_facet((0, 0), 2)\n",
          "DisagreementError: code (0, 0) decoded to a chain that is not monotone"),
+        ("import edgewise.cli as cli, edgewise.shelling as sh\n"
+         "census = sh.h_by_ascents\n"
+         "sh.h_by_ascents = lambda k, q, m: (lambda h: (h[0] + 1, *h[1:]))(census(k, q, m))\n"
+         "raise SystemExit(cli.main(['hvector', '-k', '3', '-q', '2']))\n",
+         "invariant breach: h-vector routes disagree"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
-         "library non-monotone decode"],
+         "library non-monotone decode", "cli ascent census off by one"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
     exit 1 through the CLI, a star-cluster count off by one still raises
     out of the library, a star with no facet through an accepted face
-    still exits 1 naming the face, and a decode walk that is not monotone
-    still raises naming the code."""
+    still exits 1 naming the face, a decode walk that is not monotone
+    still raises naming the code, and an ascent census off by one still
+    exits 1 through the CLI."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -389,6 +401,9 @@ REPORTS = [
     ("hvector -k 4 -q 3 --format json", 0, "eafaad37a0bbccf0c9d3fa61f3b001f376a7b70c2130dbaa9345c82b3da22adb"),
     ("hvector -k 4 -q 3 --format csv", 0, "ee60b44ac6f6e98e6d2415b0de6d0a42e729b1bad4427a44f0ead4dd14e59075"),
     ("hvector -k 8 -q 10", 0, "f75b51e08ed31476471dda1a8f8ea8b4cafd7ef9732327754b21fdeaac1a5658"),
+    ("hvector -k 7 -q 10", 0, "7129886f023c63cdf2ca58d5a405dc43425c4b514a6af47884e376c2ab96b707"),
+    ("hvector -k 2 -q 5", 0, "ebf3926b05c480a42c1b9f52d48cc325c9fb268a472f3bc36443d992a7cbcae2"),
+    ("hvector -k 3 -q 1", 0, "a49a1e926f8b376933f148ad47aceaccfe2de0ec2e7eabd03ae193436e30cfc5"),
     ("shell -k 3 -q 3", 0, "3df0307216160f86401d84c2f6f4643a35a9c76fe8e4c94a9a4efe4f882b8fb0"),
     ("shell -k 4 -q 2 --format json", 0, "a1198242371d22c1efea2d4ad36e5448648ebcf8d1f4e9eedaf1d057e7f93037"),
     ("shell -k 4 -q 2 --format csv", 0, "5c7c4079fc89cc40f21a1d39e32092c1078c4f35677a79d4cb9173a2b80af9d6"),
@@ -412,6 +427,10 @@ REPORTS = [
     ("tables", 0, "9b15a3d8548829c61a229a08999a769253a64d917a35ecf5de96cb248f346739"),
     ("export -k 3 -q 2 --off", 0, "6578f72b704b5c248292d9d6fd999d56c2c9e2d52b3d1a4a9c09ecae4b663d3d"),
     ("export -k 5 -q 2 --off", 0, "deea5e2fe8cbd49a94d11ebae966f07457fbb7fbe88cde8f35d12a554707444e"),
+    ("export -k 4 -q 5 --off", 0, "dba6ee8d7edbf18f08b0e53fbb7202c0100dfcbeafe5c372be8e11afa496cd9c"),
+    ("export -k 6 -q 3 --off", 0, "f6033be7889f1c50a652f0563056efd7da59c70656bdb02617e5bc9c9c9252b1"),
+    ("export -k 2 -q 7 --off", 0, "e37c472091333e71863fd90b85a73342af5ab2af96fafea1d601ea1dd4610e07"),
+    ("export -k 3 -q 1 --off", 0, "0ceeafe9b4799320cfc575098869e12a7bb12921d45d086ef2ee6b34b76eb6f2"),
     ("build -q 2", 2, EMPTY),
     ("build -k 1 -q 2", 2, EMPTY),
     ("build -k 3 -q 0", 2, EMPTY),
@@ -464,6 +483,27 @@ def test_build_streams_in_bounded_writes(fmt):
     assert max(map(len, stdout.writes)) <= 64 * 1024
     assert all(text.endswith("\n") for text in stdout.writes)
     assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv", ["build -k 4 -q 3", "build -k 5 -q 6 --format csv"])
+def test_vertex_text_memo_starts_over_when_full(capsys, monkeypatch, argv):
+    """With room for two vertices, build's text and CSV rows keep their bytes."""
+    monkeypatch.setattr(cli, "MEMO_ROWS", 2)
+    rc, out, _ = run(capsys, *argv.split())
+    expected = next(digest for row, _, digest in REPORTS if row == argv)
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, expected)
+
+
+def test_export_streams_in_bounded_writes():
+    """The OFF text reaches stdout in several writes of whole lines, none
+    over 64 KiB, and holds what off_export yields."""
+    stdout = CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["export", "-k", "6", "-q", "5", "--off"]) == 0
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) <= 64 * 1024
+    assert all(text.endswith("\n") for text in stdout.writes)
+    assert "".join(stdout.writes) == "".join(subdivision.off_export(6, 5))
 
 
 def _breach_at(monkeypatch, n):

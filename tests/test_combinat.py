@@ -12,6 +12,7 @@ from edgewise.combinat import (
     convolve,
     des,
     descent_set,
+    distinct_permutations,
     eulerian,
     eulerian_vector,
     h_matrix,
@@ -111,6 +112,11 @@ class TestMultisetPermutations:
                 for part in lam:
                     expected //= math.factorial(part)
                 assert len(multiset_permutations(lam)) == expected
+
+    def test_distinct_permutations_of_a_sorted_word(self):
+        for word in [(0,), (3, 3), (0, 2, 2), (1, 1, 2, 3, 3), (0, 1, 2, 3, 4)]:
+            expected = sorted(set(itertools.permutations(word)))
+            assert list(distinct_permutations(word)) == expected
 
     def test_lex_order_and_no_duplicates(self):
         words = multiset_permutations((3, 2, 2))

@@ -21,6 +21,7 @@ from edgewise.shelling import (
     shelling_order,
 )
 from edgewise.subdivision import build_complex, facet_codes, number_of_facets
+from oracles import h_by_code_ascents
 
 GRID = [(k, q) for k in range(2, 6) for q in range(1, 5)]
 
@@ -95,6 +96,13 @@ def test_h_routes_agree(k, q):
     assert len(h) == k + 1
     assert h[k] == 0
     assert sum(h) == number_of_facets(k, q)
+
+
+@pytest.mark.parametrize("k,q", [(k, q) for k in range(2, 7) for q in range(1, 6)])
+def test_prefix_walk_matches_per_code_ascents(k, q):
+    """The exhaustive route walks prefixes; each code still counts once by
+    its own ascents, the empty prefix (k = 2) and q = 1 included."""
+    assert h_by_ascents(k, q) == h_by_code_ascents(k, q)
 
 
 @pytest.mark.parametrize("k,q", [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])

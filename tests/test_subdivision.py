@@ -38,6 +38,7 @@ from edgewise.subdivision import (
     link_of_face,
     link_of_vertex,
     number_of_facets,
+    number_of_vertices,
     off_export,
     q_sequence,
     ridge_neighbors,
@@ -47,7 +48,7 @@ from edgewise.subdivision import (
     vertex_set,
     vertex_type,
 )
-from oracles import corners, number_of_vertices
+from oracles import corners
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -55,7 +56,7 @@ SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 class TestVertices:
     def test_counts(self):
         for k, q in SMALL_GRID:
-            vs = vertex_set(k, q)
+            vs = tuple(vertex_set(k, q))
             assert len(vs) == number_of_vertices(k, q)
             assert len(vs) == math.comb(q + k - 1, k - 1)
             assert len(set(vs)) == len(vs)
@@ -770,7 +771,7 @@ class TestOffExport:
 
     def test_roundtrip_small(self):
         for k, q in [(2, 3), (3, 2), (4, 2), (5, 2)]:
-            text = off_export(k, q)
+            text = "".join(off_export(k, q))
             dim, verts, facets = self.parse(text)
             pad = dim - (k - 1)
             stripped = [v[: k - 1] for v in verts]
@@ -782,9 +783,13 @@ class TestOffExport:
             assert sorted(stripped) == sorted(vertex_set(k, q))
 
     def test_header_variants(self):
-        assert off_export(3, 2).startswith("OFF\n")
-        assert off_export(4, 2).startswith("OFF\n")
-        assert off_export(5, 2).startswith("nOFF\n4\n")
+        assert "".join(off_export(3, 2)).startswith("OFF\n")
+        assert "".join(off_export(4, 2)).startswith("OFF\n")
+        assert "".join(off_export(5, 2)).startswith("nOFF\n4\n")
 
     def test_deterministic(self):
-        assert off_export(4, 3) == off_export(4, 3)
+        assert "".join(off_export(4, 3)) == "".join(off_export(4, 3))
+
+    def test_capacity_before_the_first_line(self):
+        with pytest.raises(CapacityError):
+            off_export(4, 3, max_facets=26)
