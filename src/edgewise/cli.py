@@ -10,6 +10,8 @@ before its first chunk, except that build decodes, and so checks, each facet
 as it reaches its row: a breach there exits 1 after part of the report may
 already be on stdout.  An --out file is removed when the report fails.
 
+main builds the argument parser once per process and reuses it.
+
 Displayed h-vectors for the subdivision and for star clusters drop the
 trailing entry h_k, which is structurally zero for these complexes; model
 complex h-vectors (whose last entry can be nonzero) are shown in full.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -57,8 +60,8 @@ from .subdivision import (
 SCHEMA = 1
 # The most text one write holds, unless a single piece is longer.
 CHUNK = 1 << 15
-# Tuples of ints of one depth that the JSON writer keeps rendered, and the
-# vertices whose text build's text and CSV rows keep; past this each starts over.
+# The most values one _Memo keeps (JSON keys, JSON vertex rows of one depth,
+# build's vertices); past this it starts over.
 MEMO_ROWS = 1 << 14
 
 
@@ -96,17 +99,12 @@ def _json_lines(value) -> Iterator[str]:
     A dict streams entry by entry and a list, a tuple or any other iterable
     item by item, so a lazy iterable is never held whole; each item is
     rendered whole.  json.dumps renders only the scalars and the keys, which
-    must be strings.  Inside an item, a list of tuples of ints (a chain of
-    vertices) renders each tuple once per depth and then reuses it, through a
-    memo that starts over once it holds MEMO_ROWS tuples of one depth.
+    must be strings.  Keys render through one _Memo, and inside an item a list
+    of tuples of type-int entries (a chain of vertices; (True, False) is an
+    equal key that renders otherwise) through one _Memo per depth.
     """
-    memo, quoted = {}, {}
-
-    def key_text(key: str) -> str:
-        text = quoted.get(key)
-        if text is None:
-            text = quoted[key] = json.dumps(key)
-        return text
+    key_text = _Memo(json.dumps).__getitem__
+    rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
 
     def whole(value, depth: int) -> str:
         if isinstance(value, (str, int, float)) or value is None:
@@ -122,11 +120,7 @@ def _json_lines(value) -> Iterator[str]:
             if kinds == {int}:
                 cells = list(map(str, items))
             elif kinds == {tuple} and {*map(type, itertools.chain.from_iterable(items))} == {int}:
-                rows = memo.setdefault(depth + 1, {})
-                if len(rows) >= MEMO_ROWS:
-                    rows.clear()
-                cells = [rows.get(row) or rows.setdefault(row, whole(row, depth + 1))
-                         for row in items]
+                cells = list(map(rows[depth + 1].__getitem__, items))
             else:
                 cells = [whole(item, depth + 1) for item in items]
             brackets = "[]"
@@ -168,18 +162,19 @@ def _spaced(values) -> str:
     return " ".join(map(str, values))
 
 
-class _VertexText(dict):
-    """Each vertex's text, rendered once and then looked up; the memo starts
-    over once it holds MEMO_ROWS vertices, so its memory stays bounded."""
+class _Memo(dict):
+    """render(value) of each value looked up, made once and then reused; it
+    starts over once it holds MEMO_ROWS values, so its memory stays bounded.
+    The CLI's one memo: JSON keys and vertex rows, build's text and CSV rows."""
 
     def __init__(self, render) -> None:
         super().__init__()
         self.render = render
 
-    def __missing__(self, vertex) -> str:
+    def __missing__(self, value):
         if len(self) >= MEMO_ROWS:
             self.clear()
-        text = self[vertex] = self.render(vertex)
+        text = self[value] = self.render(value)
         return text
 
 
@@ -228,12 +223,12 @@ def _build(args):
         yield f"facets: {total}"
         for v in vertices():
             yield f"v {v}"
-        shown = _VertexText(str).__getitem__
+        shown = _Memo(str).__getitem__
         for code, chain in facets():
             yield f"f {code}: {' '.join(map(shown, chain))}"
 
     def table():
-        spaced = _VertexText(_spaced).__getitem__
+        spaced = _Memo(_spaced).__getitem__
         rows = ([_spaced(code), ";".join(map(spaced, chain))] for code, chain in facets())
         return ["code", "chain"], rows
 
@@ -492,7 +487,8 @@ def _render(args: argparse.Namespace, payload, text, table) -> Iterator[str]:
     return _chunked(f"{line}\n" for line in text())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgewise",
         description="Edgewise subdivisions of a simplex: build, verify, count, export.",
@@ -568,7 +564,7 @@ def _write_file(path: Path, chunks: Iterable[str]) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

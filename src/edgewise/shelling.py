@@ -75,14 +75,13 @@ def certify_order(codes, q: int) -> ShellingCertificate:
 class SubdivisionShellingReport:
     order: tuple[Code, ...]
     certificate: ShellingCertificate
-    predicted_restrictions: tuple[frozenset[Vertex], ...]
     h: tuple[int, ...]
 
 
 def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> SubdivisionShellingReport:
     """Shell the whole subdivision and check each closed-form restriction as
     it is computed; DisagreementError names the first facet whose restriction
-    differs.  Once all match, predicted_restrictions is cert.restrictions.
+    differs.
 
     Near-linear in the number of facets (each vertex lies in at most k!
     facets, which bounds verify_shelling's scan); guarded by max_facets.
@@ -96,7 +95,6 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
     return SubdivisionShellingReport(
         order=order,
         certificate=cert,
-        predicted_restrictions=cert.restrictions,
         h=cert.type_histogram(),
     )
 

@@ -1,5 +1,6 @@
 """CLI: verbs, formats, exit codes, determinism, golden tables."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -492,6 +493,50 @@ def test_vertex_text_memo_starts_over_when_full(capsys, monkeypatch, argv):
     rc, out, _ = run(capsys, *argv.split())
     expected = next(digest for row, _, digest in REPORTS if row == argv)
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        ["link -k 3 -q 3 --face 1,1 --face 1,2", "link -k 4 -q 3 --vertex 0,1,3"],
+        ["star-cluster -k 3 -q 6 --face 1,2 --face 2,3", "star-cluster -k 3 -q 7"],
+    ],
+    ids=["link", "star-cluster"],
+)
+def test_reused_parser_keeps_no_face_between_calls(capsys, calls):
+    """A --face call, the verb's other mode and the --face call again, in one
+    process, each print what a fresh process prints: faces given to one
+    call do not pile up in the parser's append default."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in [*calls, calls[0]]:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "edgewise.cli", *argv.split()],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run(capsys, *argv.split()) == (0, fresh.stdout, "") and fresh.returncode == 0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """After a first call of main, later calls of every kind (reports, usage
+    errors, help) build no top-level parser."""
+    run(capsys, "hvector", "-k", "3", "-q", "2")
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in ["hvector -k 3 -q 2", "link -k 3 -q 3 --vertex 1,2", "build -k 1 -q 2",
+                 "nonsense", "shell --help", "hvector -k 4 -q 3 --format csv"]:
+        run(capsys, *argv.split())
+    assert built == []
+    argparse.ArgumentParser(prog="edgewise")
+    assert built == ["edgewise"]
 
 
 def test_export_streams_in_bounded_writes():

@@ -189,5 +189,7 @@ def test_json_writer_streams_a_generator_as_a_list(items):
 
 def test_json_writer_memo_starts_over_when_full(monkeypatch):
     monkeypatch.setattr(cli, "MEMO_ROWS", 2)
-    value = [[(i, i + 1), (i, i + 1), (1, i)] for i in range(6)]
-    assert streamed(value) == dumped(value)
+    rows = [[(i, i + 1), (i, i + 1), (1, i)] for i in range(6)]
+    keys = {f"key {i % 5}": [i, {f"key {i % 3}": i}] for i in range(7)}
+    for value in (rows, keys):
+        assert streamed(value) == dumped(value)
