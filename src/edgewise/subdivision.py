@@ -11,9 +11,9 @@ facets are in bijection with codes a in {0,...,q-1}^(k-1):
     ends at v + (1,...,1).
 
 Equivalently a facet is a pair (v, pi) of a vertex and a permutation pi of
-1..k-1 compatible with v (ties v_i = v_{i+1} force i before i+1 in pi); its
-code is (v_{pi_1}, ..., v_{pi_{k-1}}), which the one encoder
-facet_code_for_permutation(v, (*reversed(pi), k)) computes.
+1..k-1 compatible with v (ties v_i = v_{i+1} force i before i+1 in pi).  The
+facets through v are the walks from v along pi[:-1], pi in S_v (label k wraps
+from a facet's top to its bottom); only code_of_facet and sc_layers encode.
 
 Two vertices lie in a common facet iff their difference has all entries in
 {0,1} or all in {-1,0}.  The link of a vertex v is determined by the run
@@ -112,21 +112,29 @@ def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
     ((0, 1), (1, 1), (1, 2))
     """
     _validate_code(a, q)
-    n = len(a)
-    rank = [0] * n
-    for r, j in enumerate(sorted(range(n), key=a.__getitem__)):
-        rank[j] = r
-    v = sorted(a) + [q]
-    chain = [tuple(v[:n])]
-    # Reading the code right to left, each entry names (by its stable rank)
-    # the coordinate of the bottom vertex to raise next.  The bottom is sorted
-    # and a raise can overtake only its right neighbour (the bound q after the
-    # last coordinate), so one comparison per step keeps the chain monotone.
-    for c in reversed(rank):
-        v[c] += 1
-        chain.append(tuple(v[:n]))
-        if v[c] > v[c + 1]:
-            raise DisagreementError(f"code {a} decoded to a chain that is not monotone: {chain}")
+    rank = [0] * len(a)
+    for r, j in enumerate(sorted(range(len(a)), key=a.__getitem__), 1):
+        rank[~j] = r
+    return _walk(sorted(a), rank, q, "code {} decoded to a chain that is not monotone: {}", a)
+
+
+def _walk(v, labels, q: int, template: str, *args) -> tuple[Vertex, ...]:
+    """The points of a walk from vertex v: label j < k raises coordinate j, and
+    label k (a facet's wrap from top to bottom) lowers all.  Between 0 and q a
+    raise can pass only its right neighbour and a wrap only 0: one comparison
+    per step, DisagreementError(template.format(*args, points)) at the first out."""
+    k = len(v) + 1
+    u = [0, *v, q]
+    chain = [tuple(v)]
+    for j in labels:
+        if j < k:
+            u[j] += 1
+        else:
+            u[1:k] = [x - 1 for x in u[1:k]]
+            j = 0
+        chain.append(tuple(u[1:k]))
+        if u[j] > u[j + 1]:
+            raise DisagreementError(template.format(*args, chain))
     return tuple(chain)
 
 
@@ -291,7 +299,7 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     With k at position i of pi, the code reads the coordinates before k in
     reverse, then the coordinates after k in reverse with entries lowered
     by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
-    Its callers validate v once and decode_facet validates the code;
+    Stars are walked with no code; sc_layers validates v once, and
     code_of_facet passes the bottom and walk of a checked chain.
     """
     k = len(v) + 1
@@ -301,22 +309,21 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     return prefix + suffix
 
 
-def star_facet_codes(v: Vertex, q: int) -> tuple[Code, ...]:
-    """Codes of all facets containing v, one per permutation in S_v."""
+def star_facets(v: Vertex, q: int) -> Iterator[frozenset]:
+    """The facets through v, one tuple per vertex: the walk from v along pi[:-1]
+    for each pi in S_v.  DisagreementError naming v on a repeated pi or a step out of T."""
     pis = s_v_permutations(v, q)
-    codes = tuple(facet_code_for_permutation(v, pi) for pi in pis)
-    if len(set(codes)) != len(codes):
-        raise DisagreementError(f"duplicate star codes at {v}")
-    return codes
+    if len(set(pis)) != len(pis):
+        raise DisagreementError(f"duplicate star facets at {v}")
+    shared: dict = {}
+    for pi in pis:
+        chain = _walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
+        yield frozenset(map(shared.setdefault, chain, chain))
 
 
 def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
-    """Closed star of v from its facet codes: public API that no verb builds."""
-    facets = list(facet_sets(star_facet_codes(v, q), q))
-    for F in facets:
-        if tuple(v) not in F:
-            raise DisagreementError(f"star facet {tuple(sorted(F))} misses {v}")
-    return SimplicialComplex(facets)
+    """Closed star of v, its facets walked from v: public API that no verb builds."""
+    return SimplicialComplex(star_facets(v, q))
 
 
 def link_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
@@ -456,16 +463,15 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     """Link of a face given by its vertices, with its combinatorial type.
 
     face_chain checks the face before any star is listed.  The direct link
-    keeps the facets with codes star_facet_codes(b, q), b the bottom vertex,
-    that contain the face; DisagreementError when none does.  No verb builds
-    star_of_vertex.  The label sets of the face cut [k] into blocks, one join
-    factor of the model each.  The walk from b to a link vertex ends inside
-    one block; counting its labels per group of that block gives the model
-    vertex; _certify checks it.
+    keeps the facets walked from the bottom vertex b (star_facets, no code)
+    that contain the face; DisagreementError when none does.  The label sets
+    of the face cut [k] into blocks, one join factor of the model each.  The
+    walk from b to a link vertex ends inside one block; counting its labels
+    per group of that block gives the model vertex; _certify checks it.
     """
     chain = face_chain(face, q)
     b, face_set = chain[0], frozenset(chain)
-    rest = [F - face_set for F in facet_sets(star_facet_codes(b, q), q) if face_set <= F]
+    rest = [F - face_set for F in star_facets(b, q) if face_set <= F]
     if not rest:
         raise DisagreementError(f"link of {chain}: no facet of the star of {b} contains the face")
     L = SimplicialComplex(rest)

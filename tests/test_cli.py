@@ -302,6 +302,8 @@ BREACHES = [
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "_chain_rule",
      lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
+    ("star walk off the subdivision", subdivision, "s_v_permutations",
+     lambda f: lambda v, q: (*f(v, q), (3, 1, 2)), "link -k 3 -q 3 --vertex 0,3"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
      lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
     ("failed face link certification", subdivision, "_chain_rule",
@@ -338,9 +340,13 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.sc_shelling_and_h((1, 2), 6)\n",
          "DisagreementError: star cluster counts disagree"),
         ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
-         "sd.star_facet_codes = lambda v, q: ()\n"
+         "sd.star_facets = lambda v, q: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
          "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
+        ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
+         "sd.s_v_permutations = lambda v, q: ((1, 3, 2), (3, 1, 2))\n"
+         "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--vertex', '0,3']))\n",
+         "invariant breach: star of (0, 3): walk (3, 1, 2) leaves T: [(0, 3), (-1, 2)]"),
         ("import builtins, edgewise.subdivision as sd\n"
          "sd.sorted = lambda it, key=None: builtins.sorted(it, key=key)[::-1 if key else 1]\n"
          "sd.decode_facet((0, 0), 2)\n",
@@ -352,13 +358,15 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "invariant breach: h-vector routes disagree"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
+         "cli star walk off the subdivision",
          "library non-monotone decode", "cli ascent census off by one"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
     exit 1 through the CLI, a star-cluster count off by one still raises
     out of the library, a star with no facet through an accepted face
-    still exits 1 naming the face, a decode walk that is not monotone
+    still exits 1 naming the face, a star walk that leaves the subdivision
+    still exits 1 naming its vertex, a decode walk that is not monotone
     still raises naming the code, and an ascent census off by one still
     exits 1 through the CLI."""
     src = str(Path(__file__).resolve().parent.parent / "src")

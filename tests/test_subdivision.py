@@ -326,17 +326,36 @@ class TestStars:
                     assert len(set(got)) == len(got)
                     assert set(got) == brute, (k, q, v)
 
-    def test_out_of_range_star_code_rejected_by_decode(self, monkeypatch):
-        v, q = (1, 2), 3
-        bad = tuple(c + q for c in subdivision.star_facet_codes(v, q)[0])
-        real = subdivision.facet_code_for_permutation
+    @pytest.mark.parametrize(
+        "pi,walk",
+        [((3, 1, 2), "(-1, 2)"), ((2, 1, 3), "(0, 4)")],
+        ids=["wrap below 0", "raise past q"],
+    )
+    def test_walk_off_the_subdivision_rejected(self, monkeypatch, pi, walk):
+        # S_(0, 3) is {(1, 3, 2)}: a wrap before coordinate 1 is raised takes
+        # it below 0, and a raise of coordinate 2 takes it past q.
+        real = subdivision.s_v_permutations
+        monkeypatch.setattr(subdivision, "s_v_permutations", lambda v, q: (*real(v, q), pi))
+        message = f"star of (0, 3): walk {pi} leaves T: [(0, 3), {walk}]"
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
+            star_of_vertex((0, 3), 3)
+
+    def test_repeated_permutation_rejected(self, monkeypatch):
+        real = subdivision.s_v_permutations
         monkeypatch.setattr(
-            subdivision, "facet_code_for_permutation",
-            lambda v, pi: tuple(c + q for c in real(v, pi)),
+            subdivision, "s_v_permutations", lambda v, q: (*real(v, q), real(v, q)[-1])
         )
-        message = f"{bad} is not a code with entries in 0..{q - 1}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            star_of_vertex(v, q)
+        with pytest.raises(DisagreementError, match=r"^duplicate star facets at \(1, 2\)$"):
+            link_of_vertex((1, 2), 3)
+
+    def test_star_walks_match_the_encoder(self):
+        # Walked from v with no code, the star's facets come in S_v order, each
+        # the facet that the encoder names for its pi.
+        for k, q in [(3, 3), (4, 3), (5, 2)]:
+            for v in vertex_set(k, q):
+                facets = subdivision.star_facets(v, q)
+                for F, pi in zip(facets, s_v_permutations(v, q), strict=True):
+                    assert code_of_facet(F, q) == facet_code_for_permutation(v, pi), (v, pi)
 
     def test_star_is_vertex_join_link(self):
         for v in [(0, 1), (1, 1), (0, 2, 3), (1, 1, 2)]:
@@ -423,16 +442,29 @@ class TestFaceLinks:
         def listed(v, q):
             raise AssertionError(f"listed the star of {v}")
 
-        monkeypatch.setattr(subdivision, "star_facet_codes", listed)
+        monkeypatch.setattr(subdivision, "star_facets", listed)
         face = [(1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 9, 9)]
         with pytest.raises(ValueError, match="is not a face of the subdivision"):
             link_of_face(face, 10)
 
     def test_star_missing_the_face_is_a_breach(self, monkeypatch):
-        monkeypatch.setattr(subdivision, "star_facet_codes", lambda v, q: ())
+        monkeypatch.setattr(subdivision, "star_facets", lambda v, q: ())
         message = "link of ((1, 1), (1, 2)): no facet of the star of (1, 1) contains the face"
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_face([(1, 2), (1, 1)], 3)
+
+    def test_links_neither_encode_nor_decode(self, monkeypatch):
+        # Stars are walked from their vertex: no code is made or read.
+        faces = [tuple(face) for face in build_complex(4, 3).faces() if face]
+        calls = []
+        for name in ("decode_facet", "facet_code_for_permutation"):
+            real = getattr(subdivision, name)
+            monkeypatch.setattr(subdivision, name, lambda *a, f=real: calls.append(a) or f(*a))
+        for face in faces:
+            link_of_face(face, 3)
+        for v in vertex_set(4, 3):
+            link_of_vertex(v, 3)
+        assert calls == []
 
     def test_simplex_part_key(self):
         # A face whose blocks all have one value group yields a simplex link.
@@ -497,13 +529,13 @@ class TestLinkCertificate:
         # link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (0, 1) walks label
         # 3 and (2, 3) labels 1 and 2, so the walk's second step raises two
         # counts and lowers one.
-        real = subdivision.facet_sets
+        real = subdivision.star_facets
         kept, bent = {(0, 1), (0, 2), (1, 2)}, frozenset({(0, 1), (1, 2), (2, 3)})
 
-        def bent_star(codes, q):
-            return [bent if F == kept else F for F in real(codes, q)]
+        def bent_star(v, q):
+            return [bent if F == kept else F for F in real(v, q)]
 
-        monkeypatch.setattr(subdivision, "facet_sets", bent_star)
+        monkeypatch.setattr(subdivision, "star_facets", bent_star)
         message = (
             "link of ((1, 2),): [(0, 1), (2, 3)] maps to [(0, (0, 0, 1)), (0, (1, 1, 0))],"
             " no model facet: block 0 step 2"
@@ -514,14 +546,14 @@ class TestLinkCertificate:
     def test_dropped_star_facet_rejected(self, monkeypatch):
         face = [(1, 1, 2), (1, 2, 2)]
         model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
-        real = subdivision.facet_sets
+        real = subdivision.star_facets
 
-        def star_minus_one(codes, q):
-            facets = sorted(real(codes, q), key=sorted)
+        def star_minus_one(v, q):
+            facets = sorted(real(v, q), key=sorted)
             drop = next(F for F in facets if set(face) <= F)
             return [F for F in facets if F != drop]
 
-        monkeypatch.setattr(subdivision, "facet_sets", star_minus_one)
+        monkeypatch.setattr(subdivision, "star_facets", star_minus_one)
         with pytest.raises(DisagreementError, match="has no preimage") as exc:
             link_of_face(face, 3)
         assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
