@@ -45,8 +45,7 @@ from .subdivision import (
     count_faces_with_link_type,
     count_link_types,
     count_link_types_of_faces,
-    decode_facet,
-    facet_codes,
+    facet_chains,
     link_of_face,
     link_of_vertex,
     number_of_vertices,
@@ -101,32 +100,44 @@ def _json_lines(value) -> Iterator[str]:
     rendered whole.  json.dumps renders only the scalars and the keys, which
     must be strings.  Keys render through one _Memo, and inside an item a list
     of tuples of type-int entries (a chain of vertices; (True, False) is an
-    equal key that renders otherwise) through one _Memo per depth.
+    equal key that renders otherwise) through one _Memo per depth.  Exact
+    ints, tuples, lists and dicts, all that build's rows hold, are told apart
+    by type alone; anything else goes through isinstance.
     """
     key_text = _Memo(json.dumps).__getitem__
     rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
+    # (opening, separator, closing) of the cells of a container at each depth.
+    layout = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
+                                  "\n" + "  " * depth))
 
     def whole(value, depth: int) -> str:
-        if isinstance(value, (str, int, float)) or value is None:
-            return str(value) if type(value) is int else json.dumps(value)
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
+        kind = type(value)
+        if kind is int:
+            return str(value)
+        if kind is tuple or kind is list:
+            items = value
+        elif kind is dict or isinstance(value, dict):
+            if not value:
+                return "{}"
+            head, sep, tail = layout[depth]
             cells = [f"{key_text(key)}: {whole(item, depth + 1)}"
                      for key, item in sorted(value.items())]
-            brackets = "{}"
+            return f"{{{head}{sep.join(cells)}{tail}}}"
+        elif isinstance(value, (str, int, float)) or value is None:
+            return json.dumps(value)
         else:
             items = list(value)
-            kinds = {*map(type, items)}
-            if kinds == {int}:
-                cells = list(map(str, items))
-            elif kinds == {tuple} and {*map(type, itertools.chain.from_iterable(items))} == {int}:
-                cells = list(map(rows[depth + 1].__getitem__, items))
-            else:
-                cells = [whole(item, depth + 1) for item in items]
-            brackets = "[]"
-        if not cells:
-            return brackets
-        return f"{brackets[0]}{pad}{(',' + pad).join(cells)}{pad[:-2]}{brackets[1]}"
+        if not items:
+            return "[]"
+        kinds = {*map(type, items)}
+        if kinds == {int}:
+            cells = map(str, items)
+        elif kinds == {tuple} and {*map(type, itertools.chain.from_iterable(items))} == {int}:
+            cells = map(rows[depth + 1].__getitem__, items)
+        else:
+            cells = [whole(item, depth + 1) for item in items]
+        head, sep, tail = layout[depth]
+        return f"[{head}{sep.join(cells)}{tail}]"
 
     def stream(value, depth: int, head: str, tail: str) -> Iterator[str]:
         """The lines of head, then value at the given depth, then tail."""
@@ -201,11 +212,6 @@ def _build(args):
     total = check_facet_budget(k, q, args.max_facets)
     num_vertices = number_of_vertices(k, q)
 
-    def facets():
-        """(code, chain) of each facet, decoded as the report reaches it."""
-        for code in facet_codes(k, q):
-            yield code, decode_facet(code, q)
-
     def vertices():
         """Each vertex, listed only once the report reaches the first."""
         yield from vertex_set(k, q)
@@ -214,7 +220,7 @@ def _build(args):
         "num_vertices": num_vertices,
         "num_facets": total,
         "vertices": vertices(),
-        "facets": ({"code": code, "chain": chain} for code, chain in facets()),
+        "facets": ({"code": code, "chain": chain} for code, chain in facet_chains(k, q)),
     }
 
     def text():
@@ -224,12 +230,13 @@ def _build(args):
         for v in vertices():
             yield f"v {v}"
         shown = _Memo(str).__getitem__
-        for code, chain in facets():
+        for code, chain in facet_chains(k, q):
             yield f"f {code}: {' '.join(map(shown, chain))}"
 
     def table():
         spaced = _Memo(_spaced).__getitem__
-        rows = ([_spaced(code), ";".join(map(spaced, chain))] for code, chain in facets())
+        rows = ([_spaced(code), ";".join(map(spaced, chain))]
+                for code, chain in facet_chains(k, q))
         return ["code", "chain"], rows
 
     return _render(args, payload, text, table)

@@ -105,6 +105,10 @@ def _validate_code(a: Code, q: int) -> None:
         raise ValueError(f"{a} is not a code with entries in 0..{q - 1}")
 
 
+# The message of a decoded chain that leaves T: the code, then the walk so far.
+_NOT_MONOTONE = "code {} decoded to a chain that is not monotone: {}"
+
+
 def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
     """The k vertices of the facet with code a, bottom to top.
 
@@ -115,7 +119,42 @@ def decode_facet(a: Code, q: int) -> tuple[Vertex, ...]:
     rank = [0] * len(a)
     for r, j in enumerate(sorted(range(len(a)), key=a.__getitem__), 1):
         rank[~j] = r
-    return _walk(sorted(a), rank, q, "code {} decoded to a chain that is not monotone: {}", a)
+    return _walk(sorted(a), rank, q, _NOT_MONOTONE, a)
+
+
+def facet_chains(k: int, q: int) -> Iterator[tuple[Code, tuple[Vertex, ...]]]:
+    """(a, decode_facet(a, q)) for each code a, in facet_codes order.
+
+    The q codes of one (k-2)-entry prefix share its sort and its stable
+    ranks.  The last entry x ranks after the pos prefix entries <= x and
+    before the rest, so the bottom is the sorted prefix with x inserted at
+    pos, and the labels (x's rank pos + 1 first, then the prefix ranks read
+    right to left, those above pos one higher) depend on pos alone.  pos only
+    grows with x, so each prefix builds at most k-1 label lists.  Every chain
+    is walked by _walk, its steps checked under decode_facet's message.
+    """
+    validate_kq(k, q)
+    m = k - 2
+    # One range per prefix entry: product copies each into a tuple, so at
+    # k = 2 no range is copied.
+    for prefix in itertools.product(*[range(q)] * m):
+        rank = [0] * m
+        for r, j in enumerate(sorted(range(m), key=prefix.__getitem__), 1):
+            rank[~j] = r
+        below = sorted(prefix)
+        # bottom holds below[:pos], then x, then below[pos:].
+        bottom = [0, *below]
+        pos, labels = 0, None
+        for x in range(q):
+            while pos < m and below[pos] <= x:
+                bottom[pos] = below[pos]
+                pos += 1
+                labels = None
+            if labels is None:
+                labels = [pos + 1, *[r + (r > pos) for r in rank]]
+            bottom[pos] = x
+            code = (*prefix, x)
+            yield code, _walk(bottom, labels, q, _NOT_MONOTONE, code)
 
 
 def _walk(v, labels, q: int, template: str, *args) -> tuple[Vertex, ...]:

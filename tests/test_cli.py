@@ -315,6 +315,8 @@ BREACHES = [
      lambda f: lambda base, q: _h_ends_in_1(f(base, q)), "star-cluster -k 3 -q 7"),
     ("ascent census off by one", shelling, "h_by_ascents",
      lambda f: lambda k, q, m: _one_more_h0(f(k, q, m)), "hvector -k 3 -q 2"),
+    ("build walk along wrong labels", subdivision, "_walk",
+     lambda f: lambda v, labels, *rest: f(v, labels[::-1], *rest), "build -k 4 -q 3"),
 ]
 
 
@@ -356,10 +358,16 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sh.h_by_ascents = lambda k, q, m: (lambda h: (h[0] + 1, *h[1:]))(census(k, q, m))\n"
          "raise SystemExit(cli.main(['hvector', '-k', '3', '-q', '2']))\n",
          "invariant breach: h-vector routes disagree"),
+        ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
+         "walk = sd._walk\n"
+         "sd._walk = lambda v, labels, *rest: walk(v, labels[::-1], *rest)\n"
+         "raise SystemExit(cli.main(['build', '-k', '4', '-q', '3']))\n",
+         "invariant breach: code (0, 0, 0) decoded to a chain that is not monotone"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
          "cli star walk off the subdivision",
-         "library non-monotone decode", "cli ascent census off by one"],
+         "library non-monotone decode", "cli ascent census off by one",
+         "cli build walk along wrong labels"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
@@ -368,7 +376,7 @@ def test_invariant_breach_survives_optimize(code, message):
     still exits 1 naming the face, a star walk that leaves the subdivision
     still exits 1 naming its vertex, a decode walk that is not monotone
     still raises naming the code, and an ascent census off by one still
-    exits 1 through the CLI."""
+    exits 1 through the CLI, as does a build whose walk is handed wrong labels."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -560,16 +568,18 @@ def test_export_streams_in_bounded_writes():
 
 
 def _breach_at(monkeypatch, n):
-    """Make cli.decode_facet raise on the n-th code it is given."""
+    """Make the n-th facet that build walks fail its step check: the walk
+    raises through the template and arguments it is given, which name the code."""
     seen = []
+    walk = subdivision._walk
 
-    def tampered(code, q):
-        seen.append(code)
+    def tampered(v, labels, q, template, *args):
+        seen.append(v)
         if len(seen) == n:
-            raise DisagreementError(f"code {code} decoded to a chain that is not monotone")
-        return subdivision.decode_facet(code, q)
+            raise DisagreementError(template.format(*args, [tuple(v)]))
+        return walk(v, labels, q, template, *args)
 
-    monkeypatch.setattr(cli, "decode_facet", tampered)
+    monkeypatch.setattr(subdivision, "_walk", tampered)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

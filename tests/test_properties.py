@@ -150,10 +150,11 @@ def test_link_h_vector_matches_model(data):
         assert h_vector(lk) == h_k_lambda(lam)
 
 
-# JSON values as the reports hold them: ints, bools, None and strings (any
-# code point json.dumps escapes), in dicts, lists and tuples, empty ones too.
+# JSON values as the reports hold them: ints, bools, None, floats and
+# strings (any code point json.dumps escapes), in dicts, lists and tuples,
+# empty ones too.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -169,10 +170,12 @@ def dumped(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-# Rows of bools equal to rows of ints, empty containers, and one row of ints
-# at two depths: each must render as json.dumps does, memo or not.
+# Rows of bools and of floats equal to rows of ints, empty containers, and
+# one row of ints at two depths: each must render as json.dumps does, memo or
+# not, so a float or bool row never takes an int row's memo entry.
 @given(json_values)
 @example([[(1, 0), (1, 0)], [(True, False), (True, False)]])
+@example([[(1, 0)], [(1.0, 0.0)], [(True, False)]])
 @example({"\u00e9": [(), {}, []], "": [[()]]})
 @example([[(1, 2)], [[(1, 2)]]])
 def test_json_writer_matches_json_dumps(value):

@@ -32,6 +32,7 @@ from edgewise.subdivision import (
     count_link_types_of_faces,
     decode_facet,
     face_chain,
+    facet_chains,
     facet_code_for_permutation,
     facet_codes,
     is_interior_vertex,
@@ -70,10 +71,11 @@ class TestVertices:
         assert corners(4, 3) == ((0, 0, 0), (0, 0, 3), (0, 3, 3), (3, 3, 3))
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            vertex_set(1, 2)
-        with pytest.raises(ValueError):
-            vertex_set(3, 0)
+        for k, q in [(1, 2), (3, 0)]:
+            with pytest.raises(ValueError):
+                vertex_set(k, q)
+            with pytest.raises(ValueError):
+                next(facet_chains(k, q))
 
 
 class TestCodes:
@@ -93,6 +95,13 @@ class TestCodes:
                 for lower, upper in zip(chain, chain[1:]):
                     diff = [u - l for u, l in zip(upper, lower)]
                     assert sorted(diff) == [0] * (k - 2) + [1]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_facet_chains_match_decode_facet(self, k):
+        # k = 2 has an empty prefix and q = 1 a single code.
+        for q in range(1, 6):
+            expected = [(a, decode_facet(a, q)) for a in facet_codes(k, q)]
+            assert list(facet_chains(k, q)) == expected
 
     def test_code_roundtrip(self):
         for k, q in SMALL_GRID:
