@@ -92,6 +92,26 @@ def _csv_lines(header: list[str], rows) -> Iterator[str]:
         yield line.pop()
 
 
+class _IntTuples:
+    """build's vertices: nonempty tuples of exact ints by construction
+    (vertex_set), which _json_lines renders from one template with no type
+    guard."""
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+
+class _FacetRows:
+    """build's facets: {"chain": chain, "code": code} for each (code, chain)
+    of subdivision.facet_chains.  Codes come from itertools.product and
+    chains from _walk, so a code and each vertex of a chain are nonempty
+    tuples of exact ints by construction, and _json_lines renders the rows
+    from one template with no type guard."""
+
+    def __init__(self, pairs) -> None:
+        self.pairs = pairs
+
+
 def _json_lines(value) -> Iterator[str]:
     """json.dumps(value, indent=2, sort_keys=True) + "\n", in pieces of whole lines.
 
@@ -101,14 +121,45 @@ def _json_lines(value) -> Iterator[str]:
     must be strings.  Keys render through one _Memo, and inside an item a list
     of tuples of type-int entries (a chain of vertices; (True, False) is an
     equal key that renders otherwise) through one _Memo per depth.  Exact
-    ints, tuples, lists and dicts, all that build's rows hold, are told apart
-    by type alone; anything else goes through isinstance.
+    ints, tuples, lists and dicts are told apart by type alone; anything else
+    goes through isinstance.
+
+    build's rows arrive pre-shaped, their entries exact ints by construction:
+    a streamed _IntTuples renders each vertex, and a streamed _FacetRows
+    each facet, from one template that this writer makes once from its own
+    layout and key memo, with no type guard; a facet's code is its entries
+    joined by the separator, and its chain's vertex rows come from one
+    _Memo.  The markers are streamed only, never met inside an item.  Every
+    other payload (shell's restrictions, link's face, hvector's routes,
+    classify-links' counts) goes through the generic path and its guard.
     """
     key_text = _Memo(json.dumps).__getitem__
     rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
     # (opening, separator, closing) of the cells of a container at each depth.
     layout = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
                                   "\n" + "  " * depth))
+
+    def int_tuple(depth: int):
+        """whole() of a tuple of exact ints at depth."""
+        head, sep, tail = layout[depth]
+        return lambda row: f"[{head}{sep.join(map(str, row))}{tail}]"
+
+    def facet_row(depth: int):
+        """whole() of {"chain": chain, "code": code} at depth, as a function
+        of (code, chain): the text around the two lists is made once, and
+        each vertex row once per _Memo."""
+        head, sep, tail = layout[depth]
+        open_list, cell, close_list = layout[depth + 1]
+        vertex_row = _Memo(int_tuple(depth + 2)).__getitem__
+        start = f"{{{head}{key_text('chain')}: [{open_list}"
+        middle = f"{close_list}]{sep}{key_text('code')}: [{open_list}"
+        end = f"{close_list}]{tail}}}"
+
+        def row(code, chain) -> str:
+            return (start + cell.join(map(vertex_row, chain)) + middle
+                    + cell.join(map(str, code)) + end)
+
+        return row
 
     def whole(value, depth: int) -> str:
         kind = type(value)
@@ -154,17 +205,22 @@ def _json_lines(value) -> Iterator[str]:
         elif isinstance(value, (str, int, float, dict)) or value is None:
             yield f"{head}{whole(value, depth)}{tail}\n"
         else:
-            items = iter(value)
+            if type(value) is _FacetRows:
+                cells = itertools.starmap(facet_row(depth + 1), value.pairs)
+            elif type(value) is _IntTuples:
+                cells = map(int_tuple(depth + 1), value.rows)
+            else:
+                cells = map(functools.partial(whole, depth=depth + 1), value)
             done = object()
-            prev = next(items, done)
+            prev = next(cells, done)
             if prev is done:
                 yield f"{head}[]{tail}\n"
                 return
             yield head + "[\n"
-            for item in items:
-                yield f"{inner}{whole(prev, depth + 1)},\n"
-                prev = item
-            yield f"{inner}{whole(prev, depth + 1)}\n{indent}]{tail}\n"
+            for cell in cells:
+                yield f"{inner}{prev},\n"
+                prev = cell
+            yield f"{inner}{prev}\n{indent}]{tail}\n"
 
     return stream(value, 0, "", "")
 
@@ -212,22 +268,18 @@ def _build(args):
     total = check_facet_budget(k, q, args.max_facets)
     num_vertices = number_of_vertices(k, q)
 
-    def vertices():
-        """Each vertex, listed only once the report reaches the first."""
-        yield from vertex_set(k, q)
-
     payload = {
         "num_vertices": num_vertices,
         "num_facets": total,
-        "vertices": vertices(),
-        "facets": ({"code": code, "chain": chain} for code, chain in facet_chains(k, q)),
+        "vertices": _IntTuples(vertex_set(k, q)),
+        "facets": _FacetRows(facet_chains(k, q)),
     }
 
     def text():
         yield f"k={k} q={q}"
         yield f"vertices: {num_vertices}"
         yield f"facets: {total}"
-        for v in vertices():
+        for v in vertex_set(k, q):
             yield f"v {v}"
         shown = _Memo(str).__getitem__
         for code, chain in facet_chains(k, q):

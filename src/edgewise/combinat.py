@@ -127,6 +127,32 @@ def distinct_permutations(word) -> Iterator[tuple[int, ...]]:
         word[i + 1:] = word[:i:-1]
 
 
+def weakly_increasing(length: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Each weakly increasing tuple of the given length with entries in
+    0..top, once, in lex order; unlike combinations_with_replacement over
+    range(top + 1), it holds no copy of the range.
+
+    >>> list(weakly_increasing(2, 2))
+    [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    """
+    if length < 1:
+        yield ()
+        return
+    head = [0] * (length - 1)
+    while True:
+        # The tuples that start with head: the last entry runs from head's
+        # last up to top.
+        yield from map(tuple(head).__add__, zip(range(head[-1] if head else 0, top + 1)))
+        # The next head in lex order: raise its rightmost entry below top by
+        # one and set every entry after it to the raised value.
+        i = length - 2
+        while i >= 0 and head[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        head[i:] = [head[i] + 1] * (length - 1 - i)
+
+
 def descent_set(w: tuple[int, ...]) -> tuple[int, ...]:
     """1-based positions i with w_i > w_{i+1}; valid for any nonempty word."""
     if not w:

@@ -40,6 +40,7 @@ from .combinat import (
     multiset_permutations,
     partitions,
     validate_partition,
+    weakly_increasing,
 )
 from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap
 
@@ -91,7 +92,7 @@ def vertex_set(k: int, q: int) -> Iterator[Vertex]:
     ((0, 0), (0, 1), (1, 1))
     """
     validate_kq(k, q)
-    return itertools.combinations_with_replacement(range(q + 1), k - 1)
+    return weakly_increasing(k - 1, q)
 
 
 def facet_codes(k: int, q: int) -> Iterator[Code]:
@@ -161,19 +162,22 @@ def _walk(v, labels, q: int, template: str, *args) -> tuple[Vertex, ...]:
     """The points of a walk from vertex v: label j < k raises coordinate j, and
     label k (a facet's wrap from top to bottom) lowers all.  Between 0 and q a
     raise can pass only its right neighbour and a wrap only 0: one comparison
-    per step, DisagreementError(template.format(*args, points)) at the first out."""
+    per step, in its own branch, DisagreementError(template.format(*args,
+    points)) at the first out."""
     k = len(v) + 1
     u = [0, *v, q]
     chain = [tuple(v)]
     for j in labels:
         if j < k:
             u[j] += 1
+            chain.append(tuple(u[1:k]))
+            if u[j] > u[j + 1]:
+                raise DisagreementError(template.format(*args, chain))
         else:
             u[1:k] = [x - 1 for x in u[1:k]]
-            j = 0
-        chain.append(tuple(u[1:k]))
-        if u[j] > u[j + 1]:
-            raise DisagreementError(template.format(*args, chain))
+            chain.append(tuple(u[1:k]))
+            if u[1] < 0:
+                raise DisagreementError(template.format(*args, chain))
     return tuple(chain)
 
 
@@ -656,6 +660,6 @@ def _off_lines(k: int, q: int, total: int) -> Iterator[str]:
         padding = ()
     for v in index:
         yield " ".join(map(str, v + padding)) + "\n"
-    for bottom in itertools.combinations_with_replacement(range(q), dim):
+    for bottom in weakly_increasing(dim, q - 1):
         for chain in sorted(decode_facet(a, q) for a in distinct_permutations(bottom)):
             yield f"{k} {' '.join(map(index.__getitem__, chain))}\n"

@@ -5,7 +5,9 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +69,27 @@ def test_build_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "code,chain"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("q", range(1, 5))
+def test_build_json_is_json_dumps_of_the_payload(capsys, k, q):
+    """build's JSON rows, rendered from templates, are what json.dumps makes
+    of the whole payload, listed here from combinations_with_replacement and
+    decode_facet."""
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": "build",
+        "k": k,
+        "q": q,
+        "num_vertices": math.comb(q + k - 1, k - 1),
+        "num_facets": q ** (k - 1),
+        "vertices": list(itertools.combinations_with_replacement(range(q + 1), k - 1)),
+        "facets": [{"code": a, "chain": subdivision.decode_facet(a, q)}
+                   for a in itertools.product(range(q), repeat=k - 1)],
+    }
+    rc, out, _ = run(capsys, "build", "-k", str(k), "-q", str(q), "--format", "json")
+    assert (rc, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_shell_reports_match(capsys):
@@ -502,9 +525,11 @@ def test_build_streams_in_bounded_writes(fmt):
     assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == expected
 
 
-@pytest.mark.parametrize("argv", ["build -k 4 -q 3", "build -k 5 -q 6 --format csv"])
+@pytest.mark.parametrize(
+    "argv", ["build -k 4 -q 3", "build -k 5 -q 6 --format csv", "build -k 5 -q 6 --format json"]
+)
 def test_vertex_text_memo_starts_over_when_full(capsys, monkeypatch, argv):
-    """With room for two vertices, build's text and CSV rows keep their bytes."""
+    """With room for two vertices, build's text, CSV and JSON rows keep their bytes."""
     monkeypatch.setattr(cli, "MEMO_ROWS", 2)
     rc, out, _ = run(capsys, *argv.split())
     expected = next(digest for row, _, digest in REPORTS if row == argv)

@@ -23,6 +23,7 @@ from edgewise.combinat import (
     partitions,
     permutations_by_init,
     validate_partition,
+    weakly_increasing,
     x_sequence,
 )
 from edgewise.complexes import CapacityError
@@ -92,6 +93,13 @@ class TestPartitions:
             validate_partition((2, 0))
         with pytest.raises(ValueError):
             validate_partition((2, 1), k=4)
+
+
+def test_weakly_increasing_is_combinations_with_replacement():
+    for length in range(6):
+        for top in range(5):
+            expected = itertools.combinations_with_replacement(range(top + 1), length)
+            assert list(weakly_increasing(length, top)) == list(expected)
 
 
 class TestMultisetPermutations:

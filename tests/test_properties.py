@@ -190,6 +190,22 @@ def test_json_writer_streams_a_generator_as_a_list(items):
         assert streamed(wrap(x for x in items)) == dumped(wrap(items))
 
 
+# build's rows: nonempty tuples of ints, and (code, chain) pairs of them.
+int_rows = st.lists(st.integers(), min_size=1, max_size=3).map(tuple)
+facet_pairs = st.tuples(int_rows, st.lists(int_rows, min_size=1, max_size=3).map(tuple))
+
+
+@given(st.lists(facet_pairs, max_size=4), st.lists(int_rows, max_size=4))
+def test_build_rows_render_as_their_lists(pairs, vertices):
+    """build's facet and vertex markers, streamed at two depths, render from
+    their templates as json.dumps renders the lists they stand for."""
+    facets = [{"chain": chain, "code": code} for code, chain in pairs]
+    for wrap in (lambda f, v: {"facets": f, "vertices": v},
+                 lambda f, v: {"report": {"facets": f, "vertices": v}}):
+        marked = wrap(cli._FacetRows(iter(pairs)), cli._IntTuples(iter(vertices)))
+        assert streamed(marked) == dumped(wrap(facets, vertices))
+
+
 def test_json_writer_memo_starts_over_when_full(monkeypatch):
     monkeypatch.setattr(cli, "MEMO_ROWS", 2)
     rows = [[(i, i + 1), (i, i + 1), (1, i)] for i in range(6)]

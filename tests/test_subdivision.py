@@ -62,6 +62,12 @@ class TestVertices:
             assert len(vs) == math.comb(q + k - 1, k - 1)
             assert len(set(vs)) == len(vs)
 
+    def test_vertex_set_is_combinations_with_replacement(self):
+        for k in range(2, 7):
+            for q in range(1, 6):
+                expected = itertools.combinations_with_replacement(range(q + 1), k - 1)
+                assert list(vertex_set(k, q)) == list(expected)
+
     def test_corners_are_vertices(self):
         for k, q in SMALL_GRID:
             vs = set(vertex_set(k, q))
