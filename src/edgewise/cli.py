@@ -53,7 +53,6 @@ from .subdivision import (
     q_sequence,
     validate_kq,
     vertex_set,
-    vertex_type,
 )
 
 SCHEMA = 1
@@ -356,9 +355,9 @@ def _link(args):
     k, q = args.k, args.q
     if args.vertex is not None:
         v = args.vertex
-        t = vertex_type(v, q)
+        report = link_of_vertex(v, q)
+        t = report.bottom_type
         lam = t.partition()
-        link = link_of_vertex(v, q)
         interior = lam == (1,) * k
         payload = {
             "vertex": v,
@@ -369,7 +368,7 @@ def _link(args):
             },
             "partition": lam,
             "interior": interior,
-            "link_facets": link.num_facets,
+            "link_facets": report.num_facets,
             "model": f"K{lam}",
             "certified": True,
         }
@@ -380,7 +379,7 @@ def _link(args):
                    f"trailing max {t.trailing_max}")
             yield f"partition: {lam}"
             yield f"interior: {'yes' if interior else 'no'}"
-            yield f"link facets: {link.num_facets}"
+            yield f"link facets: {report.num_facets}"
             yield f"link is K{lam}: certified"
 
         return _render(args, payload, text, None)
@@ -391,7 +390,7 @@ def _link(args):
         "blocks": cls.block_sizes,
         "sigmas": cls.signatures,
         "iso_key": {"simplex_part": cls.iso_key[0], "join_parts": cls.iso_key[1]},
-        "link_facets": report.link.num_facets,
+        "link_facets": report.num_facets,
         "certified": True,
     }
 
@@ -400,7 +399,7 @@ def _link(args):
         yield f"block sizes: {cls.block_sizes}"
         yield f"signatures: {cls.signatures}"
         yield f"iso key: simplex part {cls.iso_key[0]}, join parts {cls.iso_key[1]}"
-        yield f"link facets: {report.link.num_facets}"
+        yield f"link facets: {report.num_facets}"
         yield "link matches the chain-product join model: certified"
 
     return _render(args, payload, text, None)

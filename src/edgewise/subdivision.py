@@ -301,39 +301,21 @@ def is_interior_vertex(v: Vertex, q: int) -> bool:
     return 0 < v[0] and v[-1] < q and all(map(int.__lt__, v, v[1:]))
 
 
-def _label_chains(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
-    """The fixed label sequences whose interleavings form S_v.
+def _label_chains(t: VertexType) -> tuple[tuple[int, ...], ...]:
+    """The fixed label sequences whose interleavings form S_v, v of type t.
 
     Coordinates are labeled 1..k-1 and the extra symbol k closes the cycle.
     The merged outer chain reads (zeros decreasing, k, q-coordinates
     decreasing); each inner run reads its coordinate indices decreasingly.
     """
-    t = vertex_type(v, q)
-    k = len(v) + 1
-    merged = tuple(range(t.leading_zeros, 0, -1)) + (k,) + tuple(
-        range(k - 1, k - 1 - t.trailing_max, -1)
-    )
+    k = t.leading_zeros + sum(t.inner_runs) + t.trailing_max + 1
+    merged = (*range(t.leading_zeros, 0, -1), k, *range(k - 1, k - 1 - t.trailing_max, -1))
     chains = [merged]
     pos = t.leading_zeros
     for run in t.inner_runs:
         chains.append(tuple(range(pos + run, pos, -1)))
         pos += run
     return tuple(chains)
-
-
-def s_v_permutations(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
-    """The permutations of 1..k indexing the facets that contain v.
-
-    With the label chains sorted longest first, each multiset word over
-    their lengths gives one interleaving: letter i takes the next label of
-    chain i.  CapacityError when there are more than MAX_FACETS of them.
-    """
-    chains = sorted(_label_chains(v, q), key=len, reverse=True)
-    perms = []
-    for word in multiset_permutations(tuple(map(len, chains))):
-        labels = [iter(c) for c in chains]
-        perms.append(tuple(next(labels[i - 1]) for i in word))
-    return tuple(perms)
 
 
 def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
@@ -352,32 +334,37 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     return prefix + suffix
 
 
-def star_facets(v: Vertex, q: int) -> Iterator[frozenset]:
-    """The facets through v, one tuple per vertex: the walk from v along pi[:-1]
-    for each pi in S_v.  DisagreementError naming v on a repeated pi or a step out of T."""
-    pis = s_v_permutations(v, q)
-    if len(set(pis)) != len(pis):
-        raise DisagreementError(f"duplicate star facets at {v}")
-    shared: dict = {}
-    for pi in pis:
-        chain = _walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
-        yield frozenset(map(shared.setdefault, chain, chain))
+def star_facets(v: Vertex, t: VertexType, q: int) -> Iterator[tuple[Vertex, ...]]:
+    """The facets through v (of type t), each the walk from v along pi[:-1], pi in S_v:
+    each multiset word over the chains' lengths, in lex order, gives one pi, its letter
+    j taking the next label of chain j.  CapacityError before the first word past
+    MAX_FACETS; DisagreementError naming v when a word does not rise or a walk leaves T."""
+    chains = _label_chains(t)
+    check_cap(multinomial([len(c) for c in chains]))
+    last = ()
+    for word in distinct_permutations([i for i, c in enumerate(chains) for _ in c]):
+        if word <= last:
+            raise DisagreementError(f"duplicate star facets at {v}")
+        last = word
+        labels = list(map(iter, chains))
+        pi = tuple(next(labels[i]) for i in word)
+        yield _walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
 
 
 def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
     """Closed star of v, its facets walked from v: public API that no verb builds."""
-    return SimplicialComplex(star_facets(v, q))
+    return SimplicialComplex(star_facets(v, vertex_type(v, q), q))
 
 
-def link_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
+def link_of_vertex(v: Vertex, q: int) -> LinkOfFaceReport:
     """Link of v, certified as the link of the one-vertex face (v,);
-    DisagreementError unless its model's partition is vertex_partition(v, q)."""
+    DisagreementError unless its model's partition is that of v's run structure."""
     report = link_of_face((v,), q)
     (sigma,) = report.link_class.signatures
-    lam = vertex_partition(v, q)
+    lam = report.bottom_type.partition()
     if sigma != lam:
         raise DisagreementError(f"link of {tuple(v)}: run structure gives {lam}, the model {sigma}")
-    return report.link
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +400,15 @@ class FaceLinkClass:
 
 @dataclass(frozen=True)
 class LinkOfFaceReport:
-    """A face, bottom vertex b first; for each face vertex, the labels walked
-    from it to the next one (the last wraps round to b); the link's type;
-    and the link, certified against the join of one K_sigma per block."""
+    """A face, bottom vertex b first; per face vertex, the labels walked from it
+    to the next (the last wraps round to b); the link's type; b's type; and the
+    link's facet count, certified against the join of one K_sigma per block."""
 
     face: tuple[Vertex, ...]
     blocks: tuple[tuple[int, ...], ...]
     link_class: FaceLinkClass
-    link: SimplicialComplex
+    bottom_type: VertexType
+    num_facets: int
 
 
 def _label_set(u: Vertex, b: Vertex) -> frozenset[int]:
@@ -470,68 +458,80 @@ def _chain_rule(sigmas):
     return place, row, frozenset(radix[:-1])
 
 
-def _certify(facets, image: dict, sigmas, where: str) -> None:
-    """DisagreementError naming a witness unless image is injective on the
-    link vertices (its keys), each facet's image passes the chain rule and
-    the facets number prod multinomial(sigma), so the map is onto the model."""
-    preimage: dict = {}
-    for u in sorted(image):
-        w = preimage.setdefault(image[u], u)
-        if w != u:
-            raise DisagreementError(f"{where}: {w} and {u} both map to {image[u]}")
+def _certify(facets, point, sigmas, where: str) -> int:
+    """The count of the facets that facets() lists; DisagreementError naming a witness
+    unless point (a link vertex's model point, taken at first sight) is injective, each
+    facet's image passes the chain rule and the count is prod multinomial(sigma)."""
     place, start, steps = _chain_rule(sigmas)
-    at = {u: place(*x) for u, x in image.items()}
-    for F in facets:
+    at, preimage, count = {}, {}, 0
+    for F in facets():
         row = start.copy()
         for u in F:
+            if u not in at:
+                x = point(u)
+                w = preimage.setdefault(x, u)
+                if w != u:
+                    raise DisagreementError(f"{where}: {w} and {u} both map to {x}")
+                at[u] = place(*x)
             slot, value = at[u]
             row[slot] += value
         if not steps.issuperset(map(sub, row[1:], row)):
             p = next(p for p in range(len(row) - 1) if row[p + 1] - row[p] not in steps)
             i, t = [(i, t) for i, sigma in enumerate(sigmas) for t in range(1, sum(sigma) + 1)][p]
-            bad = f"{sorted(F)} maps to {sorted(image[u] for u in F)}"
+            bad = f"{sorted(F)} maps to {sorted(map(point, F))}"
             raise DisagreementError(f"{where}: {bad}, no model facet: block {i} step {t}")
-    if len(facets) != prod(map(multinomial, sigmas)):
-        # Only a shortfall lists the model: each word over a block's multiset
-        # is a chain, whose point r counts the word's letters among its first r.
+        count += 1
+    if count != prod(map(multinomial, sigmas)):
+        # Only a shortfall walks again and lists the model: each word over a block's
+        # multiset is a chain, whose point r counts the word's letters among its first r.
         chains = [[[(i, tuple(map(w[:r].count, range(1, len(s) + 1)))) for r in range(1, len(w))]
                    for w in multiset_permutations(s)] for i, s in enumerate(sigmas)]
         model = (sorted(itertools.chain(*parts)) for parts in itertools.product(*chains))
-        mapped = {frozenset(image[u] for u in F) for F in facets}
+        mapped = {frozenset(map(point, F)) for F in facets()}
         missed = min((G for G in model if frozenset(G) not in mapped), default=None)
         raise DisagreementError(f"{where}: model facet {missed} has no preimage")
+    return count
 
 
 def link_of_face(face, q: int) -> LinkOfFaceReport:
     """Link of a face given by its vertices, with its combinatorial type.
 
-    face_chain checks the face before any star is listed.  The direct link
-    keeps the facets walked from the bottom vertex b (star_facets, no code)
-    that contain the face; DisagreementError when none does.  The label sets
-    of the face cut [k] into blocks, one join factor of the model each.  The
-    walk from b to a link vertex ends inside one block; counting its labels
-    per group of that block gives the model vertex; _certify checks it.
+    face_chain checks the face before any star is walked; b's type is read once.
+    The label sets W_i of the face cut [k] into blocks, one join factor of the
+    model each.  A walk of star_facets from b holds face vertex i only at step
+    |W_i|: the link's facets are the walks that do, less those steps, and
+    DisagreementError when none does.  A link vertex's labels, counted per group
+    of its block, give its model point; _certify checks the map and counts.
     """
     chain = face_chain(face, q)
-    b, face_set = chain[0], frozenset(chain)
-    rest = [F - face_set for F in star_facets(b, q) if face_set <= F]
-    if not rest:
-        raise DisagreementError(f"link of {chain}: no facet of the star of {b} contains the face")
-    L = SimplicialComplex(rest)
+    b, t = chain[0], vertex_type(chain[0], q)
     walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
     blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
     groups = [_block_groups(block, b, q) for block in blocks]
     sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
     sizes = tuple(sorted(map(len, blocks), reverse=True))
     cls = FaceLinkClass(sizes, tuple(sorted(sigmas)))
-    image = {}
-    for u in L.vertices:
+    face_steps = [len(W) for W in walk[:-1]]
+    rest = [p for p in range(len(b) + 1) if p not in face_steps]
+
+    def facets():
+        found = False
+        for points in star_facets(b, t, q):
+            if all(points[p] == u for p, u in zip(face_steps, chain)):
+                found = True
+                yield tuple(map(points.__getitem__, rest))
+        if not found:
+            raise DisagreementError(
+                f"link of {chain}: no facet of the star of {b} contains the face")
+
+    def point(u):
         labels = _label_set(u, b)
         # u's block follows the last face label set that its own contains.
         i = sum(P <= labels for P in walk[1:-1])
-        image[u] = (i, tuple(len(labels & g) for g in groups[i]))
-    _certify(L.facets, image, sigmas, f"link of {chain}")
-    return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, L)
+        return i, tuple(len(labels & g) for g in groups[i])
+
+    count = _certify(facets, point, sigmas, f"link of {chain}")
+    return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, t, count)
 
 
 # ---------------------------------------------------------------------------

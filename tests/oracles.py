@@ -2,9 +2,9 @@
 
 Each is an independent oracle for an answer the library certifies another
 way: the corners of the subdivision, its h-vector with the ascents of each
-code counted on their own, the R-labeling of a box, join-irreducibility, a
-star cluster filtered out of the full complex, and the init-then-lex
-shelling of the barycentric sphere.
+code counted on their own, a face link filtered out of a vertex star, the
+R-labeling of a box, join-irreducibility, a star cluster filtered out of the
+full complex, and the init-then-lex shelling of the barycentric sphere.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from edgewise.combinat import permutations_by_init
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex
 from edgewise.shelling import ascent_positions
-from edgewise.subdivision import Vertex, facet_codes, validate_kq
+from edgewise.subdivision import Vertex, face_chain, facet_codes, star_of_vertex, validate_kq
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
@@ -29,6 +29,15 @@ def h_by_code_ascents(k: int, q: int) -> tuple[int, ...]:
     for code in facet_codes(k, q):
         h[len(ascent_positions(code))] += 1
     return tuple(h)
+
+
+def link_complex(face, q: int) -> SimplicialComplex:
+    """The link of a face as a complex: F - face for each facet F of the
+    star of the face's bottom vertex that holds the face."""
+    chain = face_chain(face, q)
+    face_set = frozenset(chain)
+    star = star_of_vertex(chain[0], q)
+    return SimplicialComplex(F - face_set for F in star.facets if face_set <= F)
 
 
 def check_r_labeling(lengths: tuple[int, ...]) -> None:

