@@ -495,6 +495,20 @@ class TestFaceLinks:
         assert L == full_simplex(L.vertices)
         assert len(L.vertices) == p
 
+    @pytest.mark.parametrize("face", [[(1, 1, 2)], [(1, 1, 2), (1, 2, 2)]])
+    def test_link_is_the_only_complex_built(self, monkeypatch, face):
+        # The link is certified as the star is walked: not even L is a
+        # complex now, yet its facet count is the oracle complex's.
+        expected = len(link_complex(face, 3).facets)
+        built = []
+        real = subdivision.SimplicialComplex
+        monkeypatch.setattr(
+            subdivision, "SimplicialComplex", lambda facets: built.append(1) or real(facets)
+        )
+        report = link_of_face(face, 3)
+        assert built == []
+        assert report.num_facets == expected
+
     def test_facets_share_vertex_tuples(self):
         facets = certify_order(shelling_order(4, 3), 3).order
         vertices = [u for F in facets for u in F]
