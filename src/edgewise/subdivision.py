@@ -334,26 +334,70 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     return prefix + suffix
 
 
-def star_facets(v: Vertex, t: VertexType, q: int) -> Iterator[tuple[Vertex, ...]]:
-    """The facets through v (of type t), each the walk from v along pi[:-1], pi in S_v:
-    each multiset word over the chains' lengths, in lex order, gives one pi, its letter
-    j taking the next label of chain j.  CapacityError before the first word past
-    MAX_FACETS; DisagreementError naming v when a word does not rise or a walk leaves T."""
+def star_facets(v: Vertex, t: VertexType, q: int, face) -> Iterator[tuple[Vertex, ...]]:
+    """The facets through v (of type t) whose point p is face[p] for each depth p
+    that the mapping face holds: the walks from v along pi[:-1], pi in S_v, in the
+    lex order of pi's word over chain indices (letter i takes chain i's next label).
+
+    A depth-first search interleaves the label chains letter by letter, trying them
+    in index order, and takes each step once per prefix, on one point list that
+    grows and shrinks with the search; a branch whose point at a depth of face is
+    not that face point is cut there.  No word is listed.  Each step is checked as
+    _walk checks it.  CapacityError before the first step when S_v, face or no
+    face, is past MAX_FACETS; DisagreementError naming v, the first word through
+    the prefix (each chain's other labels in chain order) and the walk so far when
+    a step leaves T."""
     chains = _label_chains(t)
-    check_cap(multinomial([len(c) for c in chains]))
-    last = ()
-    for word in distinct_permutations([i for i, c in enumerate(chains) for _ in c]):
-        if word <= last:
-            raise DisagreementError(f"duplicate star facets at {v}")
-        last = word
-        labels = list(map(iter, chains))
-        pi = tuple(next(labels[i]) for i in word)
-        yield _walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
+    sizes = [len(c) for c in chains]
+    check_cap(multinomial(sizes))
+    k = len(v) + 1
+    want = [face.get(p) for p in range(k)]
+    u = [0, *v, q]
+    n = len(chains)
+    taken = [0] * n
+    # The chain and the point of each step so far, the point of step 0 being v.
+    path, points = [], [tuple(v)]
+    i = 0
+    while True:
+        while i < n and taken[i] == sizes[i]:
+            i += 1
+        if i == n:
+            if not path:
+                return
+            i = path.pop()
+            taken[i] -= 1
+            points.pop()
+            i += 1
+            continue
+        j = chains[i][taken[i]]
+        if j < k:
+            u[1:k] = points[-1]
+            u[j] += 1
+            off = u[j] > u[j + 1]
+        else:
+            u[1:k] = [x - 1 for x in points[-1]]
+            off = u[1] < 0
+        point = tuple(u[1:k])
+        if off:
+            rest = list(map(iter, chains))
+            pi = (*(next(rest[c]) for c in (*path, i)), *itertools.chain(*rest))
+            raise DisagreementError(f"star of {v}: walk {pi} leaves T: {[*points, point]}")
+        depth = len(points)
+        if want[depth] is not None and point != want[depth]:
+            i += 1
+        elif depth == k - 1:
+            yield (*points, point)
+            i += 1
+        else:
+            path.append(i)
+            taken[i] += 1
+            points.append(point)
+            i = 0
 
 
 def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
     """Closed star of v, its facets walked from v: public API that no verb builds."""
-    return SimplicialComplex(star_facets(v, vertex_type(v, q), q))
+    return SimplicialComplex(star_facets(v, vertex_type(v, q), q, {}))
 
 
 def link_of_vertex(v: Vertex, q: int) -> LinkOfFaceReport:
@@ -461,7 +505,9 @@ def _chain_rule(sigmas):
 def _certify(facets, point, sigmas, where: str) -> int:
     """The count of the facets that facets() lists; DisagreementError naming a witness
     unless point (a link vertex's model point, taken at first sight) is injective, each
-    facet's image passes the chain rule and the count is prod multinomial(sigma)."""
+    facet's image passes the chain rule and the count is prod multinomial(sigma): an
+    excess names both counts (injective images of model facets, so a facet came twice),
+    a shortfall a model facet that no facet maps to."""
     place, start, steps = _chain_rule(sigmas)
     at, preimage, count = {}, {}, 0
     for F in facets():
@@ -481,7 +527,10 @@ def _certify(facets, point, sigmas, where: str) -> int:
             bad = f"{sorted(F)} maps to {sorted(map(point, F))}"
             raise DisagreementError(f"{where}: {bad}, no model facet: block {i} step {t}")
         count += 1
-    if count != prod(map(multinomial, sigmas)):
+    total = prod(map(multinomial, sigmas))
+    if count > total:
+        raise DisagreementError(f"{where}: {count} link facets walked, the model has {total}")
+    if count < total:
         # Only a shortfall walks again and lists the model: each word over a block's
         # multiset is a chain, whose point r counts the word's letters among its first r.
         chains = [[[(i, tuple(map(w[:r].count, range(1, len(s) + 1)))) for r in range(1, len(w))]
@@ -498,10 +547,13 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
 
     face_chain checks the face before any star is walked; b's type is read once.
     The label sets W_i of the face cut [k] into blocks, one join factor of the
-    model each.  A walk of star_facets from b holds face vertex i only at step
-    |W_i|: the link's facets are the walks that do, less those steps, and
-    DisagreementError when none does.  A link vertex's labels, counted per group
-    of its block, give its model point; _certify checks the map and counts.
+    model each.  A walk of the star of b holds face vertex i only at step |W_i|,
+    so star_facets walks b's star with face vertex i asked at depth |W_i| and cuts
+    every branch that misses it there: the link's facets are the walks it yields,
+    less those steps, with no word list and no walk outside the face.
+    DisagreementError when a yielded walk misses the face or none is yielded.  A
+    link vertex's labels, counted per group of its block, give its model point;
+    _certify checks the map and counts.
     """
     chain = face_chain(face, q)
     b, t = chain[0], vertex_type(chain[0], q)
@@ -511,15 +563,16 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
     sizes = tuple(sorted(map(len, blocks), reverse=True))
     cls = FaceLinkClass(sizes, tuple(sorted(sigmas)))
-    face_steps = [len(W) for W in walk[:-1]]
-    rest = [p for p in range(len(b) + 1) if p not in face_steps]
+    at_depth = {len(W): u for W, u in zip(walk, chain)}
+    rest = [p for p in range(len(b) + 1) if p not in at_depth]
 
     def facets():
         found = False
-        for points in star_facets(b, t, q):
-            if all(points[p] == u for p, u in zip(face_steps, chain)):
-                found = True
-                yield tuple(map(points.__getitem__, rest))
+        for points in star_facets(b, t, q, at_depth):
+            if any(points[p] != u for p, u in at_depth.items()):
+                raise DisagreementError(f"link of {chain}: star walk {points} misses the face")
+            found = True
+            yield tuple(map(points.__getitem__, rest))
         if not found:
             raise DisagreementError(
                 f"link of {chain}: no facet of the star of {b} contains the face")

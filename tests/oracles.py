@@ -2,7 +2,8 @@
 
 Each is an independent oracle for an answer the library certifies another
 way: the corners of the subdivision, its h-vector with the ascents of each
-code counted on their own, a face link filtered out of a vertex star, the
+code counted on their own, a vertex star walked one listed word at a time,
+a face link filtered out of a vertex star, the
 R-labeling of a box, join-irreducibility, a star cluster filtered out of the
 full complex, and the init-then-lex shelling of the barycentric sphere.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from edgewise.combinat import permutations_by_init
+from edgewise import subdivision
+from edgewise.combinat import distinct_permutations, permutations_by_init
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex
 from edgewise.shelling import ascent_positions
 from edgewise.subdivision import Vertex, face_chain, facet_codes, star_of_vertex, validate_kq
@@ -29,6 +31,19 @@ def h_by_code_ascents(k: int, q: int) -> tuple[int, ...]:
     for code in facet_codes(k, q):
         h[len(ascent_positions(code))] += 1
     return tuple(h)
+
+
+def star_walks_by_words(v: Vertex, t, q: int):
+    """The walks of the star of v (of type t), one word at a time: each multiset
+    word over the label chains' indices, in lex order from distinct_permutations,
+    gives pi (letter i taking chain i's next label), walked from v along pi[:-1]
+    by _walk under the star's walk-off message.  The chains are read through the
+    module, so a patched _label_chains reaches both this and star_facets."""
+    chains = subdivision._label_chains(t)
+    for word in distinct_permutations([i for i, c in enumerate(chains) for _ in c]):
+        labels = list(map(iter, chains))
+        pi = tuple(next(labels[i]) for i in word)
+        yield subdivision._walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
 
 
 def link_complex(face, q: int) -> SimplicialComplex:

@@ -376,7 +376,7 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.sc_shelling_and_h((1, 2), 6)\n",
          "DisagreementError: star cluster counts disagree"),
         ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
-         "sd.star_facets = lambda v, t, q: ()\n"
+         "sd.star_facets = lambda v, t, q, face: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
          "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
         ("import builtins, edgewise.subdivision as sd\n"
@@ -413,13 +413,18 @@ def test_invariant_breach_survives_optimize(code, message):
 # (what breaks, the subdivision function replaced, its replacement as source
 # that reads the original as real, argv, the stderr line naming the witness)
 LINK_TAMPERS = [
-    ("repeated star word", "distinct_permutations",
-     "lambda word: itertools.chain([tuple(word)], real(word))", "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: duplicate star facets at (1, 2)"),
-    ("skipped star word", "distinct_permutations",
-     "lambda word: itertools.islice(real(word), 1, None)", "link -k 3 -q 3 --vertex 1,2",
+    ("repeated star word", "star_facets",
+     "lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args))",
+     "link -k 3 -q 3 --vertex 1,2",
+     "invariant breach: link of ((1, 2),): 7 link facets walked, the model has 6"),
+    ("skipped star word", "star_facets",
+     "lambda *args: itertools.islice(real(*args), 1, None)", "link -k 3 -q 3 --vertex 1,2",
      "invariant breach: link of ((1, 2),): model facet [(0, (0, 0, 1)), (0, (1, 0, 1))]"
      " has no preimage"),
+    ("star walk missing the face", "star_facets",
+     "lambda v, t, q, face: real(v, t, q, {})", "link -k 3 -q 3 --face 1,1 --face 1,2",
+     "invariant breach: link of ((1, 1), (1, 2)): star walk ((1, 1), (0, 0), (0, 1))"
+     " misses the face"),
     ("star walk off the subdivision", "_label_chains",
      "lambda t: tuple(c[::-1] for c in real(t))", "link -k 3 -q 3 --vertex 0,3",
      "invariant breach: star of (0, 3): walk (2, 3, 1) leaves T: [(0, 3), (0, 4)]"),
@@ -434,9 +439,10 @@ LINK_TAMPERS = [
     "name,wrong,argv,message", [t[1:] for t in LINK_TAMPERS], ids=[t[0] for t in LINK_TAMPERS]
 )
 def test_link_tamper_names_its_witness(capsys, monkeypatch, name, wrong, argv, message, optimize):
-    """A star walk that repeats or skips a word of S_v or leaves the
-    subdivision, and a model map that is not injective, each exit 1 with
-    their witness named, in process and under python -O -X dev."""
+    """A star walker that repeats or skips a word of S_v, leaves the
+    subdivision or yields a walk that misses the face, and a model map that
+    is not injective, each exit 1 with their witness named, in process and
+    under python -O -X dev."""
     if optimize:
         code = ("import itertools, edgewise.cli as cli, edgewise.subdivision as sd\n"
                 f"real = sd.{name}\nsd.{name} = {wrong}\n"

@@ -48,7 +48,7 @@ from edgewise.subdivision import (
     vertex_set,
     vertex_type,
 )
-from oracles import corners, link_complex
+from oracles import corners, link_complex, star_walks_by_words
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -323,7 +323,7 @@ class TestStars:
                 expected = math.factorial(k)
                 for part in lam:
                     expected //= math.factorial(part)
-                assert len(list(subdivision.star_facets(v, vertex_type(v, q), q))) == expected
+                assert len(list(subdivision.star_facets(v, vertex_type(v, q), q, {}))) == expected
                 assert star_of_vertex(v, q).num_facets == expected
 
     def test_s_v_is_every_order_of_the_label_chains(self):
@@ -337,7 +337,7 @@ class TestStars:
                         pi for pi in perms
                         if all([x for x in pi if x in c] == list(c) for c in chains)
                     }
-                    got = [walked_pi(F) for F in subdivision.star_facets(v, t, q)]
+                    got = [walked_pi(F) for F in subdivision.star_facets(v, t, q, {})]
                     assert len(set(got)) == len(got)
                     assert set(got) == brute, (k, q, v)
 
@@ -356,21 +356,60 @@ class TestStars:
             star_of_vertex((0, 3), 3)
 
     def test_repeated_permutation_rejected(self, monkeypatch):
-        # The first word, listed twice, does not rise over itself.
-        real = subdivision.distinct_permutations
+        # The first walk, yielded twice, passes the chain rule both times: the
+        # count, one over the model's, names the excess.
+        real = subdivision.star_facets
         monkeypatch.setattr(
-            subdivision, "distinct_permutations",
-            lambda word: itertools.chain([tuple(word)], real(word)),
+            subdivision, "star_facets",
+            lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args)),
         )
-        with pytest.raises(DisagreementError, match=r"^duplicate star facets at \(1, 2\)$"):
+        message = "link of ((1, 2),): 7 link facets walked, the model has 6"
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_vertex((1, 2), 3)
+
+    def test_star_walks_match_the_word_oracle(self, monkeypatch):
+        # The same walks in the same order as one _walk per listed word, and,
+        # with the label chains reversed or rotated, the same walk-off message
+        # (the same pi and walk so far) or the same walks.
+        def outcome(walks):
+            try:
+                return list(walks)
+            except DisagreementError as exc:
+                return str(exc)
+
+        real = subdivision._label_chains
+        grids = [(2, 3), (3, 3), (4, 3), (5, 3), (4, 5), (5, 2), (6, 2)]
+        for bend in (None, lambda c: c[::-1], lambda c: c[1:] + c[:1]):
+            if bend:
+                monkeypatch.setattr(
+                    subdivision, "_label_chains", lambda t, f=bend: tuple(map(f, real(t)))
+                )
+            for k, q in grids:
+                for v in vertex_set(k, q):
+                    t = vertex_type(v, q)
+                    walked = outcome(subdivision.star_facets(v, t, q, {}))
+                    assert walked == outcome(star_walks_by_words(v, t, q)), (bend, k, q, v)
+                    assert bend or not isinstance(walked, str)
+
+    def test_face_cut_keeps_the_walks_through_it(self):
+        # Asked for points at some depths, the walker yields exactly the
+        # oracle's walks that hold them there, in the oracle's order.
+        for k, q in [(3, 3), (4, 3), (4, 4), (5, 2)]:
+            for v in vertex_set(k, q):
+                t = vertex_type(v, q)
+                walks = list(star_walks_by_words(v, t, q))
+                for depths in itertools.combinations(range(1, k), 2):
+                    for face in {tuple((p, W[p]) for p in depths) for W in walks}:
+                        want = dict(face)
+                        kept = [W for W in walks if all(W[p] == u for p, u in face)]
+                        assert list(subdivision.star_facets(v, t, q, want)) == kept, (v, face)
 
     def test_star_walks_match_the_encoder(self):
         # Walked from v with no code, each star facet is the facet that the
         # encoder names for the pi it walks.
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
-                for F in subdivision.star_facets(v, vertex_type(v, q), q):
+                for F in subdivision.star_facets(v, vertex_type(v, q), q, {}):
                     pi = walked_pi(F)
                     assert code_of_facet(F, q) == facet_code_for_permutation(v, pi), (v, pi)
 
@@ -457,7 +496,7 @@ class TestFaceLinks:
 
     def test_non_face_rejected_before_any_star_is_listed(self, monkeypatch):
         # At k = 9 the bottom vertex's star has 9! facets.
-        def listed(v, t, q):
+        def listed(v, t, q, face):
             raise AssertionError(f"listed the star of {v}")
 
         monkeypatch.setattr(subdivision, "star_facets", listed)
@@ -466,16 +505,32 @@ class TestFaceLinks:
             link_of_face(face, 10)
 
     def test_star_missing_the_face_is_a_breach(self, monkeypatch):
-        monkeypatch.setattr(subdivision, "star_facets", lambda v, t, q: ())
+        monkeypatch.setattr(subdivision, "star_facets", lambda v, t, q, face: ())
         message = "link of ((1, 1), (1, 2)): no facet of the star of (1, 1) contains the face"
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_face([(1, 2), (1, 1)], 3)
 
+    def test_face_walks_only_the_facets_through_it(self, monkeypatch):
+        # The 3-vertex face's link has 720 facets; the star of its bottom
+        # vertex has 8! = 40 320, and none of the others is yielded.
+        real = subdivision.star_facets
+        walked = []
+
+        def counted(*args):
+            for F in real(*args):
+                walked.append(1)
+                yield F
+
+        monkeypatch.setattr(subdivision, "star_facets", counted)
+        face = [(1, 2, 3, 4, 5, 6, 7), (2, 2, 3, 4, 5, 6, 7), (2, 3, 3, 4, 5, 6, 7)]
+        assert link_of_face(face, 9).num_facets == len(walked) == 720
+
     def test_links_neither_encode_nor_decode(self, monkeypatch):
-        # Stars are walked from their vertex: no code is made or read.
+        # Stars are walked from their vertex: no code is made or read, and
+        # no word of S_v is listed.
         faces = [tuple(face) for face in build_complex(4, 3).faces() if face]
         calls = []
-        for name in ("decode_facet", "facet_code_for_permutation"):
+        for name in ("decode_facet", "facet_code_for_permutation", "distinct_permutations"):
             real = getattr(subdivision, name)
             monkeypatch.setattr(subdivision, name, lambda *a, f=real: calls.append(a) or f(*a))
         for face in faces:
@@ -550,8 +605,8 @@ class TestLinkCertificate:
         real = subdivision.star_facets
         kept, bent = ((1, 2), (0, 1), (0, 2)), ((1, 2), (0, 1), (2, 3))
 
-        def bent_star(v, t, q):
-            return [bent if F == kept else F for F in real(v, t, q)]
+        def bent_star(v, t, q, face):
+            return [bent if F == kept else F for F in real(v, t, q, face)]
 
         monkeypatch.setattr(subdivision, "star_facets", bent_star)
         message = (
@@ -566,8 +621,8 @@ class TestLinkCertificate:
         model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
         real = subdivision.star_facets
 
-        def star_minus_one(v, t, q):
-            facets = sorted(real(v, t, q), key=sorted)
+        def star_minus_one(v, t, q, at_depth):
+            facets = sorted(real(v, t, q, at_depth), key=sorted)
             drop = next(F for F in facets if set(face) <= set(F))
             return [F for F in facets if F != drop]
 
