@@ -9,79 +9,14 @@ a global shelling with closed-form restrictions, and h-vectors computed by
 independent routes that are required to agree.
 """
 
-from .combinat import (
-    DescentInitTable,
-    descent_set,
-    des,
-    eulerian,
-    eulerian_vector,
-    h_matrix,
-    h_rows_recursive,
-    init,
-    multiset_permutations,
-    partitions,
-    x_sequence,
-)
-from .complexes import (
-    CapacityError,
-    DisagreementError,
-    ShellingCertificate,
-    SimplicialComplex,
-    are_isomorphic,
-    find_isomorphism,
-    full_simplex,
-    h_from_f,
-    h_vector,
-    join,
-    verify_shelling,
-)
-from .posets import (
-    h_k_lambda,
-    k_lambda,
-)
-from .shelling import (
-    certify_order,
-    h_by_ascents,
-    h_by_binomial,
-    h_by_polynomial,
-    h_by_recurrence,
-    h_routes,
-    h_vector_checked,
-    predicted_restriction,
-    shelling_certificate,
-    shelling_order,
-)
-from .starcluster import (
-    StarClusterReport,
-    base_facet_code,
-    sc_count_general_face,
-    sc_count_inclusion_exclusion,
-    sc_count_partition_formula,
-    sc_h_formula,
-    sc_shelling_and_h,
-)
-from .subdivision import (
-    build_complex,
-    code_of_facet,
-    count_distinct_links_dim,
-    count_faces_with_link_type,
-    count_link_types,
-    count_link_types_of_faces,
-    decode_facet,
-    facet_codes,
-    is_interior_vertex,
-    link_of_face,
-    link_of_vertex,
-    number_of_facets,
-    off_export,
-    q_sequence,
-    ridge_neighbors,
-    star_of_vertex,
-    vertex_partition,
-    vertex_set,
-    vertex_type,
-)
+from .complexes import CapacityError, DisagreementError
+from .shelling import h_vector_checked
+from .starcluster import base_facet_code, sc_shelling_and_h
+from .subdivision import build_complex, decode_facet, link_of_vertex, vertex_partition
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# What README's quick start imports, and the two error types.
+__all__ = ["CapacityError", "DisagreementError", "base_facet_code", "build_complex",
+           "decode_facet", "h_vector_checked", "link_of_vertex", "sc_shelling_and_h",
+           "vertex_partition"]

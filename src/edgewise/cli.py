@@ -10,8 +10,6 @@ before its first chunk, except that build decodes, and so checks, each facet
 as it reaches its row: a breach there exits 1 after part of the report may
 already be on stdout.  An --out file is removed when the report fails.
 
-main builds the argument parser once per process and reuses it.
-
 Displayed h-vectors for the subdivision and for star clusters drop the
 trailing entry h_k, which is structurally zero for these complexes; model
 complex h-vectors (whose last entry can be nonzero) are shown in full.
@@ -40,6 +38,7 @@ from .starcluster import (
     sc_shelling_and_h,
 )
 from .subdivision import (
+    check_census,
     check_facet_budget,
     count_distinct_links_dim,
     count_faces_with_link_type,
@@ -123,14 +122,10 @@ def _json_lines(value) -> Iterator[str]:
     ints, tuples, lists and dicts are told apart by type alone; anything else
     goes through isinstance.
 
-    build's rows arrive pre-shaped, their entries exact ints by construction:
-    a streamed _IntTuples renders each vertex, and a streamed _FacetRows
-    each facet, from one template that this writer makes once from its own
-    layout and key memo, with no type guard; a facet's code is its entries
-    joined by the separator, and its chain's vertex rows come from one
-    _Memo.  The markers are streamed only, never met inside an item.  Every
-    other payload (shell's restrictions, link's face, hvector's routes,
-    classify-links' counts) goes through the generic path and its guard.
+    build's rows, streamed as _IntTuples and _FacetRows (never met inside an
+    item), render from templates made once from this writer's layout and key
+    memo, with no type guard.  Every other payload goes through the generic
+    path and its guard.
     """
     key_text = _Memo(json.dumps).__getitem__
     rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
@@ -434,6 +429,7 @@ def _classify(args):
 
         return _render(args, payload, text, None)
     if args.table:
+        check_census(k, k)
         counts = _face_count_table(k, q)
         payload = {"table": [{"partition": lam, "count": c} for lam, c in counts]}
 
@@ -447,6 +443,7 @@ def _classify(args):
             return ["partition", "count"], ([_spaced(lam), c] for lam, c in counts)
 
         return _render(args, payload, text, table)
+    check_census(k, k * k)
     vertex_types = count_link_types(k, q)
     by_size = [[t, count_link_types_of_faces(k, q, t)] for t in range(1, k + 1)]
     payload = {"vertex_link_types": vertex_types, "face_link_types_by_size": by_size}

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import check_cap
@@ -242,35 +241,6 @@ def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DescentInitTable:
-    """k x k table of counts h_{i,d} = #{pi in S_k : init(pi)=i, des(pi)=d}.
-
-    rows[i-1][d] stores h_{i,d} for init value i in 1..k and descent count d
-    in 0..k-1.  (In 1-based matrix terms, column d+1 holds descent count d.)
-    Column sums are Eulerian numbers; row i sums to X_i * (k-i)!.
-    """
-
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[d] for row in self.rows) for d in range(self.k))
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-
-def h_matrix(k: int) -> DescentInitTable:
-    """The init/descent joint distribution over S_k, by direct enumeration."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    cells = [[0] * k for _ in range(k)]
-    for pi in itertools.permutations(range(1, k + 1)):
-        cells[init(pi) - 1][des(pi)] += 1
-    return DescentInitTable(k, tuple(tuple(row) for row in cells))
-
-
 @lru_cache(maxsize=None)
 def h_rows_recursive(k: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the init/descent table via the convolution recursion.
@@ -278,7 +248,7 @@ def h_rows_recursive(k: int) -> tuple[tuple[int, ...], ...]:
     Row 1 is the Eulerian vector of S_{k-1} padded with a trailing zero; row t
     (1 < t < k) is the convolution of row t of the size-t table with the
     Eulerian vector of S_{k-t}; row k is the Eulerian vector of S_k minus the
-    earlier rows.  Agrees entrywise with h_matrix(k).
+    earlier rows.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

@@ -36,9 +36,6 @@ class DisagreementError(Exception):
     internal invariant failed."""
 
 
-Face = frozenset
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
@@ -94,10 +91,6 @@ class SimplicialComplex:
                 found.update(map(frozenset, itertools.combinations(F, r)))
         return frozenset(found)
 
-    def has_face(self, sigma) -> bool:
-        s = frozenset(sigma)
-        return any(s <= F for F in self.facets)
-
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_d); f_{-1} = 1 for the empty face."""
         return self._f_vector
@@ -108,14 +101,6 @@ class SimplicialComplex:
         for face in self.faces():
             counts[len(face)] += 1
         return tuple(counts)
-
-
-def full_simplex(vertices) -> SimplicialComplex:
-    """The full simplex on the given vertex labels."""
-    vs = tuple(vertices)
-    if not vs:
-        raise ValueError("full_simplex needs at least one vertex")
-    return SimplicialComplex([vs])
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,10 +118,6 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
         sum((-1) ** (j - i) * comb(d + 1 - i, d + 1 - j) * f[i] for i in range(j + 1))
         for j in range(d + 2)
     )
-
-
-def h_vector(K: SimplicialComplex) -> tuple[int, ...]:
-    return h_from_f(K.f_vector())
 
 
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
@@ -355,7 +336,3 @@ def find_isomorphism(A: SimplicialComplex, B: SimplicialComplex, max_vertices: i
     if dfs(0):
         return dict(mapping)
     return None
-
-
-def are_isomorphic(A: SimplicialComplex, B: SimplicialComplex, max_vertices: int = 24) -> bool:
-    return find_isomorphism(A, B, max_vertices=max_vertices) is not None

@@ -5,7 +5,7 @@ For a partition lam = (lam_1, ..., lam_s) of k, the box
 the product of chains P_lam.  K_lam is the order complex of its proper part
 (bottom and top removed): its facets are the saturated chains from
 (0, ..., 0) to lam with both ends dropped, so it is pure of dimension k-2.
-Its h-vector is computed here by three independent routes.
+Its h-vector is computed here by two independent routes that must agree.
 
 Each step of a saturated chain raises exactly one coordinate by 1; labeling
 the step by that coordinate index (1-based) gives an R-labeling: every
@@ -20,12 +20,7 @@ import itertools
 from math import comb
 
 from .combinat import des, multiset_permutations, validate_partition
-from .complexes import DisagreementError, SimplicialComplex, h_vector
-
-
-def _box(lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All integer tuples x with 0 <= x[i] <= lengths[i], in lex order."""
-    return list(itertools.product(*(range(m + 1) for m in lengths)))
+from .complexes import DisagreementError, SimplicialComplex
 
 
 def k_lambda(parts: tuple[int, ...]) -> SimplicialComplex:
@@ -45,7 +40,7 @@ def k_lambda(parts: tuple[int, ...]) -> SimplicialComplex:
     s = len(parts)
     up = {
         x: [x[:i] + (x[i] + 1,) + x[i + 1 :] for i in range(s - 1, -1, -1) if x[i] < parts[i]]
-        for x in _box(parts)
+        for x in itertools.product(*(range(m + 1) for m in parts))
     }
     chains: list[tuple] = []
     chain: list[tuple[int, ...]] = []
@@ -105,22 +100,9 @@ def h_k_lambda_recurrence(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def h_k_lambda(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """h-vector of K_lam, cross-checked between the two counting routes.
-
-    (The third route, h from the f-vector of the built complex, costs the
-    complex construction; use h_k_lambda_from_complex(parts) for it.)
-    """
+    """h-vector of K_lam, cross-checked between the two counting routes."""
     words = h_k_lambda_by_words(parts)
     rec = h_k_lambda_recurrence(parts)
     if words != rec:
         raise DisagreementError(f"h-vector routes disagree for {parts}: {words} vs {rec}")
     return words
-
-
-def h_k_lambda_from_complex(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """h-vector read off the f-vector of the built complex K_lam.
-
-    K_lam has dimension sum(parts)-2, so this has the same length (k entries,
-    indices 0..k-1) as the counting routes.
-    """
-    return h_vector(k_lambda(parts))

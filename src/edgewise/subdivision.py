@@ -13,7 +13,7 @@ facets are in bijection with codes a in {0,...,q-1}^(k-1):
 Equivalently a facet is a pair (v, pi) of a vertex and a permutation pi of
 1..k-1 compatible with v (ties v_i = v_{i+1} force i before i+1 in pi).  The
 facets through v are the walks from v along pi[:-1], pi in S_v (label k wraps
-from a facet's top to its bottom); only code_of_facet and sc_layers encode.
+from a facet's top to its bottom); only sc_layers encodes.
 
 Two vertices lie in a common facet iff their difference has all entries in
 {0,1} or all in {-1,0}.  The link of a vertex v is determined by the run
@@ -37,12 +37,11 @@ from .combinat import (
     distinct_permutations,
     multinomial,
     multiplicities,
-    multiset_permutations,
     partitions,
     validate_partition,
     weakly_increasing,
 )
-from .complexes import MAX_FACETS, DisagreementError, SimplicialComplex, check_cap
+from .complexes import MAX_FACETS, CapacityError, DisagreementError, SimplicialComplex, check_cap
 
 Vertex = tuple[int, ...]
 Code = tuple[int, ...]
@@ -210,24 +209,6 @@ def face_chain(face, q: int) -> tuple[Vertex, ...]:
     return chain
 
 
-def code_of_facet(vertices, q: int) -> Code:
-    """Recover the code from a facet's vertex set: a face_chain of k
-    vertices, whose k-1 steps each raise one coordinate.  The chain's checks
-    imply that ties of the bottom are raised right first and that the bottom
-    has max at most q-1, so the code needs no check of its own.
-
-    >>> code_of_facet([(1, 1), (0, 1), (1, 2)], 2)
-    (1, 0)
-    """
-    chain = face_chain(vertices, q)
-    n = len(chain[0])
-    if len(chain) != n + 1:
-        raise ValueError(f"a facet needs {n + 1} distinct vertices, got {len(chain)}")
-    raised = [list(map(sub, upper, lower)).index(1) + 1 for lower, upper in zip(chain, chain[1:])]
-    # The walk from the bottom raises these labels in order, then wraps (k).
-    return facet_code_for_permutation(chain[0], (*raised, n + 1))
-
-
 def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
     """The full subdivision complex; vertices are labeled by their tuples."""
     check_facet_budget(k, q, max_facets)
@@ -324,8 +305,7 @@ def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
     With k at position i of pi, the code reads the coordinates before k in
     reverse, then the coordinates after k in reverse with entries lowered
     by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
-    Stars are walked with no code; sc_layers validates v once, and
-    code_of_facet passes the bottom and walk of a checked chain.
+    Stars are walked with no code; sc_layers validates v once.
     """
     k = len(v) + 1
     i = pi.index(k)
@@ -465,14 +445,15 @@ def _label_set(u: Vertex, b: Vertex) -> frozenset[int]:
 
 
 def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[int]]:
-    """Labels of a block grouped by the bottom vertex's value, largest first;
-    coordinates at 0 or q join label k in one outer group.  Each group is
-    raised in a fixed order, so the block is a product of chains."""
+    """Labels of a block grouped by the bottom vertex's value, in the order of b's
+    label chains: coordinates at 0 or q join label k in one outer group, first, and
+    the inner values follow in rising order.  Each group is raised in a fixed
+    order, so the block is a product of chains."""
     by_value: dict[int | None, set[int]] = {}
     for j in block:
         value = None if j > len(b) or b[j - 1] in (0, q) else b[j - 1]
         by_value.setdefault(value, set()).add(j)
-    return sorted(map(frozenset, by_value.values()), key=len, reverse=True)
+    return [frozenset(by_value[value]) for value in sorted(by_value, key=lambda v: v or 0)]
 
 
 def _chain_rule(sigmas):
@@ -504,12 +485,16 @@ def _chain_rule(sigmas):
 
 def _certify(facets, point, sigmas, where: str) -> int:
     """The count of the facets that facets() lists; DisagreementError naming a witness
-    unless point (a link vertex's model point, taken at first sight) is injective, each
-    facet's image passes the chain rule and the count is prod multinomial(sigma): an
-    excess names both counts (injective images of model facets, so a facet came twice),
-    a shortfall a model facet that no facet maps to."""
+    unless point (a link vertex's model point, taken at first sight) is injective,
+    each facet's image passes the chain rule, each facet's row rises over the one
+    before and the count is prod multinomial(sigma).  Two walks that part first at
+    rank p have rows that part first at slot p, by the radices of the coordinates
+    their steps raise; with each block's coordinates in the order of the label
+    chains (_block_groups), rows rise in star_facets' order.  So the facets are
+    distinct, cannot outnumber the model, and only a shortfall is named, by a
+    model facet that no facet maps to."""
     place, start, steps = _chain_rule(sigmas)
-    at, preimage, count = {}, {}, 0
+    at, preimage, count, prev_row, prev = {}, {}, 0, [], None
     for F in facets():
         row = start.copy()
         for u in F:
@@ -526,15 +511,17 @@ def _certify(facets, point, sigmas, where: str) -> int:
             i, t = [(i, t) for i, sigma in enumerate(sigmas) for t in range(1, sum(sigma) + 1)][p]
             bad = f"{sorted(F)} maps to {sorted(map(point, F))}"
             raise DisagreementError(f"{where}: {bad}, no model facet: block {i} step {t}")
+        if row <= prev_row:
+            raise DisagreementError(f"{where}: link facet {F} repeats or precedes {prev}")
+        prev_row, prev = row, F
         count += 1
-    total = prod(map(multinomial, sigmas))
-    if count > total:
-        raise DisagreementError(f"{where}: {count} link facets walked, the model has {total}")
-    if count < total:
+    if count < prod(map(multinomial, sigmas)):
         # Only a shortfall walks again and lists the model: each word over a block's
-        # multiset is a chain, whose point r counts the word's letters among its first r.
+        # multiset (letter a sigma_a times) is a chain, whose point r counts the word's
+        # letters among its first r.
         chains = [[[(i, tuple(map(w[:r].count, range(1, len(s) + 1)))) for r in range(1, len(w))]
-                   for w in multiset_permutations(s)] for i, s in enumerate(sigmas)]
+                   for w in distinct_permutations(sum(([a] * n for a, n in enumerate(s, 1)), []))]
+                  for i, s in enumerate(sigmas)]
         model = (sorted(itertools.chain(*parts)) for parts in itertools.product(*chains))
         mapped = {frozenset(map(point, F)) for F in facets()}
         missed = min((G for G in model if frozenset(G) not in mapped), default=None)
@@ -553,7 +540,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     less those steps, with no word list and no walk outside the face.
     DisagreementError when a yielded walk misses the face or none is yielded.  A
     link vertex's labels, counted per group of its block, give its model point;
-    _certify checks the map and counts.
+    _certify checks the map, the order of the walks and the count.
     """
     chain = face_chain(face, q)
     b, t = chain[0], vertex_type(chain[0], q)
@@ -562,7 +549,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     groups = [_block_groups(block, b, q) for block in blocks]
     sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
     sizes = tuple(sorted(map(len, blocks), reverse=True))
-    cls = FaceLinkClass(sizes, tuple(sorted(sigmas)))
+    cls = FaceLinkClass(sizes, tuple(sorted(tuple(sorted(s, reverse=True)) for s in sigmas)))
     at_depth = {len(W): u for W, u in zip(walk, chain)}
     rest = [p for p in range(len(b) + 1) if p not in at_depth]
 
@@ -618,6 +605,24 @@ def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
         return 0
     denom = prod(factorial(m) for _, m in multiplicities(beta))
     return k * factorial(s - 1) // denom
+
+
+def check_census(k: int, per_partition: int) -> None:
+    """CapacityError before a census of per_partition steps for each of the p(k)
+    partitions of k passes MAX_FACETS: k for classify-links --table (p(k) rows of
+    up to k parts), k^2 for its link-type census (which rescans the partitions of
+    each n <= k for about k^2 / 2 face sizes and dimensions).  p(k) >= k, so a
+    census past the cap at p(k) = k is refused before p(k) is counted."""
+    steps = per_partition * k
+    if steps <= MAX_FACETS:
+        p = [1] + [0] * k
+        for part in range(1, k + 1):
+            for n in range(part, k + 1):
+                p[n] += p[n - part]
+        steps = per_partition * p[k]
+    if steps > MAX_FACETS:
+        raise CapacityError(
+            f"a census of the partitions of {k} takes {per_partition} p({k}) > {MAX_FACETS} steps")
 
 
 def count_link_types(k: int, q: int) -> int:

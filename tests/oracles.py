@@ -1,28 +1,94 @@
 """Checks and constructions that only the tests call.
 
 Each is an independent oracle for an answer the library certifies another
-way: the corners of the subdivision, its h-vector with the ascents of each
-code counted on their own, a vertex star walked one listed word at a time,
-a face link filtered out of a vertex star, the
-R-labeling of a box, join-irreducibility, a star cluster filtered out of the
-full complex, and the init-then-lex shelling of the barycentric sphere.
+way: the corners of the subdivision, a facet's code read off its vertices,
+h-vectors from a built complex's face counts or each code's ascents, a vertex
+star walked one listed word at a time, a face link filtered out of a vertex
+star, the init/descent table of S_k by enumeration, the R-labeling of a box,
+join-irreducibility, a star cluster filtered out of the full complex, and
+the init-then-lex shelling of the barycentric sphere.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from operator import sub
 
 from edgewise import subdivision
-from edgewise.combinat import distinct_permutations, permutations_by_init
-from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex
+from edgewise.combinat import des, distinct_permutations, init, permutations_by_init
+from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex, h_from_f
+from edgewise.posets import k_lambda
 from edgewise.shelling import ascent_positions
-from edgewise.subdivision import Vertex, face_chain, facet_codes, star_of_vertex, validate_kq
+from edgewise.subdivision import (Code, Vertex, face_chain, facet_code_for_permutation,
+                                  facet_codes, star_of_vertex, validate_kq)
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
     """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
     validate_kq(k, q)
     return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
+
+
+def code_of_facet(vertices, q: int) -> Code:
+    """Recover the code from a facet's vertex set: a face_chain of k
+    vertices, whose k-1 steps each raise one coordinate.  The chain's checks
+    imply that ties of the bottom are raised right first and that the bottom
+    has max at most q-1, so the code needs no check of its own."""
+    chain = face_chain(vertices, q)
+    n = len(chain[0])
+    if len(chain) != n + 1:
+        raise ValueError(f"a facet needs {n + 1} distinct vertices, got {len(chain)}")
+    raised = [list(map(sub, upper, lower)).index(1) + 1 for lower, upper in zip(chain, chain[1:])]
+    # The walk from the bottom raises these labels in order, then wraps (k).
+    return facet_code_for_permutation(chain[0], (*raised, n + 1))
+
+
+def has_face(K: SimplicialComplex, sigma) -> bool:
+    s = frozenset(sigma)
+    return any(s <= F for F in K.facets)
+
+
+def h_vector(K: SimplicialComplex) -> tuple[int, ...]:
+    return h_from_f(K.f_vector())
+
+
+def h_k_lambda_from_complex(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """h-vector read off the f-vector of the built complex K_lam.
+
+    K_lam has dimension sum(parts)-2, so this has the same length (k entries,
+    indices 0..k-1) as the counting routes.
+    """
+    return h_vector(k_lambda(parts))
+
+
+@dataclass(frozen=True)
+class DescentInitTable:
+    """k x k table of counts h_{i,d} = #{pi in S_k : init(pi)=i, des(pi)=d}.
+
+    rows[i-1][d] stores h_{i,d} for init value i in 1..k and descent count d
+    in 0..k-1.  (In 1-based matrix terms, column d+1 holds descent count d.)
+    Column sums are Eulerian numbers; row i sums to X_i * (k-i)!.
+    """
+
+    k: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def column_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row[d] for row in self.rows) for d in range(self.k))
+
+    def row_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.rows)
+
+
+def h_matrix(k: int) -> DescentInitTable:
+    """The init/descent joint distribution over S_k, by direct enumeration."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    cells = [[0] * k for _ in range(k)]
+    for pi in itertools.permutations(range(1, k + 1)):
+        cells[init(pi) - 1][des(pi)] += 1
+    return DescentInitTable(k, tuple(tuple(row) for row in cells))
 
 
 def h_by_code_ascents(k: int, q: int) -> tuple[int, ...]:
@@ -147,7 +213,7 @@ def is_join_irreducible(K: SimplicialComplex, max_components: int = 20) -> bool:
 def star_cluster(K: SimplicialComplex, sigma) -> SimplicialComplex:
     """Union of the closed stars of the vertices of the face sigma."""
     s = frozenset(sigma)
-    if not K.has_face(s):
+    if not has_face(K, s):
         raise ValueError(f"{set(sigma)} is not a face of the complex")
     return SimplicialComplex(F for F in K.facets if F & s)
 

@@ -8,14 +8,12 @@ import math
 import pytest
 
 from edgewise.combinat import (
-    DescentInitTable,
     convolve,
     des,
     descent_set,
     distinct_permutations,
     eulerian,
     eulerian_vector,
-    h_matrix,
     h_rows_recursive,
     init,
     multiplicities,
@@ -27,6 +25,7 @@ from edgewise.combinat import (
     x_sequence,
 )
 from edgewise.complexes import CapacityError
+from oracles import DescentInitTable, h_matrix
 
 
 def partition_count_oracle(n: int) -> int:

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from edgewise import cli
 from edgewise.combinat import partitions as gen_partitions
-from edgewise.complexes import full_simplex, h_vector, join
-from edgewise.posets import h_k_lambda, h_k_lambda_from_complex
+from edgewise.complexes import SimplicialComplex, join
+from edgewise.posets import h_k_lambda
 from edgewise.shelling import (
     ascent_positions,
     h_by_binomial,
@@ -15,7 +15,6 @@ from edgewise.shelling import (
     h_by_recurrence,
 )
 from edgewise.subdivision import (
-    code_of_facet,
     decode_facet,
     is_vertex,
     link_of_vertex,
@@ -24,7 +23,7 @@ from edgewise.subdivision import (
     star_of_vertex,
     vertex_partition,
 )
-from oracles import link_complex
+from oracles import code_of_facet, h_k_lambda_from_complex, h_vector, link_complex
 
 kq = st.tuples(st.integers(2, 6), st.integers(1, 4))
 
@@ -105,7 +104,7 @@ def test_star_is_vertex_join_link(data):
     star = star_of_vertex(v, q)
     lk = link_complex((v,), q)
     assert link_of_vertex(v, q).num_facets == lk.num_facets
-    assert star == join(full_simplex([v]), lk)
+    assert star == join(SimplicialComplex([(v,)]), lk)
 
 
 @given(vertex_q())

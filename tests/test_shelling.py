@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from edgewise import shelling, subdivision
-from edgewise.complexes import CapacityError, DisagreementError, h_vector
+from edgewise.complexes import CapacityError, DisagreementError
 from edgewise.shelling import (
     ascent_positions,
     certify_order,
@@ -21,7 +21,7 @@ from edgewise.shelling import (
     shelling_order,
 )
 from edgewise.subdivision import build_complex, facet_codes, number_of_facets
-from oracles import h_by_code_ascents
+from oracles import h_by_code_ascents, h_vector
 
 GRID = [(k, q) for k in range(2, 6) for q in range(1, 5)]
 
