@@ -172,11 +172,11 @@ class StarClusterReport:
 def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     """Build the star cluster of an interior facet, shell it, and cross-count.
 
-    The certificate is computed by the generic shelling verifier on the
-    structured order; h is its restriction type histogram.  DisagreementError
-    names the witness unless the order is a shelling, the four counts agree,
-    every facet's restriction type is des(label), and h is the weighted
-    table formula followed by h_k = 0.
+    The certificate is computed by certify_order on the structured order,
+    the same check that shells the whole subdivision; h is its restriction
+    type histogram.  DisagreementError names the witness unless the order is
+    a shelling, the four counts agree, every facet's restriction type is
+    des(label), and h is the weighted table formula followed by h_k = 0.
     """
     rows = sc_layers(base, q)
     k = len(base) + 1

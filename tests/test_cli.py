@@ -329,8 +329,9 @@ def test_error_exit_codes(capsys, argv, expected):
         assert err.startswith("capacity: ")
 
 
-def _invalid(cert):
-    return dataclasses.replace(cert, valid=False, witness=(0, 1))
+def _invalid(scan):
+    restrictions, _ = scan
+    return restrictions, (0, 1)
 
 
 def _h_ends_in_1(report):
@@ -347,14 +348,14 @@ BREACHES = [
      lambda f: lambda k, q: (1, 2, 1, 0), "hvector -k 3 -q 2"),
     ("h_k of the ball is nonzero", cli, "h_routes",
      lambda f: lambda k, q, m: {name: (1, 2, 0, 1) for name in f(k, q, m)}, "hvector -k 3 -q 2"),
-    ("invalid shelling certificate", shelling, "verify_shelling",
-     lambda f: lambda K, order: _invalid(f(K, order)), "shell -k 3 -q 3"),
+    ("invalid shelling certificate", shelling, "shell_chains",
+     lambda f: lambda chains, n: _invalid(f(chains, n)), "shell -k 3 -q 3"),
     ("restrictions off the closed form", shelling, "predicted_restriction",
      lambda f: lambda code, q: frozenset(), "shell -k 3 -q 3"),
     ("star-cluster counts disagree", starcluster, "sc_count_partition_formula",
      lambda f: lambda k: f(k) + 1, "star-cluster -k 3 -q 7"),
-    ("invalid star-cluster shelling", shelling, "verify_shelling",
-     lambda f: lambda K, order: _invalid(f(K, order)), "star-cluster -k 3 -q 7"),
+    ("invalid star-cluster shelling", shelling, "shell_chains",
+     lambda f: lambda chains, n: _invalid(f(chains, n)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "_chain_rule",
@@ -414,10 +415,13 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sd._walk = lambda v, labels, *rest: walk(v, labels[::-1], *rest)\n"
          "raise SystemExit(cli.main(['build', '-k', '4', '-q', '3']))\n",
          "invariant breach: code (0, 0, 0) decoded to a chain that is not monotone"),
+        ("import edgewise.shelling as sh\n"
+         "sh.certify_order([(0, 0), (1, 0), (0, 0)], 2)\n",
+         "DisagreementError: not a shelling: facet 2 (0, 0) repeats facet 0 (0, 0)"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
          "library non-monotone decode", "cli ascent census off by one",
-         "cli build walk along wrong labels"],
+         "cli build walk along wrong labels", "library repeated code"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
@@ -425,7 +429,9 @@ def test_invariant_breach_survives_optimize(code, message):
     out of the library, a star with no facet through an accepted face
     still exits 1 naming the face, a decode walk that is not monotone
     still raises naming the code, and an ascent census off by one still
-    exits 1 through the CLI, as does a build whose walk is handed wrong labels."""
+    exits 1 through the CLI, as does a build whose walk is handed wrong
+    labels, and a code repeated in a certified order still raises naming
+    both copies."""
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
@@ -577,6 +583,24 @@ def test_link_builds_no_complex(capsys, monkeypatch):
 
     monkeypatch.setattr(subdivision, "SimplicialComplex", refuse)
     rows = [row for row in REPORTS if row[0].startswith("link ")]
+    assert rows
+    for argv, rc, digest in rows:
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest), argv
+
+
+def test_shelling_verbs_build_no_complex(capsys, monkeypatch):
+    """Every shell and star-cluster row above keeps its bytes with
+    SimplicialComplex refused in every module that binds it."""
+    def refuse(facets):
+        raise AssertionError("a shelling verb built a SimplicialComplex")
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("edgewise.")]
+    binding = [m for m in modules if getattr(m, "SimplicialComplex", None) is not None]
+    assert binding
+    for module in binding:
+        monkeypatch.setattr(module, "SimplicialComplex", refuse)
+    rows = [row for row in REPORTS if row[0].startswith(("shell ", "star-cluster "))]
     assert rows
     for argv, rc, digest in rows:
         code, out, _ = run(capsys, *argv.split())

@@ -7,15 +7,18 @@ import random
 
 import pytest
 
+from edgewise import shelling
 from edgewise.complexes import (
     CapacityError,
+    DisagreementError,
     SimplicialComplex,
     find_isomorphism,
     h_from_f,
     join,
     verify_shelling,
 )
-from edgewise.shelling import shelling_order
+from edgewise.shelling import certify_order, shelling_order
+from edgewise.starcluster import sc_layers
 from edgewise.subdivision import decode_facet
 from oracles import h_vector, has_face
 
@@ -203,11 +206,9 @@ def _quadratic_certificate(order):
     return witness is None, witness, tuple(restrictions), tuple(len(r) for r in restrictions)
 
 
-def _perturbed_orders(k: int, q: int, seed: int):
-    """The shelling order of T_{k,q}, a shuffle of it, one facet moved
-    earlier and two facets swapped, as lists of facets."""
+def _perturbations(base: list, seed: int):
+    """base, a shuffle of it, one entry moved earlier and two entries swapped."""
     rng = random.Random(seed)
-    base = [frozenset(decode_facet(code, q)) for code in shelling_order(k, q)]
     shuffled = base[:]
     rng.shuffle(shuffled)
     moved = base[:]
@@ -219,12 +220,24 @@ def _perturbed_orders(k: int, q: int, seed: int):
     return base, shuffled, moved, swapped
 
 
+def _perturbed_orders(k: int, q: int, seed: int):
+    """The shelling order of T_{k,q} and its perturbations, as lists of facets."""
+    return [
+        [frozenset(decode_facet(code, q)) for code in codes]
+        for codes in _perturbations(list(shelling_order(k, q)), seed)
+    ]
+
+
+ORACLE_GRID = [(3, 3), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3)]
+
+
 class TestShellingOracle:
-    """verify_shelling's incidence-list witness against the quadratic scan."""
+    """The shelling kernel, through verify_shelling and certify_order,
+    against the quadratic scan."""
 
     def test_matches_oracle_on_perturbed_orders(self):
         witnesses = []
-        for k, q in [(3, 3), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3)]:
+        for k, q in ORACLE_GRID:
             K = SimplicialComplex(
                 frozenset(decode_facet(code, q)) for code in shelling_order(k, q)
             )
@@ -236,6 +249,45 @@ class TestShellingOracle:
                     witnesses.append(cert.witness)
         # The orders reach valid shellings, empty restrictions (i = 0) and
         # nonempty restrictions inside a later facet (i > 0).
+        assert None in witnesses
+        assert any(w is not None and w[0] == 0 for w in witnesses)
+        assert any(w is not None and w[0] > 0 for w in witnesses)
+
+    def test_certify_order_matches_oracle_on_perturbed_codes(self, monkeypatch):
+        """certify_order on codes agrees with the quadratic scan on the same
+        perturbed orders and on perturbed star cluster orders: a valid order
+        in its certificate, a refused one in the witness pair its error names
+        and in the restrictions shell_chains handed back."""
+        scans = []
+        scan = shelling.shell_chains
+        monkeypatch.setattr(
+            shelling, "shell_chains", lambda chains, n: scans.append(scan(chains, n)) or scans[-1]
+        )
+        cases = [(list(shelling_order(k, q)), q) for k, q in ORACLE_GRID]
+        cases.append(([row.code for row in sc_layers((1, 2, 3), 7)], 7))
+        witnesses = []
+        for codes, q in cases:
+            for seed in range(6):
+                for order in _perturbations(codes, seed):
+                    want = _quadratic_certificate([decode_facet(code, q) for code in order])
+                    try:
+                        cert = certify_order(order, q)
+                    except DisagreementError as exc:
+                        i, j = want[1]
+                        assert str(exc) == (
+                            f"not a shelling: witness facets {i} {order[i]}, {j} {order[j]}"
+                        ), (q, seed, order)
+                    else:
+                        got = (cert.valid, cert.witness, cert.restrictions, cert.types)
+                        assert got == want, (q, seed, order)
+                    positions, witness = scans.pop()
+                    restrictions = tuple(
+                        frozenset(decode_facet(code, q)[p] for p in rest)
+                        for code, rest in zip(order, positions)
+                    )
+                    assert (witness is None, witness, restrictions) == want[:3], (q, seed)
+                    assert tuple(map(len, positions)) == want[3]
+                    witnesses.append(witness)
         assert None in witnesses
         assert any(w is not None and w[0] == 0 for w in witnesses)
         assert any(w is not None and w[0] > 0 for w in witnesses)

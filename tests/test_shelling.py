@@ -1,6 +1,5 @@
 """Shelling of the full subdivision: certificate, restrictions, h-vectors."""
 
-import dataclasses
 from math import comb
 
 import pytest
@@ -47,10 +46,9 @@ def test_certify_order_names_witness():
 
 
 def test_invalid_certificate_raises(monkeypatch):
-    verify = shelling.verify_shelling
+    scan = shelling.shell_chains
     monkeypatch.setattr(
-        shelling, "verify_shelling",
-        lambda K, order: dataclasses.replace(verify(K, order), valid=False, witness=(0, 1)),
+        shelling, "shell_chains", lambda chains, n: (scan(chains, n)[0], (0, 1))
     )
     with pytest.raises(DisagreementError, match=r"witness facets 0 \(0, 0\), 1 \(1, 0\)"):
         shelling_certificate(3, 3)

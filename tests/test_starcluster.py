@@ -1,6 +1,5 @@
 """Star clusters: structured enumeration vs brute force, counts, shellings."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -161,10 +160,9 @@ def test_counts_disagree_raises(monkeypatch):
 
 
 def test_invalid_shelling_raises(monkeypatch):
-    verify = shelling.verify_shelling
+    scan = shelling.shell_chains
     monkeypatch.setattr(
-        shelling, "verify_shelling",
-        lambda K, order: dataclasses.replace(verify(K, order), valid=False, witness=(0, 1)),
+        shelling, "shell_chains", lambda chains, n: (scan(chains, n)[0], (0, 1))
     )
     with pytest.raises(DisagreementError, match=r"witness facets 0 \(2, 1\), 1 \(1, 1\)"):
         sc_shelling_and_h((1, 2), 6)
@@ -178,15 +176,14 @@ def test_h_off_formula_raises(monkeypatch):
 
 def test_swapped_types_raise_despite_the_histogram(monkeypatch):
     """Two facet types swapped keep h but fail the per-facet des check."""
-    verify = shelling.verify_shelling
+    scan = shelling.shell_chains
 
-    def swap_types(K, order):
-        cert = verify(K, order)
-        types = list(cert.types)
-        types[0], types[-1] = types[-1], types[0]
-        return dataclasses.replace(cert, types=tuple(types))
+    def swap_types(chains, n):
+        restrictions, witness = scan(chains, n)
+        restrictions[0], restrictions[-1] = restrictions[-1], restrictions[0]
+        return restrictions, witness
 
-    monkeypatch.setattr(shelling, "verify_shelling", swap_types)
+    monkeypatch.setattr(shelling, "shell_chains", swap_types)
     with pytest.raises(
         DisagreementError,
         match=r"facet layer 1 label \(1, 2, 3\) code \(2, 1\) has restriction type 2, not des\(label\) = 0",
