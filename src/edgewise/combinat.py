@@ -30,21 +30,20 @@ def partitions(k: int, s: int | None = None) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"k must be positive, got {k}")
     if s is not None and not 1 <= s <= k:
         raise ValueError(f"part count s={s} out of range 1..{k}")
-    result = _partitions_revlex(k, k)
+    result = tuple(_partitions_revlex(k, k))
     if s is not None:
         result = tuple(p for p in result if len(p) == s)
     return result
 
 
-@lru_cache(maxsize=None)
-def _partitions_revlex(n: int, maxpart: int) -> tuple[tuple[int, ...], ...]:
+def _partitions_revlex(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with no part above maxpart, reverse-lex; none is kept."""
     if n == 0:
-        return ((),)
-    out = []
+        yield ()
+        return
     for first in range(min(n, maxpart), 0, -1):
         for rest in _partitions_revlex(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+            yield (first, *rest)
 
 
 def multiplicities(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

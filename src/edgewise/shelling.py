@@ -62,8 +62,8 @@ def predicted_restriction(code: Code, facet) -> frozenset[Vertex]:
 
 def certify_order(codes, q: int) -> ShellingCertificate:
     """Certificate of these facet codes, in order, as a shelling of their
-    complex; DisagreementError names a repeated facet, or a witness pair,
-    by position and code.
+    complex; DisagreementError names the first bad pair by position and code,
+    as a repeat when its two facets are one.
 
     Each code is decoded once, and each vertex is one shared tuple with one
     int id: the certificate's facets are chains of the shared tuples, and
@@ -75,16 +75,14 @@ def certify_order(codes, q: int) -> ShellingCertificate:
     decode = subdivision.decode_facet
     chains = [tuple(map(number.__getitem__, decode(a, q))) for a in codes]
     vertices = list(number)
-    if len(set(chains)) != len(chains):
-        first: dict[tuple[int, ...], int] = {}
-        j = next(j for j, chain in enumerate(chains) if first.setdefault(chain, j) != j)
-        i = first[chains[j]]
-        raise DisagreementError(
-            f"not a shelling: facet {j} {codes[j]} repeats facet {i} {codes[i]}"
-        )
     positions, witness = shell_chains(chains, len(vertices))
     if witness is not None:
         i, j = witness
+        # A repeated chain's witness is its earlier copy.
+        if chains[i] == chains[j]:
+            raise DisagreementError(
+                f"not a shelling: facet {j} {codes[j]} repeats facet {i} {codes[i]}"
+            )
         raise DisagreementError(f"not a shelling: witness facets {i} {codes[i]}, {j} {codes[j]}")
     facets = tuple(tuple(map(vertices.__getitem__, chain)) for chain in chains)
     restrictions = tuple(

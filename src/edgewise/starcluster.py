@@ -92,9 +92,6 @@ def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
         for sigma in itertools.chain.from_iterable(groups[t] for t in range(j, k + 1)):
             pi = sigma if j == 1 else shifted_reversal_inverse(sigma, j)
             rows.append(LayerFacet(j, sigma, facet_code_for_permutation(chain[j - 1], pi)))
-    codes = [row.code for row in rows]
-    if len(set(codes)) != len(codes):
-        raise DisagreementError("structured enumeration repeated a facet")
     return tuple(rows)
 
 

@@ -30,7 +30,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from operator import mul, sub
+from operator import sub
 
 from .combinat import (
     cyclic_gaps,
@@ -456,77 +456,87 @@ def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[in
     return [frozenset(by_value[value]) for value in sorted(by_value, key=lambda v: v or 0)]
 
 
-def _chain_rule(sigmas):
-    """The join of the K_sigma as one walk.  A facet of K_sigma is a saturated
-    chain of the box prod [0, sigma_j] with both ends dropped (Bjorner-Wachs),
-    so with the boxes laid end to end a model facet and the block ends make
-    one chain of k unit steps, its rank-p point in slot p of a row.  Coded in
-    mixed radix over all coordinates, points of consecutive rank differ by a
-    radix just at a unit step (a carry lowers the rank).  Returns place(i, x),
-    the slot and value of point x of block i; the row of block ends; the
-    radices.  A value adds h, a digit above every code, so a slot filled twice
-    or never breaks a step: a box's bottom or top spoils its block end's slot,
-    and a point off its box adds h to slot 0."""
-    radix = list(itertools.accumulate([t + 1 for sigma in sigmas for t in sigma], mul, initial=1))
-    first = list(itertools.accumulate(map(len, sigmas), initial=0))
-    start = list(itertools.accumulate(map(sum, sigmas), initial=0))
-    row = [0] * (start[-1] + 1)
-    for r, c in zip(start, first):
-        row[r] = radix[-1] + radix[c] - 1
+def _model_walks(sigmas):
+    """The facets of the join of one K_sigma per block, each as a walk of k points
+    in the order star_facets gives the link's.  A facet of K_sigma is a saturated
+    chain of the box prod [0, sigma_j] with both ends dropped (Bjorner-Wachs), so
+    a walk takes the blocks in turn: block i's bottom (i, (0, ..., 0)), then its
+    chain, one group raised per step; the block's last step, to its top, gives the
+    next block's bottom.  A depth-first search raises a block's groups in index
+    order, so walks come in the lex order of their words over the groups.  Each
+    point is one shared tuple."""
+    tops = [list(sigma) for sigma in sigmas]
+    xs = [[0] * len(sigma) for sigma in sigmas]
+    shared: dict = {}
 
-    def place(i, x):
-        sigma = sigmas[i]
-        if len(x) == len(sigma) and all(0 <= a <= top for a, top in zip(x, sigma)):
-            return start[i] + sum(x), row[start[i]] + sum(map(mul, x, radix[first[i] :]))
-        return 0, radix[-1]
+    def at(i):
+        x = (i, tuple(xs[i]))
+        return shared.setdefault(x, x)
 
-    return place, row, frozenset(radix[:-1])
+    # The (block, group) raised at each step so far, and the point after it.
+    path, points = [], [at(0)]
+    last = sum(map(sum, sigmas)) - 1
+    if not last:
+        yield tuple(points)
+        return
+    i = j = 0
+    while True:
+        x, top = xs[i], tops[i]
+        n = len(top)
+        while j < n and x[j] == top[j]:
+            j += 1
+        if j == n:
+            if not path:
+                return
+            i, j = path.pop()
+            xs[i][j] -= 1
+            points.pop()
+            j += 1
+            continue
+        x[j] += 1
+        after = i + (x == top)
+        if len(points) == last:
+            yield (*points, at(after))
+            x[j] -= 1
+            j += 1
+        else:
+            path.append((i, j))
+            points.append(at(after))
+            i, j = after, 0
 
 
-def _certify(facets, point, sigmas, where: str) -> int:
-    """The count of the facets that facets() lists; DisagreementError naming a witness
-    unless point (a link vertex's model point, taken at first sight) is injective,
-    each facet's image passes the chain rule, each facet's row rises over the one
-    before and the count is prod multinomial(sigma).  Two walks that part first at
-    rank p have rows that part first at slot p, by the radices of the coordinates
-    their steps raise; with each block's coordinates in the order of the label
-    chains (_block_groups), rows rise in star_facets' order.  So the facets are
-    distinct, cannot outnumber the model, and only a shortfall is named, by a
-    model facet that no facet maps to."""
-    place, start, steps = _chain_rule(sigmas)
-    at, preimage, count, prev_row, prev = {}, {}, 0, [], None
-    for F in facets():
-        row = start.copy()
-        for u in F:
-            if u not in at:
-                x = point(u)
-                w = preimage.setdefault(x, u)
-                if w != u:
-                    raise DisagreementError(f"{where}: {w} and {u} both map to {x}")
-                at[u] = place(*x)
-            slot, value = at[u]
-            row[slot] += value
-        if not steps.issuperset(map(sub, row[1:], row)):
-            p = next(p for p in range(len(row) - 1) if row[p + 1] - row[p] not in steps)
-            i, t = [(i, t) for i, sigma in enumerate(sigmas) for t in range(1, sum(sigma) + 1)][p]
-            bad = f"{sorted(F)} maps to {sorted(map(point, F))}"
-            raise DisagreementError(f"{where}: {bad}, no model facet: block {i} step {t}")
-        if row <= prev_row:
-            raise DisagreementError(f"{where}: link facet {F} repeats or precedes {prev}")
-        prev_row, prev = row, F
-        count += 1
-    if count < prod(map(multinomial, sigmas)):
-        # Only a shortfall walks again and lists the model: each word over a block's
-        # multiset (letter a sigma_a times) is a chain, whose point r counts the word's
-        # letters among its first r.
-        chains = [[[(i, tuple(map(w[:r].count, range(1, len(s) + 1)))) for r in range(1, len(w))]
-                   for w in distinct_permutations(sum(([a] * n for a, n in enumerate(s, 1)), []))]
-                  for i, s in enumerate(sigmas)]
-        model = (sorted(itertools.chain(*parts)) for parts in itertools.product(*chains))
-        mapped = {frozenset(map(point, F)) for F in facets()}
-        missed = min((G for G in model if frozenset(G) not in mapped), default=None)
-        raise DisagreementError(f"{where}: model facet {missed} has no preimage")
-    return count
+class _ModelPoints(dict):
+    """Each link vertex's model point, taken at first sight; DisagreementError
+    naming the walk that brings a second vertex to a point already taken."""
+
+    def __init__(self, point, where: str):
+        self.point, self.where, self.preimage, self.walk = point, where, {}, None
+
+    def __missing__(self, u):
+        x = self[u] = self.point(u)
+        w = self.preimage.setdefault(x, u)
+        if w != u:
+            raise DisagreementError(f"{self.where}: walk {self.walk}: {w} and {u} both map to {x}")
+        return x
+
+
+def _certify(walks, point, sigmas, where: str) -> int:
+    """The number of walks; DisagreementError naming a witness unless point (a
+    vertex's model point, taken at first sight) is injective, each walk's image
+    is the model's next walk (_model_walks) and no model walk is left over.  The
+    first walk out of step is named: a repeated, missing or foreign walk stops
+    the check there, with no walk taken twice and no model listed."""
+    at = _ModelPoints(point, where)
+    # The model has at least one walk, so n is set.
+    for n, (F, G) in enumerate(itertools.zip_longest(walks, _model_walks(sigmas))):
+        if F is None:
+            raise DisagreementError(f"{where}: model walk {n} {G} has no preimage")
+        at.walk = F
+        image = tuple(map(at.__getitem__, F))
+        if image != G:
+            want = f"the model has {n} walks" if G is None else f"model walk {n} is {G}"
+            raise DisagreementError(f"{where}: walk {n} {F} maps to {image}; {want}")
+    return n + 1
 
 
 def link_of_face(face, q: int) -> LinkOfFaceReport:
@@ -536,11 +546,12 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     The label sets W_i of the face cut [k] into blocks, one join factor of the
     model each.  A walk of the star of b holds face vertex i only at step |W_i|,
     so star_facets walks b's star with face vertex i asked at depth |W_i| and cuts
-    every branch that misses it there: the link's facets are the walks it yields,
-    less those steps, with no word list and no walk outside the face.
-    DisagreementError when a yielded walk misses the face or none is yielded.  A
-    link vertex's labels, counted per group of its block, give its model point;
-    _certify checks the map, the order of the walks and the count.
+    every branch that misses it there: with those steps dropped, the walks it
+    yields are the link's facets, with no word list and no walk outside the face.
+    A vertex's labels, counted per group of its block, give its model point, so
+    face vertex i maps to block i's bottom; _certify checks the map and that the
+    walks map one by one onto the model's, so a walk that misses the face or a
+    star with no walk through it is named there.
     """
     chain = face_chain(face, q)
     b, t = chain[0], vertex_type(chain[0], q)
@@ -551,18 +562,6 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     sizes = tuple(sorted(map(len, blocks), reverse=True))
     cls = FaceLinkClass(sizes, tuple(sorted(tuple(sorted(s, reverse=True)) for s in sigmas)))
     at_depth = {len(W): u for W, u in zip(walk, chain)}
-    rest = [p for p in range(len(b) + 1) if p not in at_depth]
-
-    def facets():
-        found = False
-        for points in star_facets(b, t, q, at_depth):
-            if any(points[p] != u for p, u in at_depth.items()):
-                raise DisagreementError(f"link of {chain}: star walk {points} misses the face")
-            found = True
-            yield tuple(map(points.__getitem__, rest))
-        if not found:
-            raise DisagreementError(
-                f"link of {chain}: no facet of the star of {b} contains the face")
 
     def point(u):
         labels = _label_set(u, b)
@@ -570,7 +569,7 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
         i = sum(P <= labels for P in walk[1:-1])
         return i, tuple(len(labels & g) for g in groups[i])
 
-    count = _certify(facets, point, sigmas, f"link of {chain}")
+    count = _certify(star_facets(b, t, q, at_depth), point, sigmas, f"link of {chain}")
     return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, t, count)
 
 
@@ -610,16 +609,12 @@ def count_faces_with_link_type(k: int, q: int, beta: tuple[int, ...]) -> int:
 def check_census(k: int, per_partition: int) -> None:
     """CapacityError before a census of per_partition steps for each of the p(k)
     partitions of k passes MAX_FACETS: k for classify-links --table (p(k) rows of
-    up to k parts), k^2 for its link-type census (which rescans the partitions of
+    up to k parts), k^2 for its link-type census (which lists the partitions of
     each n <= k for about k^2 / 2 face sizes and dimensions).  p(k) >= k, so a
     census past the cap at p(k) = k is refused before p(k) is counted."""
     steps = per_partition * k
     if steps <= MAX_FACETS:
-        p = [1] + [0] * k
-        for part in range(1, k + 1):
-            for n in range(part, k + 1):
-                p[n] += p[n - part]
-        steps = per_partition * p[k]
+        steps = per_partition * _partition_counts(k, k)[k]
     if steps > MAX_FACETS:
         raise CapacityError(
             f"a census of the partitions of {k} takes {per_partition} p({k}) > {MAX_FACETS} steps")
@@ -629,7 +624,7 @@ def count_link_types(k: int, q: int) -> int:
     """Number of distinct combinatorial types of vertex links in T_{k,q}:
     the partitions of k into at most q parts."""
     validate_kq(k, q)
-    return _partitions_at_most(k, q)
+    return _partition_counts(k, q)[k]
 
 
 def _multichoose(a: int, b: int) -> int:
@@ -641,21 +636,26 @@ def _multichoose(a: int, b: int) -> int:
     return comb(a + b - 1, b)
 
 
-def _partitions_at_most(n: int, parts: int) -> int:
-    """Partitions of n into at most parts parts."""
-    return sum(1 for p in partitions(n) if len(p) <= parts)
+def _partition_counts(n: int, parts: int) -> list[int]:
+    """[p_{<=parts}(0), ..., p_{<=parts}(n)]: the partitions of each m <= n into
+    at most parts parts, counted as those with no part above parts."""
+    p = [1] + [0] * n
+    for part in range(1, min(n, parts) + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p
 
 
-def _join_types(s: int, max_parts: int, q: int) -> int:
+def _join_types(s: int, max_parts: int, at_most: list[int]) -> int:
     """s-dimensional joins of at most max_parts multi-part chain-product
-    complexes K_lam, each lam with at most q parts.
+    complexes K_lam, each lam with at most q parts (at_most[n] = p_{<=q}(n)).
 
     The sum runs over partitions mu of s+1: each part value n with
     multiplicity m contributes multichoose(p_{<=q}(n+1) - 1, m) choices of
     multi-part partitions of n+1.
     """
     return sum(
-        prod(_multichoose(_partitions_at_most(n + 1, q) - 1, m) for n, m in multiplicities(mu))
+        prod(_multichoose(at_most[n + 1] - 1, m) for n, m in multiplicities(mu))
         for mu in partitions(s + 1)
         if len(mu) <= max_parts
     )
@@ -667,7 +667,8 @@ def q_sequence(s_max: int) -> tuple[int, ...]:
     of n+1 <= s+2 has at most s+2 parts)."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    return tuple(_join_types(s, s + 1, s + 2) for s in range(s_max + 1))
+    at_most = _partition_counts(s_max + 2, s_max + 2)
+    return tuple(_join_types(s, s + 1, at_most) for s in range(s_max + 1))
 
 
 def count_distinct_links_dim(m: int) -> int:
@@ -684,7 +685,8 @@ def count_link_types_of_faces(k: int, q: int, t: int) -> int:
     validate_kq(k, q)
     if not 1 <= t <= k:
         raise ValueError(f"t must lie in 1..{k}, got {t}")
-    return 1 + sum(_join_types(s, t - 1 if s < k - t - 1 else t, q) for s in range(k - t))
+    at_most = _partition_counts(k, q)
+    return 1 + sum(_join_types(s, t - 1 if s < k - t - 1 else t, at_most) for s in range(k - t))
 
 
 # ---------------------------------------------------------------------------

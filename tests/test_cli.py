@@ -358,11 +358,11 @@ BREACHES = [
      lambda f: lambda chains, n: _invalid(f(chains, n)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
-    ("failed vertex link certification", subdivision, "_chain_rule",
+    ("failed vertex link certification", subdivision, "_model_walks",
      lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
      lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
-    ("failed face link certification", subdivision, "_chain_rule",
+    ("failed face link certification", subdivision, "_model_walks",
      lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)),
      "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
@@ -400,7 +400,7 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
         ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
          "sd.star_facets = lambda v, t, q, face: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
-         "invariant breach: link of ((1, 1), (1, 2)): no facet of the star"),
+         "invariant breach: link of ((1, 1), (1, 2)): model walk 0 "),
         ("import builtins, edgewise.subdivision as sd\n"
          "sd.sorted = lambda it, key=None: builtins.sorted(it, key=key)[::-1 if key else 1]\n"
          "sd.decode_facet((0, 0), 2)\n",
@@ -443,27 +443,35 @@ LINK_TAMPERS = [
     ("repeated star word", "star_facets",
      "lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args))",
      "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): link facet ((0, 1), (1, 1))"
-     " repeats or precedes ((0, 1), (1, 1))"),
+     "invariant breach: link of ((1, 2),): walk 1 ((1, 2), (0, 1), (1, 1))"
+     " maps to ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)));"
+     " model walk 1 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))"),
     ("star walk repeated for one dropped", "star_facets",
      "lambda *args: (lambda walks: walks[:1] + walks[:-1])(list(real(*args)))",
      "link -k 4 -q 5 --vertex 1,2,3",
-     "invariant breach: link of ((1, 2, 3),): link facet ((0, 1, 2), (1, 1, 2), (1, 2, 2))"
-     " repeats or precedes ((0, 1, 2), (1, 1, 2), (1, 2, 2))"),
+     "invariant breach: link of ((1, 2, 3),): walk 1 ((1, 2, 3), (0, 1, 2), (1, 1, 2), (1, 2, 2))"
+     " maps to ((0, (0, 0, 0, 0)), (0, (1, 0, 0, 0)), (0, (1, 1, 0, 0)), (0, (1, 1, 1, 0)));"
+     " model walk 1 is ((0, (0, 0, 0, 0)), (0, (1, 0, 0, 0)), (0, (1, 1, 0, 0)), (0, (1, 1, 0, 1)))"),
     ("skipped star word", "star_facets",
      "lambda *args: itertools.islice(real(*args), 1, None)", "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): model facet [(0, (1, 0, 0)), (0, (1, 1, 0))]"
-     " has no preimage"),
+     "invariant breach: link of ((1, 2),): walk 0 ((1, 2), (0, 1), (0, 2))"
+     " maps to ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)));"
+     " model walk 0 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)))"),
     ("star walk missing the face", "star_facets",
      "lambda v, t, q, face: real(v, t, q, {})", "link -k 3 -q 3 --face 1,1 --face 1,2",
-     "invariant breach: link of ((1, 1), (1, 2)): star walk ((1, 1), (0, 0), (0, 1))"
-     " misses the face"),
+     "invariant breach: link of ((1, 1), (1, 2)): walk ((1, 1), (0, 0), (0, 1)):"
+     " (1, 1) and (0, 0) both map to (0, (0,))"),
+    ("no star walk", "star_facets",
+     "lambda *args: iter(())", "link -k 3 -q 3 --face 1,1 --face 1,2",
+     "invariant breach: link of ((1, 1), (1, 2)):"
+     " model walk 0 ((0, (0,)), (1, (0, 0)), (1, (1, 0))) has no preimage"),
     ("star walk off the subdivision", "_label_chains",
      "lambda t: tuple(c[::-1] for c in real(t))", "link -k 3 -q 3 --vertex 0,3",
      "invariant breach: star of (0, 3): walk (2, 3, 1) leaves T: [(0, 3), (0, 4)]"),
     ("one group per block", "_block_groups",
      "lambda block, b, q: [block]", "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): (1, 1) and (0, 2) both map to (0, (2,))"),
+     "invariant breach: link of ((1, 2),): walk ((1, 2), (0, 1), (0, 2)):"
+     " (1, 1) and (0, 2) both map to (0, (2,))"),
 ]
 
 
@@ -473,10 +481,9 @@ LINK_TAMPERS = [
 )
 def test_link_tamper_names_its_witness(capsys, monkeypatch, name, wrong, argv, message, optimize):
     """A star walker that repeats or skips a word of S_v, repeats one walk in
-    place of another, leaves the subdivision or yields a walk that misses the
-    face, and a model map that
-    is not injective, each exit 1 with their witness named, in process and
-    under python -O -X dev."""
+    place of another, yields a walk that misses the face or no walk at all,
+    or leaves the subdivision, and a model map that is not injective, each
+    exit 1 with their witness named, in process and under python -O -X dev."""
     if optimize:
         code = ("import itertools, edgewise.cli as cli, edgewise.subdivision as sd\n"
                 f"real = sd.{name}\nsd.{name} = {wrong}\n"

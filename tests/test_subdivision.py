@@ -353,15 +353,17 @@ class TestStars:
             star_of_vertex((0, 3), 3)
 
     def test_repeated_permutation_rejected(self, monkeypatch):
-        # The first walk, yielded twice, passes the chain rule both times; it
-        # is named as it comes again, before any count.
+        # The first walk, yielded twice, matches the first model walk; it is
+        # named as it comes again, in the place of the second.
         real = subdivision.star_facets
         monkeypatch.setattr(
             subdivision, "star_facets",
             lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args)),
         )
-        facet = ((0, 1), (1, 1))
-        message = f"link of ((1, 2),): link facet {facet} repeats or precedes {facet}"
+        first = ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)))
+        second = ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))
+        message = (f"link of ((1, 2),): walk 1 ((1, 2), (0, 1), (1, 1)) maps to {first};"
+                   f" model walk 1 is {second}")
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_vertex((1, 2), 3)
 
@@ -503,8 +505,10 @@ class TestFaceLinks:
             link_of_face(face, 10)
 
     def test_star_missing_the_face_is_a_breach(self, monkeypatch):
+        # The face's vertices are the first model walk's block bottoms.
         monkeypatch.setattr(subdivision, "star_facets", lambda v, t, q, face: ())
-        message = "link of ((1, 1), (1, 2)): no facet of the star of (1, 1) contains the face"
+        message = ("link of ((1, 1), (1, 2)):"
+                   " model walk 0 ((0, (0,)), (1, (0, 0)), (1, (1, 0))) has no preimage")
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_face([(1, 2), (1, 1)], 3)
 
@@ -586,20 +590,24 @@ class TestLinkCertificate:
                 assert find_isomorphism(link_complex(face, 3), model) is not None, face
 
     def test_one_part_model_rejected(self, monkeypatch):
-        link = link_complex([(1, 2)], 3)
-        real = subdivision._chain_rule
+        # The hexagon's first walk against the one walk of K_(3).
+        real = subdivision._model_walks
         monkeypatch.setattr(
-            subdivision, "_chain_rule", lambda sigmas: real(tuple((sum(s),) for s in sigmas))
+            subdivision, "_model_walks", lambda sigmas: real(tuple((sum(s),) for s in sigmas))
         )
-        with pytest.raises(DisagreementError, match="no model facet: block 0 step 1$") as exc:
+        message = (
+            "link of ((1, 2),): walk 0 ((1, 2), (0, 1), (1, 1)) maps to"
+            " ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)));"
+            " model walk 0 is ((0, (0,)), (0, (1,)), (0, (2,)))"
+        )
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_vertex((1, 2), 3)
-        assert any(str(sorted(F)) in str(exc.value) for F in link.facets)
 
     def test_off_model_facet_rejected(self, monkeypatch):
-        # The link of (1, 2) is a hexagon.  Bending one star walk swaps its
-        # link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (0, 1) walks label
-        # 3 and (2, 3) labels 1 and 2, so the walk's second step raises two
-        # counts and lowers one.
+        # The link of (1, 2) is a hexagon.  Bending its second star walk swaps
+        # the link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (2, 3) walks
+        # labels 1 and 2 where (0, 2) walks 2 and 3, so the walk's image parts
+        # from the second model walk at its last point.
         real = subdivision.star_facets
         kept, bent = ((1, 2), (0, 1), (0, 2)), ((1, 2), (0, 1), (2, 3))
 
@@ -608,26 +616,47 @@ class TestLinkCertificate:
 
         monkeypatch.setattr(subdivision, "star_facets", bent_star)
         message = (
-            "link of ((1, 2),): [(0, 1), (2, 3)] maps to [(0, (0, 1, 1)), (0, (1, 0, 0))],"
-            " no model facet: block 0 step 2"
+            "link of ((1, 2),): walk 1 ((1, 2), (0, 1), (2, 3)) maps to"
+            " ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (0, 1, 1)));"
+            " model walk 1 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))"
         )
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_vertex((1, 2), 3)
 
     def test_dropped_star_facet_rejected(self, monkeypatch):
+        # With its first walk dropped, the link's second walk stands where the
+        # first model walk, a facet of the join, is named.
         face = [(1, 1, 2), (1, 2, 2)]
-        model = join_of_relabelled_factors(block_signatures(link_of_face(face, 3), 3))
+        sigmas = block_signatures(link_of_face(face, 3), 3)
+        first = next(subdivision._model_walks(sigmas))
         real = subdivision.star_facets
-
-        def star_minus_one(v, t, q, at_depth):
-            facets = list(real(v, t, q, at_depth))
-            drop = next(F for F in facets if set(face) <= set(F))
-            return [F for F in facets if F != drop]
-
-        monkeypatch.setattr(subdivision, "star_facets", star_minus_one)
-        with pytest.raises(DisagreementError, match="has no preimage") as exc:
+        monkeypatch.setattr(
+            subdivision, "star_facets", lambda *args: itertools.islice(real(*args), 1, None)
+        )
+        with pytest.raises(DisagreementError, match=f"; model walk 0 is {re.escape(str(first))}$"):
             link_of_face(face, 3)
-        assert any(str(sorted(G)) in str(exc.value) for G in model.facets)
+        assert frozenset(first) - bottoms(sigmas) in join_of_relabelled_factors(sigmas).facets
+
+    def test_dropped_walk_stops_the_star(self, monkeypatch):
+        # The star of (1, ..., 7) has 8! walks.  The one after a dropped walk
+        # stands in its place and is named there: the star is entered once
+        # and left after two walks, with no second enumeration.
+        real = subdivision.star_facets
+        entered, taken = [], []
+
+        def dropped(*args):
+            entered.append(args[0])
+            walks = real(*args)
+            for n, F in enumerate(walks):
+                taken.append(F)
+                if n != 1:
+                    yield F
+
+        monkeypatch.setattr(subdivision, "star_facets", dropped)
+        with pytest.raises(DisagreementError, match=r"^link of \(\(1, 2, 3, 4, 5, 6, 7\),\): walk 1 "):
+            link_of_vertex((1, 2, 3, 4, 5, 6, 7), 9)
+        assert entered == [(1, 2, 3, 4, 5, 6, 7)]
+        assert len(taken) == 3
 
     def test_partition_off_the_model_rejected(self, monkeypatch):
         monkeypatch.setattr(VertexType, "partition", lambda self: (3,))
@@ -636,20 +665,24 @@ class TestLinkCertificate:
             link_of_vertex((1, 2), 3)
 
     def test_collision_names_both_vertices(self, monkeypatch):
-        # One group per block: the map forgets which labels were walked.
+        # One group per block: the map forgets which labels were walked.  The
+        # walk that brings the second vertex to a taken point is named.
         link = link_complex([(1, 2)], 3)
         monkeypatch.setattr(subdivision, "_block_groups", lambda block, b, q: [block])
         with pytest.raises(DisagreementError, match="both map to") as exc:
             link_of_vertex((1, 2), 3)
-        named = [u for u in link.vertices if str(u) in str(exc.value)]
+        walk, pair = re.fullmatch(r"link of \(\(1, 2\),\): walk (.*): (.*) both map to .*",
+                                  str(exc.value)).groups()
+        named = [u for u in link.vertices if str(u) in pair]
         assert len(named) == 2
+        assert any(str(u) in walk for u in named)
 
 
 def join_of_relabelled_factors(sigmas) -> SimplicialComplex:
     """The model of a link built one join at a time, each K_sigma
-    relabelled (idx, x) first: the oracle for the saturated-chain rule.  A
-    block's sigma is in the order of its groups, so K_sigma is built on sigma
-    sorted and its coordinates are put back in sigma's order."""
+    relabelled (idx, x) first: the oracle for the model walks.  A block's
+    sigma is in the order of its groups, so K_sigma is built on sigma sorted
+    and its coordinates are put back in sigma's order."""
     result = SimplicialComplex([()])
     for idx, sigma in enumerate(sigmas):
         if sum(sigma) > 1:
@@ -683,30 +716,49 @@ def walked_pi(walk) -> tuple[int, ...]:
     return (*labels, *set(range(1, k + 1)).difference(labels))
 
 
-def certify_alone(facet, sigmas) -> str:
-    """The rule's verdict on one facet of points (i, x): "" when it passes,
-    else the off-model message.  A lone facet that passes may still fail
-    the count."""
+def model_word(walk, sigmas) -> tuple[tuple[int, int], ...]:
+    """The (block, group) raised at each step of a model walk, the last step
+    of each block, to its top, included."""
+    word = []
+    for (i, x), after in zip(walk, (*walk[1:], None)):
+        y = after[1] if after and after[0] == i else sigmas[i]
+        word += [(i, j) for j, (a, b) in enumerate(zip(x, y)) if b > a]
+    return tuple(word)
+
+
+def bottoms(sigmas) -> set:
+    """The model point of each block's bottom, where face vertex i maps."""
+    return {(i, (0,) * len(sigma)) for i, sigma in enumerate(sigmas)}
+
+
+def certify_alone(walks, sigmas) -> str:
+    """The certificate's verdict on these walks of model points: "" when
+    they pass, else the message."""
     try:
-        subdivision._certify(lambda: [facet], lambda x: x, sigmas, "alone")
+        subdivision._certify(walks, lambda x: x, sigmas, "alone")
     except DisagreementError as exc:
-        return "" if "has no preimage" in str(exc) else str(exc)
+        return str(exc)
     return ""
 
 
 class TestModelLinkComplex:
-    """The saturated-chain rule in _certify against the model complex built
-    by joins, which the library never lists."""
+    """The model walks in _certify against the model complex built by joins,
+    which the library never lists."""
 
     def test_matches_joins_on_every_face_of_t43(self, monkeypatch):
+        # Every face's walks map one by one onto the model walks, which, less
+        # their block bottoms, are the join's facets.
         seen = []
         real = subdivision._certify
 
-        def recording(facets, point, sigmas, where):
+        def recording(walks, point, sigmas, where):
+            walks = list(walks)
             seen.append(sigmas)
-            count = real(facets, point, sigmas, where)
-            mapped = {frozenset(map(point, F)) for F in facets()}
-            assert mapped == join_of_relabelled_factors(sigmas).facets, where
+            count = real(walks, point, sigmas, where)
+            model = list(subdivision._model_walks(sigmas))
+            assert [tuple(map(point, F)) for F in walks] == model, where
+            drop = bottoms(sigmas)
+            assert {frozenset(G) - drop for G in model} == join_of_relabelled_factors(sigmas).facets
             return count
 
         monkeypatch.setattr(subdivision, "_certify", recording)
@@ -717,62 +769,68 @@ class TestModelLinkComplex:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_joins_on_every_partition(self, k):
+        # Less their block bottoms, the model walks are the join's facets,
+        # each once, in the lex order of their words over (block, group):
+        # the order in which star_facets takes the label chains.
         for lam in partitions(k):
             for sigmas in ((lam,), ((1,), lam, (2,), lam)):
                 model = join_of_relabelled_factors(sigmas)
                 assert model.num_facets == math.prod(map(multinomial, sigmas)), sigmas
-                # In the order of rising rows: where two chains part, the one that
-                # raises the later coordinate comes later, and its point is smaller.
-                chains = sorted(model.facets, key=sorted, reverse=True)
-                count = subdivision._certify(lambda: chains, lambda x: x, sigmas, "")
-                assert count == model.num_facets, sigmas
-                for G in filter(None, model.facets):
-                    # Raise one count of the first point: its block's walk
-                    # now misses rank t, so its step t breaks.
-                    i, x = point = min(G)
-                    j = next(j for j, top in enumerate(sigmas[i]) if x[j] < top)
-                    moved = (i, x[:j] + (x[j] + 1,) + x[j + 1 :])
-                    step = f"block {i} step {sum(x)}"
-                    assert certify_alone(G - {point} | {moved}, sigmas).endswith(step), (G, moved)
+                walks = list(subdivision._model_walks(sigmas))
+                assert len(walks) == model.num_facets, sigmas
+                assert {frozenset(G) - bottoms(sigmas) for G in walks} == model.facets, sigmas
+                assert all(len(G) == sum(map(sum, sigmas)) for G in walks), sigmas
+                words = [model_word(G, sigmas) for G in walks]
+                assert words == sorted(set(words)), sigmas
+                assert subdivision._certify(walks, lambda x: x, sigmas, "") == len(walks)
 
     @pytest.mark.parametrize(
         "sigmas", [((2, 1),), ((1, 1, 1),), ((2, 2),), ((1, 1), (2,)), ((1,), (1, 1), (1,))]
     )
     def test_rule_accepts_exactly_the_model_facets(self, sigmas):
-        # Every set of box points, block ends included, of the facet size or
-        # one off it passes the rule exactly when it is a model facet.
-        model = join_of_relabelled_factors(sigmas).facets
+        # In place of model walk n, a walk whose point at one depth is any
+        # point of any box passes exactly when it is model walk n; the first
+        # walk that differs is named.
+        model = list(subdivision._model_walks(sigmas))
         points = [
             (i, x) for i, sigma in enumerate(sigmas)
             for x in itertools.product(*(range(top + 1) for top in sigma))
         ]
-        size = sum(map(sum, sigmas)) - len(sigmas)
-        for n in (size - 1, size, size + 1):
-            for facet in map(frozenset, itertools.combinations(points, max(n, 0))):
-                verdict = certify_alone(facet, sigmas)
-                assert (verdict == "") == (facet in model), (facet, verdict)
-                assert verdict == "" or re.search(r"no model facet: block \d+ step \d+$", verdict)
+        for n, G in enumerate(model):
+            for depth, x in itertools.product(range(len(G)), points):
+                walk = G[:depth] + (x,) + G[depth + 1 :]
+                verdict = certify_alone(model[:n] + [walk] + model[n + 1 :], sigmas)
+                if walk == G:
+                    assert verdict == "", (n, walk)
+                else:
+                    want = f"alone: walk {n} {walk} maps to {walk}; model walk {n} is {G}"
+                    assert verdict == want, (n, walk, verdict)
 
     def test_rule_rejects_points_off_the_box(self):
-        # (2, -2, 1) has the rank and the mixed-radix code of (0, 1, 0), so
-        # only the box check tells them apart; a point with a coordinate too
-        # many lies in no box at all.  In place of a chain point or on top of
-        # a whole chain, each spoils the walk's first step.
-        sigmas, kept = ((1, 1, 1),), (0, (0, 1, 0))
-        chain = {kept, (0, (0, 1, 1))}
-        assert certify_alone(chain, sigmas) == ""
+        # (2, -2, 1) has the rank of (0, 1, 0), and a point with a coordinate
+        # too many lies in no box at all.  In place of a chain point or past
+        # the end of a whole walk, each is named with its walk.
+        sigmas = ((1, 1, 1),)
+        model = list(subdivision._model_walks(sigmas))
+        G = model[2]
+        assert G[1] == (0, (0, 1, 0))
         for bad in [(0, (2, -2, 1)), (0, (0, 1, 0, 0))]:
-            for facet in (chain - {kept} | {bad}, chain | {bad}):
-                verdict = certify_alone(facet, sigmas)
-                assert verdict.endswith("no model facet: block 0 step 1"), facet
+            for walk in (G[:1] + (bad,) + G[2:], G + (bad,)):
+                verdict = certify_alone(model[:2] + [walk], sigmas)
+                assert verdict == f"alone: walk 2 {walk} maps to {walk}; model walk 2 is {G}"
+        verdict = certify_alone(model + [G], sigmas)
+        assert verdict == f"alone: walk 6 {G} maps to {G}; the model has 6 walks"
 
     def test_single_label_blocks_give_the_empty_complex(self):
         for n in (1, 2, 4):
             sigmas = ((1,),) * n
             assert join_of_relabelled_factors(sigmas) == SimplicialComplex([()])
-            assert subdivision._certify(lambda: [frozenset()], lambda x: x, sigmas, "") == 1
-            with pytest.raises(DisagreementError, match=r"model facet \[\] has no preimage"):
-                subdivision._certify(lambda: [], lambda x: x, sigmas, "")
+            walk = tuple((i, (0,)) for i in range(n))
+            assert list(subdivision._model_walks(sigmas)) == [walk]
+            assert subdivision._certify([walk], lambda x: x, sigmas, "") == 1
+            message = f": model walk 0 {walk} has no preimage"
+            with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
+                subdivision._certify([], lambda x: x, sigmas, "")
 
 
 class TestLinkTypeCensus:
