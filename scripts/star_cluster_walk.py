@@ -11,6 +11,7 @@ import argparse
 from edgewise.starcluster import (
     base_facet_code,
     sc_h_formula,
+    sc_layers,
     sc_shelling_and_h,
 )
 
@@ -28,7 +29,7 @@ def run(args: argparse.Namespace) -> None:
               f" X value {report.x_value}")
         print(f"  h = {report.h[:-1]}  formula {sc_h_formula(k)}")
         if args.show_layers:
-            for row in report.rows:
+            for row in sc_layers(report.base_code, q):
                 print(f"    layer {row.layer} label {row.label} code {row.code}")
         print()
 

@@ -311,11 +311,13 @@ def _hvector(args):
 
 def _shell(args):
     report = shelling_certificate(args.k, args.q, args.max_facets)
-    cert = report.certificate
     h = _trim(report.h)
 
-    def restrictions():
-        return map(sorted, cert.restrictions)
+    def rows():
+        """Each facet's restriction, as its chain's vertices at the
+        restriction's positions; they rise, as the chain does."""
+        for chain, rest in zip(report.chains, report.restrictions):
+            yield [chain[p] for p in rest]
 
     payload = {
         "num_facets": len(report.order),
@@ -323,8 +325,8 @@ def _shell(args):
         "restrictions_match": True,
         "h": h,
         "order": report.order,
-        "types": cert.types,
-        "restrictions": restrictions(),
+        "types": map(len, report.restrictions),
+        "restrictions": rows(),
     }
 
     def text():
@@ -333,15 +335,13 @@ def _shell(args):
         yield "valid shelling: yes"
         yield "restrictions match closed form: yes"
         yield f"h = {h}"
-        for code, t, r in zip(report.order, cert.types, restrictions()):
-            yield f"{code} type {t}: {_spaced(r)}"
+        for code, r in zip(report.order, rows()):
+            yield f"{code} type {len(r)}: {_spaced(r)}"
 
     def table():
-        rows = (
-            [_spaced(code), t, ";".join(_spaced(v) for v in r)]
-            for code, t, r in zip(report.order, cert.types, restrictions())
-        )
-        return ["code", "type", "restriction"], rows
+        lines = ([_spaced(code), len(r), ";".join(map(_spaced, r))]
+                 for code, r in zip(report.order, rows()))
+        return ["code", "type", "restriction"], lines
 
     return _render(args, payload, text, table)
 

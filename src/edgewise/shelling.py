@@ -22,7 +22,7 @@ from .complexes import (
     MAX_FACETS,
     CapacityError,
     DisagreementError,
-    ShellingCertificate,
+    restriction_histogram,
     shell_chains,
 )
 from .subdivision import (
@@ -51,31 +51,30 @@ def ascent_positions(code: Code) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(word)) if word[i - 1] < word[i])
 
 
-def predicted_restriction(code: Code, facet) -> frozenset[Vertex]:
-    """Restriction face of the facet with this code in the shelling: chain
-    vertex v^(k+1-i) for every ascent position i.  Chain vertices rise
-    coordinatewise, so the sorted facet is the chain."""
-    chain = sorted(facet)
-    k = len(chain)
-    return frozenset(chain[k - i] for i in ascent_positions(code))
+def predicted_restriction(code: Code) -> tuple[int, ...]:
+    """Restriction of the facet with this code in the shelling, as rising
+    0-based chain positions: chain vertex v^(k+1-i), at position k - i, for
+    every ascent position i."""
+    k = len(code) + 1
+    return tuple(k - i for i in reversed(ascent_positions(code)))
 
 
-def certify_order(codes, q: int) -> ShellingCertificate:
-    """Certificate of these facet codes, in order, as a shelling of their
-    complex; DisagreementError names the first bad pair by position and code,
-    as a repeat when its two facets are one.
+def certify_order(codes, q: int) -> tuple[tuple[tuple[Vertex, ...], ...], list[tuple[int, ...]]]:
+    """(chains, restrictions) of these facet codes, in order, certified as a
+    shelling of their complex; DisagreementError names the first bad pair by
+    position and code, as a repeat when its two facets are one.
 
     Each code is decoded once, and each vertex is one shared tuple with one
-    int id: the certificate's facets are chains of the shared tuples, and
-    shell_chains reads the chains of ids.  No frozenset facet and no complex
-    is built.
+    int id: chains[j] is facet j's chain of the shared tuples, bottom to top,
+    and restrictions[j] is shell_chains' tuple of the positions in it of R_j,
+    one tuple per distinct restriction.  No frozenset and no complex is built.
     """
     # A vertex seen first is numbered next and kept as the one shared tuple.
     number = defaultdict(itertools.count().__next__)
     decode = subdivision.decode_facet
     chains = [tuple(map(number.__getitem__, decode(a, q))) for a in codes]
     vertices = list(number)
-    positions, witness = shell_chains(chains, len(vertices))
+    restrictions, witness = shell_chains(chains, len(vertices))
     if witness is not None:
         i, j = witness
         # A repeated chain's witness is its earlier copy.
@@ -84,30 +83,21 @@ def certify_order(codes, q: int) -> ShellingCertificate:
                 f"not a shelling: facet {j} {codes[j]} repeats facet {i} {codes[i]}"
             )
         raise DisagreementError(f"not a shelling: witness facets {i} {codes[i]}, {j} {codes[j]}")
-    facets = tuple(tuple(map(vertices.__getitem__, chain)) for chain in chains)
-    restrictions = tuple(
-        frozenset(map(facet.__getitem__, rest)) for facet, rest in zip(facets, positions)
-    )
-    return ShellingCertificate(
-        order=facets,
-        restrictions=restrictions,
-        types=tuple(map(len, positions)),
-        valid=True,
-        witness=None,
-    )
+    return tuple(tuple(map(vertices.__getitem__, chain)) for chain in chains), restrictions
 
 
 @dataclass(frozen=True)
 class SubdivisionShellingReport:
     order: tuple[Code, ...]
-    certificate: ShellingCertificate
+    chains: tuple[tuple[Vertex, ...], ...]
+    restrictions: list[tuple[int, ...]]
     h: tuple[int, ...]
 
 
 def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> SubdivisionShellingReport:
     """Shell the whole subdivision and check each closed-form restriction as
     it is computed; DisagreementError names the first facet whose restriction
-    differs.
+    differs, by its chain vertices.
 
     Guarded by max_facets.  Each code is decoded once and each ridge hashed
     once.  Each vertex lies in at most k! facets, so a facet with restriction
@@ -115,15 +105,19 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
     k = 6, q = 10).
     """
     order = shelling_order(k, q, max_facets)
-    cert = certify_order(order, q)
-    for code, facet, got in zip(order, cert.order, cert.restrictions):
-        want = predicted_restriction(code, facet)
+    chains, restrictions = certify_order(order, q)
+    for code, chain, got in zip(order, chains, restrictions):
+        want = predicted_restriction(code)
         if got != want:
-            raise DisagreementError(f"facet {code} restricts to {sorted(got)}, not {sorted(want)}")
+            raise DisagreementError(
+                f"facet {code} restricts to {[chain[p] for p in got]},"
+                f" not {[chain[p] for p in want]}"
+            )
     return SubdivisionShellingReport(
         order=order,
-        certificate=cert,
-        h=cert.type_histogram(),
+        chains=chains,
+        restrictions=restrictions,
+        h=restriction_histogram(map(len, restrictions), k),
     )
 
 

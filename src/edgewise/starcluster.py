@@ -28,7 +28,7 @@ from .combinat import (
     permutations_by_init,
     x_sequence,
 )
-from .complexes import DisagreementError, ShellingCertificate, check_cap
+from .complexes import DisagreementError, check_cap, restriction_histogram
 from .shelling import certify_order
 from .subdivision import (
     Code,
@@ -156,9 +156,7 @@ class StarClusterReport:
     """Everything the structured star cluster enumeration establishes."""
 
     base_code: Code
-    rows: tuple[LayerFacet, ...]
     layer_sizes: tuple[int, ...]
-    certificate: ShellingCertificate
     h: tuple[int, ...]
     count_enumerated: int
     count_inclusion_exclusion: int
@@ -169,15 +167,15 @@ class StarClusterReport:
 def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     """Build the star cluster of an interior facet, shell it, and cross-count.
 
-    The certificate is computed by certify_order on the structured order,
-    the same check that shells the whole subdivision; h is its restriction
-    type histogram.  DisagreementError names the witness unless the order is
-    a shelling, the four counts agree, every facet's restriction type is
-    des(label), and h is the weighted table formula followed by h_k = 0.
+    The order is certified by certify_order, the same check that shells the
+    whole subdivision; h is the histogram of its restriction sizes.
+    DisagreementError names the witness unless the order is a shelling, the
+    four counts agree, every facet's restriction type is des(label), and h
+    is the weighted table formula followed by h_k = 0.
     """
     rows = sc_layers(base, q)
     k = len(base) + 1
-    cert = certify_order([row.code for row in rows], q)
+    _, restrictions = certify_order([row.code for row in rows], q)
     counts = {
         "count_enumerated": len(rows),
         "count_inclusion_exclusion": sc_count_inclusion_exclusion(k),
@@ -186,23 +184,16 @@ def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     }
     if len(set(counts.values())) != 1:
         raise DisagreementError(f"star cluster counts disagree: {counts}")
-    for row, got in zip(rows, cert.types):
-        if got != des(row.label):
+    for row, rest in zip(rows, restrictions):
+        if len(rest) != des(row.label):
             raise DisagreementError(
                 f"star cluster facet layer {row.layer} label {row.label} code {row.code}"
-                f" has restriction type {got}, not des(label) = {des(row.label)}"
+                f" has restriction type {len(rest)}, not des(label) = {des(row.label)}"
             )
-    h = cert.type_histogram()
+    h = restriction_histogram(map(len, restrictions), k)
     if h != sc_h_formula(k) + (0,):
         raise DisagreementError(f"star cluster h {h} is not the formula {sc_h_formula(k)} + (0,)")
     sizes = tuple(
         sum(1 for row in rows if row.layer == j) for j in range(1, k + 1)
     )
-    return StarClusterReport(
-        base_code=tuple(base),
-        rows=rows,
-        layer_sizes=sizes,
-        certificate=cert,
-        h=h,
-        **counts,
-    )
+    return StarClusterReport(base_code=tuple(base), layer_sizes=sizes, h=h, **counts)

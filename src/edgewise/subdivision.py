@@ -180,13 +180,6 @@ def _walk(v, labels, q: int, template: str, *args) -> tuple[Vertex, ...]:
     return tuple(chain)
 
 
-def facet_sets(codes, q: int):
-    """Each code's facet as a frozenset, decoded once; all share one tuple per vertex."""
-    shared: dict = {}
-    for a in codes:
-        yield frozenset(shared.setdefault(u, u) for u in decode_facet(a, q))
-
-
 def face_chain(face, q: int) -> tuple[Vertex, ...]:
     """The vertices of a face of T_{k,q}, bottom to top; ValueError unless
     they are a chain inside one unit box (Edelsbrunner-Grayson): vertices of
@@ -210,26 +203,13 @@ def face_chain(face, q: int) -> tuple[Vertex, ...]:
 
 
 def build_complex(k: int, q: int, max_facets: int = MAX_FACETS) -> SimplicialComplex:
-    """The full subdivision complex; vertices are labeled by their tuples."""
+    """The full subdivision complex; vertices are labeled by their tuples.
+    Each code is decoded once, and all facets share one tuple per vertex."""
     check_facet_budget(k, q, max_facets)
-    return SimplicialComplex(facet_sets(facet_codes(k, q), q))
-
-
-def ridge_neighbors(a: Code, q: int) -> dict[int, Code | None]:
-    """The facet across each ridge of facet a, keyed by dropped chain position.
-
-    Position p in 1..k means the ridge omitting the p-th vertex of the chain
-    (1 = bottom, k = top).  None marks a boundary ridge.
-    """
-    _validate_code(a, q)
-    n = len(a)
-    k = n + 1
-    out: dict[int, Code | None] = {}
-    out[k] = (a[1:] + (a[0] - 1,)) if a[0] > 0 else None
-    out[1] = ((a[n - 1] + 1,) + a[: n - 1]) if a[n - 1] <= q - 2 else None
-    for i in range(1, n):
-        out[k - i] = a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :] if a[i - 1] != a[i] else None
-    return out
+    shared: dict = {}
+    return SimplicialComplex(
+        frozenset(shared.setdefault(u, u) for u in decode_facet(a, q)) for a in facet_codes(k, q)
+    )
 
 
 # ---------------------------------------------------------------------------

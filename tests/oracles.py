@@ -2,9 +2,10 @@
 
 Each is an independent oracle for an answer the library certifies another
 way: the corners of the subdivision, a facet's code read off its vertices,
-h-vectors from a built complex's face counts or each code's ascents, a vertex
-star walked one listed word at a time, a face link filtered out of a vertex
-star, the init/descent table of S_k by enumeration, the R-labeling of a box,
+the facet across each ridge by rewriting the code, h-vectors from a built
+complex's face counts or each code's ascents, a vertex star walked one
+listed word at a time, a face link filtered out of a vertex star, the
+init/descent table of S_k by enumeration, the R-labeling of a box,
 join-irreducibility, a star cluster filtered out of the full complex, and
 the init-then-lex shelling of the barycentric sphere.
 """
@@ -42,6 +43,23 @@ def code_of_facet(vertices, q: int) -> Code:
     raised = [list(map(sub, upper, lower)).index(1) + 1 for lower, upper in zip(chain, chain[1:])]
     # The walk from the bottom raises these labels in order, then wraps (k).
     return facet_code_for_permutation(chain[0], (*raised, n + 1))
+
+
+def ridge_neighbors(a: Code, q: int) -> dict[int, Code | None]:
+    """The facet across each ridge of facet a, keyed by dropped chain position.
+
+    Position p in 1..k means the ridge omitting the p-th vertex of the chain
+    (1 = bottom, k = top).  None marks a boundary ridge.
+    """
+    subdivision._validate_code(a, q)
+    n = len(a)
+    k = n + 1
+    out: dict[int, Code | None] = {}
+    out[k] = (a[1:] + (a[0] - 1,)) if a[0] > 0 else None
+    out[1] = ((a[n - 1] + 1,) + a[: n - 1]) if a[n - 1] <= q - 2 else None
+    for i in range(1, n):
+        out[k - i] = a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :] if a[i - 1] != a[i] else None
+    return out
 
 
 def has_face(K: SimplicialComplex, sigma) -> bool:

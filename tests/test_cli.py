@@ -351,7 +351,7 @@ BREACHES = [
     ("invalid shelling certificate", shelling, "shell_chains",
      lambda f: lambda chains, n: _invalid(f(chains, n)), "shell -k 3 -q 3"),
     ("restrictions off the closed form", shelling, "predicted_restriction",
-     lambda f: lambda code, q: frozenset(), "shell -k 3 -q 3"),
+     lambda f: lambda code: (), "shell -k 3 -q 3"),
     ("star-cluster counts disagree", starcluster, "sc_count_partition_formula",
      lambda f: lambda k: f(k) + 1, "star-cluster -k 3 -q 7"),
     ("invalid star-cluster shelling", shelling, "shell_chains",

@@ -256,8 +256,9 @@ class TestShellingOracle:
     def test_certify_order_matches_oracle_on_perturbed_codes(self, monkeypatch):
         """certify_order on codes agrees with the quadratic scan on the same
         perturbed orders and on perturbed star cluster orders: a valid order
-        in its certificate, a refused one in the witness pair its error names
-        and in the restrictions shell_chains handed back."""
+        in its restriction positions, mapped through its chains, a refused
+        one in the witness pair its error names, and both in the restrictions
+        shell_chains handed back."""
         scans = []
         scan = shelling.shell_chains
         monkeypatch.setattr(
@@ -271,14 +272,18 @@ class TestShellingOracle:
                 for order in _perturbations(codes, seed):
                     want = _quadratic_certificate([decode_facet(code, q) for code in order])
                     try:
-                        cert = certify_order(order, q)
+                        chains, positions = certify_order(order, q)
                     except DisagreementError as exc:
                         i, j = want[1]
                         assert str(exc) == (
                             f"not a shelling: witness facets {i} {order[i]}, {j} {order[j]}"
                         ), (q, seed, order)
                     else:
-                        got = (cert.valid, cert.witness, cert.restrictions, cert.types)
+                        restrictions = tuple(
+                            frozenset(chain[p] for p in rest)
+                            for chain, rest in zip(chains, positions, strict=True)
+                        )
+                        got = (True, None, restrictions, tuple(map(len, positions)))
                         assert got == want, (q, seed, order)
                     positions, witness = scans.pop()
                     restrictions = tuple(

@@ -19,11 +19,11 @@ from edgewise.subdivision import (
     is_vertex,
     link_of_vertex,
     number_of_facets,
-    ridge_neighbors,
     star_of_vertex,
     vertex_partition,
 )
-from oracles import code_of_facet, h_k_lambda_from_complex, h_vector, link_complex
+from oracles import (code_of_facet, h_k_lambda_from_complex, h_vector, link_complex,
+                     ridge_neighbors)
 
 kq = st.tuples(st.integers(2, 6), st.integers(1, 4))
 

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("h_grid.py", ["--kmax", "4", "--qmax", "3"]),
         ("link_census.py", ["-k", "3", "-q", "3"]),
         ("star_cluster_walk.py", ["--kmax", "4"]),
+        ("star_cluster_walk.py", ["--kmax", "4", "--show-layers"]),
     ],
 )
 def test_script_runs(script, args):

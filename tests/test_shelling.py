@@ -28,15 +28,14 @@ GRID = [(k, q) for k in range(2, 6) for q in range(1, 5)]
 @pytest.mark.parametrize("k,q", GRID)
 def test_shelling_certificate_valid(k, q):
     report = shelling_certificate(k, q)
-    assert report.certificate.valid, report.certificate.witness
+    assert len(report.order) == len(report.chains) == len(report.restrictions)
     assert len(report.order) == number_of_facets(k, q)
 
 
 @pytest.mark.parametrize("k,q", GRID)
 def test_closed_form_restrictions_match(k, q):
     report = shelling_certificate(k, q)
-    cert = report.certificate
-    assert cert.restrictions == tuple(map(predicted_restriction, report.order, cert.order))
+    assert tuple(report.restrictions) == tuple(map(predicted_restriction, report.order))
 
 
 def test_certify_order_names_witness():
@@ -55,7 +54,7 @@ def test_invalid_certificate_raises(monkeypatch):
 
 
 def test_restriction_off_closed_form_raises(monkeypatch):
-    monkeypatch.setattr(shelling, "predicted_restriction", lambda code, q: frozenset())
+    monkeypatch.setattr(shelling, "predicted_restriction", lambda code: ())
     with pytest.raises(DisagreementError, match=r"facet \(1, 0\) restricts to \[\(1, 2\)\], not \[\]"):
         shelling_certificate(3, 3)
 
@@ -63,15 +62,16 @@ def test_restriction_off_closed_form_raises(monkeypatch):
 def test_first_facet_has_empty_restriction():
     report = shelling_certificate(3, 3)
     assert report.order[0] == (0, 0)
-    assert report.certificate.restrictions[0] == frozenset()
+    assert report.restrictions[0] == ()
 
 
 def test_restriction_example():
     # code (1, 0) in T_{3,2}: padded word (0, 1, 0) has one ascent, at the
     # first step, selecting the top chain vertex
     assert ascent_positions((1, 0)) == (1,)
-    facet = frozenset({(0, 1), (1, 1), (1, 2)})
-    assert predicted_restriction((1, 0), facet) == frozenset({(1, 2)})
+    chain = ((0, 1), (1, 1), (1, 2))
+    assert subdivision.decode_facet((1, 0), 2) == chain
+    assert predicted_restriction((1, 0)) == (2,)
 
 
 def test_each_facet_decoded_once(monkeypatch):
@@ -134,7 +134,7 @@ def test_h_values_k3_q2():
 def test_single_facet_case():
     assert h_vector_checked(4, 1) == (1, 0, 0, 0, 0)
     report = shelling_certificate(4, 1)
-    assert report.certificate.valid
+    assert report.restrictions == [()]
     assert report.h == (1, 0, 0, 0, 0)
 
 

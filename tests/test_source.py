@@ -51,7 +51,6 @@ def test_no_unused_imports():
 ROOT = SRC.parent.parent
 # Public names kept with no caller yet, each for the ROADMAP item that needs it.
 AWAITING_CALLERS = {
-    "ridge_neighbors": "ROADMAP item 1: the local shelling certificate",
     "h_from_f": "ROADMAP item 1: the face route for h",
     "corner_support_partition": "ROADMAP item 5: the face-count census route",
 }

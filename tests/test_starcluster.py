@@ -8,6 +8,7 @@ from edgewise import combinat, shelling, starcluster
 from edgewise.combinat import des, eulerian_vector, init, x_sequence
 from edgewise.complexes import DisagreementError, SimplicialComplex, verify_shelling
 from edgewise.posets import k_lambda
+from edgewise.shelling import certify_order
 from edgewise.starcluster import (
     base_facet_code,
     sc_count_general_face,
@@ -136,13 +137,15 @@ def test_count_k3_value():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_star_cluster_shelling_certificate(k):
     q = k + 3
-    report = sc_shelling_and_h(base_facet_code(k, q), q)
-    assert report.certificate.valid, report.certificate.witness
+    base = base_facet_code(k, q)
+    report = sc_shelling_and_h(base, q)
     assert report.count_enumerated == report.count_inclusion_exclusion
     assert report.count_enumerated == report.count_partition_formula
     assert report.count_enumerated == report.x_value
     # restriction type of every facet is the descent count of its label
-    assert report.certificate.types == tuple(des(r.label) for r in report.rows)
+    rows = sc_layers(base, q)
+    _, restrictions = certify_order([r.code for r in rows], q)
+    assert tuple(map(len, restrictions)) == tuple(des(r.label) for r in rows)
     assert report.h == sc_h_formula(k) + (0,)
 
 

@@ -39,13 +39,13 @@ from edgewise.subdivision import (
     number_of_vertices,
     off_export,
     q_sequence,
-    ridge_neighbors,
     star_of_vertex,
     vertex_partition,
     vertex_set,
     vertex_type,
 )
-from oracles import code_of_facet, corners, link_complex, star_walks_by_words
+from oracles import (code_of_facet, corners, link_complex, ridge_neighbors,
+                     star_walks_by_words)
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -567,7 +567,7 @@ class TestFaceLinks:
         assert report.num_facets == expected
 
     def test_facets_share_vertex_tuples(self):
-        facets = certify_order(shelling_order(4, 3), 3).order
+        facets = certify_order(shelling_order(4, 3), 3)[0]
         vertices = [u for F in facets for u in F]
         assert len({id(u) for u in vertices}) == len(set(vertices))
 
