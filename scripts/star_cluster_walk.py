@@ -29,8 +29,8 @@ def run(args: argparse.Namespace) -> None:
               f" X value {report.x_value}")
         print(f"  h = {report.h[:-1]}  formula {sc_h_formula(k)}")
         if args.show_layers:
-            for row in sc_layers(report.base_code, q):
-                print(f"    layer {row.layer} label {row.label} code {row.code}")
+            for layer, label, chain in sc_layers(report.base_code, q):
+                print(f"    layer {layer} label {label} chain {chain}")
         print()
 
 

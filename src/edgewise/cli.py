@@ -316,8 +316,9 @@ def _shell(args):
     def rows():
         """Each facet's restriction, as its chain's vertices at the
         restriction's positions; they rise, as the chain does."""
+        vertices = report.vertices
         for chain, rest in zip(report.chains, report.restrictions):
-            yield [chain[p] for p in rest]
+            yield [vertices[chain[p]] for p in rest]
 
     payload = {
         "num_facets": len(report.order),

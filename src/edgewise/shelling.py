@@ -59,37 +59,39 @@ def predicted_restriction(code: Code) -> tuple[int, ...]:
     return tuple(k - i for i in reversed(ascent_positions(code)))
 
 
-def certify_order(codes, q: int) -> tuple[tuple[tuple[Vertex, ...], ...], list[tuple[int, ...]]]:
-    """(chains, restrictions) of these facet codes, in order, certified as a
-    shelling of their complex; DisagreementError names the first bad pair by
-    position and code, as a repeat when its two facets are one.
+def certify_order(chains, names) -> tuple[tuple[Vertex, ...], list, list]:
+    """(vertices, chains, restrictions) of these facets, each a chain of
+    vertices bottom to top, in order, certified as a shelling of their
+    complex; DisagreementError names the first bad pair by position and by
+    names[j] for facet j, as a repeat when its two facets are one.
 
-    Each code is decoded once, and each vertex is one shared tuple with one
-    int id: chains[j] is facet j's chain of the shared tuples, bottom to top,
-    and restrictions[j] is shell_chains' tuple of the positions in it of R_j,
-    one tuple per distinct restriction.  No frozenset and no complex is built.
+    Each chain is numbered as it arrives, and each vertex is one shared tuple
+    with one int id: vertices[u] is vertex u, chains[j] is facet j's chain of
+    ids, and restrictions[j] is shell_chains' tuple of the positions in it of
+    R_j, one tuple per distinct restriction.  No frozenset, no complex and no
+    second chain of vertices is built.
     """
     # A vertex seen first is numbered next and kept as the one shared tuple.
     number = defaultdict(itertools.count().__next__)
-    decode = subdivision.decode_facet
-    chains = [tuple(map(number.__getitem__, decode(a, q))) for a in codes]
-    vertices = list(number)
-    restrictions, witness = shell_chains(chains, len(vertices))
+    ids = [tuple(map(number.__getitem__, chain)) for chain in chains]
+    vertices = tuple(number)
+    restrictions, witness = shell_chains(ids, len(vertices))
     if witness is not None:
         i, j = witness
         # A repeated chain's witness is its earlier copy.
-        if chains[i] == chains[j]:
+        if ids[i] == ids[j]:
             raise DisagreementError(
-                f"not a shelling: facet {j} {codes[j]} repeats facet {i} {codes[i]}"
+                f"not a shelling: facet {j} {names[j]} repeats facet {i} {names[i]}"
             )
-        raise DisagreementError(f"not a shelling: witness facets {i} {codes[i]}, {j} {codes[j]}")
-    return tuple(tuple(map(vertices.__getitem__, chain)) for chain in chains), restrictions
+        raise DisagreementError(f"not a shelling: witness facets {i} {names[i]}, {j} {names[j]}")
+    return vertices, ids, restrictions
 
 
 @dataclass(frozen=True)
 class SubdivisionShellingReport:
     order: tuple[Code, ...]
-    chains: tuple[tuple[Vertex, ...], ...]
+    vertices: tuple[Vertex, ...]
+    chains: list[tuple[int, ...]]
     restrictions: list[tuple[int, ...]]
     h: tuple[int, ...]
 
@@ -105,16 +107,18 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
     k = 6, q = 10).
     """
     order = shelling_order(k, q, max_facets)
-    chains, restrictions = certify_order(order, q)
+    decoded = (subdivision.decode_facet(a, q) for a in order)
+    vertices, chains, restrictions = certify_order(decoded, order)
     for code, chain, got in zip(order, chains, restrictions):
         want = predicted_restriction(code)
         if got != want:
             raise DisagreementError(
-                f"facet {code} restricts to {[chain[p] for p in got]},"
-                f" not {[chain[p] for p in want]}"
+                f"facet {code} restricts to {[vertices[chain[p]] for p in got]},"
+                f" not {[vertices[chain[p]] for p in want]}"
             )
     return SubdivisionShellingReport(
         order=order,
+        vertices=vertices,
         chains=chains,
         restrictions=restrictions,
         h=restriction_histogram(map(len, restrictions), k),

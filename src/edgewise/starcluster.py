@@ -35,7 +35,7 @@ from .subdivision import (
     count_faces_with_link_type,
     decode_facet,
     face_chain,
-    facet_code_for_permutation,
+    facet_of_permutation,
     is_interior_vertex,
     is_vertex,
     validate_kq,
@@ -56,43 +56,33 @@ def shifted_reversal_inverse(sigma: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple((sigma[k - 1 - i] - j - 1) % k + 1 for i in range(k))
 
 
-@dataclass(frozen=True)
-class LayerFacet:
-    """One facet of the structured star cluster enumeration.
-
-    layer j means the facet belongs to the star of the j-th chain vertex and
-    no earlier one; label is the permutation that orders it (the star index
-    pi itself in layer 1, its shifted reversal for later layers).  The
-    restriction type of the facet in the cluster shelling is des(label).
-    """
-
-    layer: int
-    label: tuple[int, ...]
-    code: Code
-
-
-def sc_layers(base: Code, q: int) -> tuple[LayerFacet, ...]:
-    """Structured enumeration of the star cluster of an interior facet,
-    in shelling order: layer j lists the labels with faithful initial part
-    j, ..., k, each group in lex order.  The base must be a facet F(v, Id),
-    whose code is its bottom vertex v; the facet is interior exactly when v
-    is an interior vertex of T_{k,q-1}.  CapacityError when the cluster has
-    more than MAX_FACETS facets."""
+def sc_layers(base: Code, q: int):
+    """The star cluster of an interior facet in shelling order, one (layer,
+    label, chain) at a time: layer j, the star of chain vertex j less the
+    earlier stars, lists the labels with faithful initial part j, ..., k,
+    each group in lex order.  The label orders the facet (its star index pi
+    in layer 1, pi's shifted reversal later), and the chain is walked from
+    chain vertex j along pi.  The base must be a facet F(v, Id), whose code
+    is its bottom vertex v; the facet is interior exactly when v is an
+    interior vertex of T_{k,q-1}.  ValueError, or CapacityError past
+    MAX_FACETS facets, before the first row."""
     if not (is_vertex(base, q - 1) and is_interior_vertex(base, q - 1)):
         raise ValueError(
             f"{base} is not an interior facet F(v, Id) for q={q}: its code is its"
             " bottom vertex v, so entries must rise strictly from >=1 to <=q-2"
         )
     chain = decode_facet(base, q)
-    k = len(base) + 1
+    k = len(chain)
     check_cap(x_sequence(k + 1)[k])
-    groups = permutations_by_init(k)
-    rows: list[LayerFacet] = []
-    for j in range(1, k + 1):
-        for sigma in itertools.chain.from_iterable(groups[t] for t in range(j, k + 1)):
+    return _layer_rows(chain, permutations_by_init(k), q)
+
+
+def _layer_rows(chain, groups, q: int):
+    """The rows of sc_layers, each facet walked by facet_of_permutation."""
+    for j, v in enumerate(chain, 1):
+        for sigma in itertools.chain.from_iterable(groups[t] for t in range(j, len(chain) + 1)):
             pi = sigma if j == 1 else shifted_reversal_inverse(sigma, j)
-            rows.append(LayerFacet(j, sigma, facet_code_for_permutation(chain[j - 1], pi)))
-    return tuple(rows)
+            yield j, sigma, facet_of_permutation(v, pi, q)
 
 
 def _inclusion_exclusion(positions, k: int) -> int:
@@ -167,33 +157,38 @@ class StarClusterReport:
 def sc_shelling_and_h(base: Code, q: int) -> StarClusterReport:
     """Build the star cluster of an interior facet, shell it, and cross-count.
 
-    The order is certified by certify_order, the same check that shells the
-    whole subdivision; h is the histogram of its restriction sizes.
+    One pass over sc_layers feeds each chain to certify_order, the check that
+    shells the whole subdivision, keeping the labels and layer sizes alone.
     DisagreementError names the witness unless the order is a shelling, the
     four counts agree, every facet's restriction type is des(label), and h
     is the weighted table formula followed by h_k = 0.
     """
     rows = sc_layers(base, q)
     k = len(base) + 1
-    _, restrictions = certify_order([row.code for row in rows], q)
+    labels, sizes = [], [0] * k
+
+    def walked():
+        for layer, label, chain in rows:
+            labels.append(label)
+            sizes[layer - 1] += 1
+            yield chain
+
+    vertices, chains, restrictions = certify_order(walked(), labels)
     counts = {
-        "count_enumerated": len(rows),
+        "count_enumerated": len(labels),
         "count_inclusion_exclusion": sc_count_inclusion_exclusion(k),
         "count_partition_formula": sc_count_partition_formula(k),
         "x_value": x_sequence(k + 1)[k],
     }
     if len(set(counts.values())) != 1:
         raise DisagreementError(f"star cluster counts disagree: {counts}")
-    for row, rest in zip(rows, restrictions):
-        if len(rest) != des(row.label):
+    for j, (label, rest) in enumerate(zip(labels, restrictions)):
+        if len(rest) != des(label):
             raise DisagreementError(
-                f"star cluster facet layer {row.layer} label {row.label} code {row.code}"
-                f" has restriction type {len(rest)}, not des(label) = {des(row.label)}"
+                f"star cluster facet {j} label {label} chain {[vertices[u] for u in chains[j]]}"
+                f" has restriction type {len(rest)}, not des(label) = {des(label)}"
             )
     h = restriction_histogram(map(len, restrictions), k)
     if h != sc_h_formula(k) + (0,):
         raise DisagreementError(f"star cluster h {h} is not the formula {sc_h_formula(k)} + (0,)")
-    sizes = tuple(
-        sum(1 for row in rows if row.layer == j) for j in range(1, k + 1)
-    )
-    return StarClusterReport(base_code=tuple(base), layer_sizes=sizes, h=h, **counts)
+    return StarClusterReport(base_code=tuple(base), layer_sizes=tuple(sizes), h=h, **counts)

@@ -13,7 +13,7 @@ facets are in bijection with codes a in {0,...,q-1}^(k-1):
 Equivalently a facet is a pair (v, pi) of a vertex and a permutation pi of
 1..k-1 compatible with v (ties v_i = v_{i+1} force i before i+1 in pi).  The
 facets through v are the walks from v along pi[:-1], pi in S_v (label k wraps
-from a facet's top to its bottom); only sc_layers encodes.
+from a facet's top to its bottom); no library code encodes a facet.
 
 Two vertices lie in a common facet iff their difference has all entries in
 {0,1} or all in {-1,0}.  The link of a vertex v is determined by the run
@@ -279,19 +279,18 @@ def _label_chains(t: VertexType) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
-    """Code of the facet of star(v) indexed by pi in S_v.
+# The message of a star walk that leaves T: the vertex, pi, then the walk so far.
+_LEAVES_T = "star of {}: walk {} leaves T: {}"
 
-    With k at position i of pi, the code reads the coordinates before k in
-    reverse, then the coordinates after k in reverse with entries lowered
-    by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
-    Stars are walked with no code; sc_layers validates v once.
+
+def facet_of_permutation(v: Vertex, pi: tuple[int, ...], q: int) -> tuple[Vertex, ...]:
+    """The facet of star(v) indexed by pi in S_v, bottom to top: the walk from
+    v along pi[:-1], checked as star_facets checks it.  The step with label k
+    wraps to the facet's bottom, so the points from it on come first.
     """
-    k = len(v) + 1
-    i = pi.index(k)
-    prefix = tuple(v[pi[j] - 1] for j in range(i - 1, -1, -1))
-    suffix = tuple(v[pi[j] - 1] - 1 for j in range(k - 1, i, -1))
-    return prefix + suffix
+    i = pi.index(len(v) + 1)
+    walk = _walk(v, pi[:-1], q, _LEAVES_T, v, pi)
+    return walk[i + 1 :] + walk[: i + 1]
 
 
 def star_facets(v: Vertex, t: VertexType, q: int, face) -> Iterator[tuple[Vertex, ...]]:
@@ -341,7 +340,7 @@ def star_facets(v: Vertex, t: VertexType, q: int, face) -> Iterator[tuple[Vertex
         if off:
             rest = list(map(iter, chains))
             pi = (*(next(rest[c]) for c in (*path, i)), *itertools.chain(*rest))
-            raise DisagreementError(f"star of {v}: walk {pi} leaves T: {[*points, point]}")
+            raise DisagreementError(_LEAVES_T.format(v, pi, [*points, point]))
         depth = len(points)
         if want[depth] is not None and point != want[depth]:
             i += 1

@@ -1,13 +1,14 @@
 """Checks and constructions that only the tests call.
 
 Each is an independent oracle for an answer the library certifies another
-way: the corners of the subdivision, a facet's code read off its vertices,
-the facet across each ridge by rewriting the code, h-vectors from a built
-complex's face counts or each code's ascents, a vertex star walked one
-listed word at a time, a face link filtered out of a vertex star, the
-init/descent table of S_k by enumeration, the R-labeling of a box,
-join-irreducibility, a star cluster filtered out of the full complex, and
-the init-then-lex shelling of the barycentric sphere.
+way: the corners of the subdivision, the code of a star's facet by its
+permutation, a facet's code read off its vertices, the facet across each
+ridge by rewriting the code, h-vectors from a built complex's face counts or
+each code's ascents, a vertex star walked one listed word at a time, a face
+link filtered out of a vertex star, the init/descent table of S_k by
+enumeration, the R-labeling of a box, join-irreducibility, a star cluster
+filtered out of the full complex, and the init-then-lex shelling of the
+barycentric sphere.
 """
 
 from __future__ import annotations
@@ -21,14 +22,28 @@ from edgewise.combinat import des, distinct_permutations, init, permutations_by_
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex, h_from_f
 from edgewise.posets import k_lambda
 from edgewise.shelling import ascent_positions
-from edgewise.subdivision import (Code, Vertex, face_chain, facet_code_for_permutation,
-                                  facet_codes, star_of_vertex, validate_kq)
+from edgewise.subdivision import (Code, Vertex, face_chain, facet_codes, star_of_vertex,
+                                  validate_kq)
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
     """Corners w_1, ..., w_k of the region; w_i has i-1 trailing q's."""
     validate_kq(k, q)
     return tuple((0,) * (k - i) + (q,) * (i - 1) for i in range(1, k + 1))
+
+
+def facet_code_for_permutation(v: Vertex, pi: tuple[int, ...]) -> Code:
+    """Code of the facet of star(v) indexed by pi in S_v.
+
+    With k at position i of pi, the code reads the coordinates before k in
+    reverse, then the coordinates after k in reverse with entries lowered
+    by 1: (v_{pi_{i-1}}, ..., v_{pi_1}, v_{pi_k} - 1, ..., v_{pi_{i+1}} - 1).
+    """
+    k = len(v) + 1
+    i = pi.index(k)
+    prefix = tuple(v[pi[j] - 1] for j in range(i - 1, -1, -1))
+    suffix = tuple(v[pi[j] - 1] - 1 for j in range(k - 1, i, -1))
+    return prefix + suffix
 
 
 def code_of_facet(vertices, q: int) -> Code:

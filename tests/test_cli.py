@@ -334,6 +334,13 @@ def _invalid(scan):
     return restrictions, (0, 1)
 
 
+def _swapped(scan):
+    """The first and last restrictions swapped: h keeps, two types move."""
+    restrictions, witness = scan
+    restrictions[0], restrictions[-1] = restrictions[-1], restrictions[0]
+    return restrictions, witness
+
+
 def _h_ends_in_1(report):
     return dataclasses.replace(report, h=report.h[:-1] + (1,))
 
@@ -358,6 +365,11 @@ BREACHES = [
      lambda f: lambda chains, n: _invalid(f(chains, n)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
+    ("star-cluster walk leaves T", starcluster, "shifted_reversal_inverse",
+     lambda f: lambda sigma, j: (1,) * (len(sigma) - 1) + (len(sigma),),
+     "star-cluster -k 3 -q 7"),
+    ("star-cluster type off des(label)", shelling, "shell_chains",
+     lambda f: lambda chains, n: _swapped(f(chains, n)), "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "_model_walks",
      lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
@@ -415,13 +427,29 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sd._walk = lambda v, labels, *rest: walk(v, labels[::-1], *rest)\n"
          "raise SystemExit(cli.main(['build', '-k', '4', '-q', '3']))\n",
          "invariant breach: code (0, 0, 0) decoded to a chain that is not monotone"),
-        ("import edgewise.shelling as sh\n"
-         "sh.certify_order([(0, 0), (1, 0), (0, 0)], 2)\n",
+        ("import edgewise.shelling as sh, edgewise.subdivision as sd\n"
+         "codes = [(0, 0), (1, 0), (0, 0)]\n"
+         "sh.certify_order([sd.decode_facet(a, 2) for a in codes], codes)\n",
          "DisagreementError: not a shelling: facet 2 (0, 0) repeats facet 0 (0, 0)"),
+        ("import edgewise.cli as cli, edgewise.starcluster as sc\n"
+         "sc.shifted_reversal_inverse = lambda sigma, j: (1,) * (len(sigma) - 1) + (len(sigma),)\n"
+         "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
+         "invariant breach: star of (2, 3): walk (1, 1, 3) leaves T: [(2, 3), (3, 3), (4, 3)]"),
+        ("import edgewise.cli as cli, edgewise.shelling as sh\n"
+         "scan = sh.shell_chains\n"
+         "def swapped(chains, n):\n"
+         "    rest, witness = scan(chains, n)\n"
+         "    rest[0], rest[-1] = rest[-1], rest[0]\n"
+         "    return rest, witness\n"
+         "sh.shell_chains = swapped\n"
+         "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
+         "invariant breach: star cluster facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
+         " has restriction type 2, not des(label) = 0"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
          "library non-monotone decode", "cli ascent census off by one",
-         "cli build walk along wrong labels", "library repeated code"],
+         "cli build walk along wrong labels", "library repeated code",
+         "cli star-cluster walk leaves T", "cli star-cluster type off des(label)"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
@@ -431,7 +459,8 @@ def test_invariant_breach_survives_optimize(code, message):
     still raises naming the code, and an ascent census off by one still
     exits 1 through the CLI, as does a build whose walk is handed wrong
     labels, and a code repeated in a certified order still raises naming
-    both copies."""
+    both copies; a star-cluster walk that leaves T exits 1 naming its vertex
+    and pi, and a restriction type off des(label) exits 1 naming the facet."""
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
@@ -547,6 +576,8 @@ REPORTS = [
     ("star-cluster -k 3 -q 7", 0, "2553a68ed5ee5befd5ae7c42ec1b95120e8ff60bc771a39228c3448f4e1e8621"),
     ("star-cluster -k 4 -q 7 --format json", 0, "05265856cb8f9f2f6b7e54cae1f133a7eda85411805d4087b409970e2ffad2e3"),
     ("star-cluster -k 3 -q 7 --base 2,3", 0, "ce29765735dbab2ca08b1ba9612ce8d23ad96afbd4e3b5255c7264a2c18177d8"),
+    ("star-cluster -k 5 -q 9 --base 1,3,4,6", 0, "8c87f9e9c87238c395e170400eec313dd221cb4a8831c0f3ca89287a2891ce3f"),
+    ("star-cluster -k 6 -q 11 --base 1,2,4,7,9 --format json", 0, "f20521f98a6b814d5469f5a3330edd290e4f35573179ee09e1c0e87ffa2f2b8a"),
     ("star-cluster -k 3 -q 6 --face 1,2 --face 2,3", 0, "d45ed7a7ad6b1301534417f92ce6d8a62739a176e7054de9b8b817ae921cc24e"),
     ("star-cluster -k 3 -q 6 --face 1,2 --face 2,3 --format json", 0, "0a7754722b2f9cb8938569907a505278760dababaa6ad047c5c0b1b8fae15a2b"),
     ("tables", 0, "9b15a3d8548829c61a229a08999a769253a64d917a35ecf5de96cb248f346739"),
@@ -612,6 +643,20 @@ def test_shelling_verbs_build_no_complex(capsys, monkeypatch):
     for argv, rc, digest in rows:
         code, out, _ = run(capsys, *argv.split())
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest), argv
+
+
+def test_star_cluster_decodes_only_its_base(capsys, monkeypatch):
+    """The star-cluster verb walks every facet from its chain vertex: the one
+    decode, in every module that binds decode_facet, is the base's."""
+    decoded = []
+    real = subdivision.decode_facet
+    for module in [m for name, m in sys.modules.items() if name.startswith("edgewise")]:
+        if getattr(module, "decode_facet", None) is real:
+            monkeypatch.setattr(
+                module, "decode_facet", lambda a, q: decoded.append(a) or real(a, q)
+            )
+    rc, _, _ = run(capsys, "star-cluster", "-k", "5", "-q", "9")
+    assert (rc, decoded) == (0, [(1, 2, 3, 4)])
 
 
 @pytest.mark.parametrize(

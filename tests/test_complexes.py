@@ -254,43 +254,47 @@ class TestShellingOracle:
         assert any(w is not None and w[0] > 0 for w in witnesses)
 
     def test_certify_order_matches_oracle_on_perturbed_codes(self, monkeypatch):
-        """certify_order on codes agrees with the quadratic scan on the same
-        perturbed orders and on perturbed star cluster orders: a valid order
-        in its restriction positions, mapped through its chains, a refused
-        one in the witness pair its error names, and both in the restrictions
-        shell_chains handed back."""
+        """certify_order on decoded codes agrees with the quadratic scan on
+        the same perturbed orders and on perturbed star cluster orders: a
+        valid order in its restriction positions, mapped through its id
+        chains and vertices, a refused one in the witness pair its error
+        names, and both in the restrictions shell_chains handed back."""
         scans = []
         scan = shelling.shell_chains
         monkeypatch.setattr(
             shelling, "shell_chains", lambda chains, n: scans.append(scan(chains, n)) or scans[-1]
         )
-        cases = [(list(shelling_order(k, q)), q) for k, q in ORACLE_GRID]
-        cases.append(([row.code for row in sc_layers((1, 2, 3), 7)], 7))
+        cases = [[decode_facet(code, q) for code in shelling_order(k, q)] for k, q in ORACLE_GRID]
+        cases.append([chain for _, _, chain in sc_layers((1, 2, 3), 7)])
         witnesses = []
-        for codes, q in cases:
+        for facets in cases:
+            names = [f"F{n}" for n in range(len(facets))]
             for seed in range(6):
-                for order in _perturbations(codes, seed):
-                    want = _quadratic_certificate([decode_facet(code, q) for code in order])
+                for perm in _perturbations(list(range(len(facets))), seed):
+                    order = [facets[n] for n in perm]
+                    want = _quadratic_certificate(order)
                     try:
-                        chains, positions = certify_order(order, q)
+                        vertices, chains, positions = certify_order(
+                            iter(order), [names[n] for n in perm]
+                        )
                     except DisagreementError as exc:
                         i, j = want[1]
                         assert str(exc) == (
-                            f"not a shelling: witness facets {i} {order[i]}, {j} {order[j]}"
-                        ), (q, seed, order)
+                            f"not a shelling: witness facets {i} F{perm[i]}, {j} F{perm[j]}"
+                        ), (seed, perm)
                     else:
+                        assert [tuple(vertices[u] for u in chain) for chain in chains] == order
                         restrictions = tuple(
-                            frozenset(chain[p] for p in rest)
+                            frozenset(vertices[chain[p]] for p in rest)
                             for chain, rest in zip(chains, positions, strict=True)
                         )
                         got = (True, None, restrictions, tuple(map(len, positions)))
-                        assert got == want, (q, seed, order)
+                        assert got == want, (seed, perm)
                     positions, witness = scans.pop()
                     restrictions = tuple(
-                        frozenset(decode_facet(code, q)[p] for p in rest)
-                        for code, rest in zip(order, positions)
+                        frozenset(chain[p] for p in rest) for chain, rest in zip(order, positions)
                     )
-                    assert (witness is None, witness, restrictions) == want[:3], (q, seed)
+                    assert (witness is None, witness, restrictions) == want[:3], seed
                     assert tuple(map(len, positions)) == want[3]
                     witnesses.append(witness)
         assert None in witnesses

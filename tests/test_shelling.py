@@ -40,8 +40,9 @@ def test_closed_form_restrictions_match(k, q):
 
 def test_certify_order_names_witness():
     # facets (0, 0) and (0, 1) of T_{3,2} share only a vertex
+    codes = ((0, 0), (0, 1), (1, 0), (1, 1))
     with pytest.raises(DisagreementError, match=r"witness facets 0 \(0, 0\), 1 \(0, 1\)"):
-        certify_order(((0, 0), (0, 1), (1, 0), (1, 1)), 2)
+        certify_order((subdivision.decode_facet(a, 2) for a in codes), codes)
 
 
 def test_invalid_certificate_raises(monkeypatch):

@@ -1,6 +1,7 @@
 """Star clusters: structured enumeration vs brute force, counts, shellings."""
 
 import itertools
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from edgewise.starcluster import (
     shifted_reversal_inverse,
 )
 from edgewise.subdivision import build_complex, decode_facet
-from oracles import init_lex_order, init_shelling_order, star_cluster
+from oracles import facet_code_for_permutation, init_lex_order, init_shelling_order, star_cluster
 
 
 def brute_star_cluster_facets(k, q, face):
@@ -42,7 +43,7 @@ def test_star_cluster_rejects_non_face():
 
 
 def test_interior_facet_code_checks():
-    assert len(sc_layers((1, 2), 4)) == x_sequence(4)[3]
+    assert sum(1 for _ in sc_layers((1, 2), 4)) == x_sequence(4)[3]
     for base, q in [
         ((1, 2), 3),  # needs top <= q-2
         ((0, 1), 4),
@@ -91,11 +92,25 @@ def test_sc_layers_calls_init_once_per_permutation(monkeypatch):
 def test_structured_enumeration_matches_brute_force(k):
     q = k + 3
     base = base_facet_code(k, q)
-    codes = [row.code for row in sc_layers(base, q)]
-    structured = {frozenset(decode_facet(c, q)) for c in codes}
-    assert len(structured) == len(codes)
+    chains = [chain for _, _, chain in sc_layers(base, q)]
+    structured = {frozenset(chain) for chain in chains}
+    assert len(structured) == len(chains)
     brute = brute_star_cluster_facets(k, q, decode_facet(base, q))
     assert structured == brute
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_layer_chains_are_the_encoded_facets(k):
+    """Each row's chain, walked from its chain vertex along pi, is the facet
+    the oracle encoder names for that vertex and pi, in order, for every
+    interior base."""
+    for q in (k + 3, k + 4):
+        for base in itertools.combinations(range(1, q - 1), k - 1):
+            chain = decode_facet(base, q)
+            for layer, label, got in sc_layers(base, q):
+                pi = label if layer == 1 else shifted_reversal_inverse(label, layer)
+                want = decode_facet(facet_code_for_permutation(chain[layer - 1], pi), q)
+                assert got == want, (base, layer, label)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -143,9 +158,10 @@ def test_star_cluster_shelling_certificate(k):
     assert report.count_enumerated == report.count_partition_formula
     assert report.count_enumerated == report.x_value
     # restriction type of every facet is the descent count of its label
-    rows = sc_layers(base, q)
-    _, restrictions = certify_order([r.code for r in rows], q)
-    assert tuple(map(len, restrictions)) == tuple(des(r.label) for r in rows)
+    rows = list(sc_layers(base, q))
+    labels = [label for _, label, _ in rows]
+    _, _, restrictions = certify_order((chain for _, _, chain in rows), labels)
+    assert tuple(map(len, restrictions)) == tuple(map(des, labels))
     assert report.h == sc_h_formula(k) + (0,)
 
 
@@ -167,7 +183,7 @@ def test_invalid_shelling_raises(monkeypatch):
     monkeypatch.setattr(
         shelling, "shell_chains", lambda chains, n: (scan(chains, n)[0], (0, 1))
     )
-    with pytest.raises(DisagreementError, match=r"witness facets 0 \(2, 1\), 1 \(1, 1\)"):
+    with pytest.raises(DisagreementError, match=r"witness facets 0 \(1, 2, 3\), 1 \(1, 3, 2\)"):
         sc_shelling_and_h((1, 2), 6)
 
 
@@ -189,7 +205,8 @@ def test_swapped_types_raise_despite_the_histogram(monkeypatch):
     monkeypatch.setattr(shelling, "shell_chains", swap_types)
     with pytest.raises(
         DisagreementError,
-        match=r"facet layer 1 label \(1, 2, 3\) code \(2, 1\) has restriction type 2, not des\(label\) = 0",
+        match=re.escape("facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
+                        " has restriction type 2, not des(label) = 0"),
     ):
         sc_shelling_and_h((1, 2), 6)
 

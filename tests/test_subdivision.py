@@ -30,7 +30,6 @@ from edgewise.subdivision import (
     decode_facet,
     face_chain,
     facet_chains,
-    facet_code_for_permutation,
     facet_codes,
     is_interior_vertex,
     link_of_face,
@@ -44,8 +43,8 @@ from edgewise.subdivision import (
     vertex_set,
     vertex_type,
 )
-from oracles import (code_of_facet, corners, link_complex, ridge_neighbors,
-                     star_walks_by_words)
+from oracles import (code_of_facet, corners, facet_code_for_permutation, link_complex,
+                     ridge_neighbors, star_walks_by_words)
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -406,12 +405,15 @@ class TestStars:
 
     def test_star_walks_match_the_encoder(self):
         # Walked from v with no code, each star facet is the facet that the
-        # encoder names for the pi it walks.
+        # oracle encoder names for the pi it walks, and facet_of_permutation
+        # walks that pi to the facet's decoded chain.
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
                 for F in subdivision.star_facets(v, vertex_type(v, q), q, {}):
                     pi = walked_pi(F)
-                    assert code_of_facet(F, q) == facet_code_for_permutation(v, pi), (v, pi)
+                    code = facet_code_for_permutation(v, pi)
+                    assert code_of_facet(F, q) == code, (v, pi)
+                    assert subdivision.facet_of_permutation(v, pi, q) == decode_facet(code, q)
 
     def test_star_is_vertex_join_link(self):
         for v in [(0, 1), (1, 1), (0, 2, 3), (1, 1, 2)]:
@@ -532,7 +534,7 @@ class TestFaceLinks:
         # no word of S_v is listed.
         faces = [tuple(face) for face in build_complex(4, 3).faces() if face]
         calls = []
-        for name in ("decode_facet", "facet_code_for_permutation", "distinct_permutations"):
+        for name in ("decode_facet", "facet_of_permutation", "distinct_permutations"):
             real = getattr(subdivision, name)
             monkeypatch.setattr(subdivision, name, lambda *a, f=real: calls.append(a) or f(*a))
         for face in faces:
@@ -567,9 +569,12 @@ class TestFaceLinks:
         assert report.num_facets == expected
 
     def test_facets_share_vertex_tuples(self):
-        facets = certify_order(shelling_order(4, 3), 3)[0]
-        vertices = [u for F in facets for u in F]
-        assert len({id(u) for u in vertices}) == len(set(vertices))
+        order = shelling_order(4, 3)
+        vertices, chains, _ = certify_order((decode_facet(a, 3) for a in order), order)
+        assert len(set(vertices)) == len(vertices)
+        assert [tuple(vertices[u] for u in chain) for chain in chains] == [
+            decode_facet(a, 3) for a in order
+        ]
 
 
 class TestLinkCertificate:
