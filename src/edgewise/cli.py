@@ -18,7 +18,6 @@ complex h-vectors (whose last entry can be nonzero) are shown in full.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -26,7 +25,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from math import prod
 from pathlib import Path
-from types import SimpleNamespace
 
 from .combinat import partitions
 from .complexes import MAX_FACETS, CapacityError, DisagreementError
@@ -82,12 +80,10 @@ def _chunked(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def _csv_lines(header: list[str], rows) -> Iterator[str]:
-    """The header and then each row as one CSV line, all through one csv.writer."""
-    line = []
-    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    """The header and then each row as one CSV line.  No field needs quoting:
+    each is an int, a name, or digits joined by spaces and semicolons."""
     for row in itertools.chain([header], rows):
-        writer.writerow(row)
-        yield line.pop()
+        yield ",".join(map(str, row)) + "\n"
 
 
 class _IntTuples:

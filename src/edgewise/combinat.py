@@ -15,25 +15,16 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .complexes import check_cap
 
-
-def partitions(k: int, s: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All partitions of k (into exactly s parts if given), reverse-lex order.
+def partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of k, reverse-lex order.
 
     >>> partitions(4)
     ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-    >>> partitions(6, s=3)
-    ((4, 1, 1), (3, 2, 1), (2, 2, 2))
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if s is not None and not 1 <= s <= k:
-        raise ValueError(f"part count s={s} out of range 1..{k}")
-    result = tuple(_partitions_revlex(k, k))
-    if s is not None:
-        result = tuple(p for p in result if len(p) == s)
-    return result
+    return tuple(_partitions_revlex(k, k))
 
 
 def _partitions_revlex(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
@@ -85,19 +76,6 @@ def multinomial(parts) -> int:
     3
     """
     return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
-
-
-def multiset_permutations(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All words over the multiset {1^parts[0], 2^parts[1], ...}, lex order.
-    CapacityError when there are more than MAX_FACETS of them.
-
-    >>> multiset_permutations((2, 1))
-    ((1, 1, 2), (1, 2, 1), (2, 1, 1))
-    """
-    validate_partition(parts)
-    check_cap(multinomial(parts))
-    word = [letter for letter, m in enumerate(parts, 1) for _ in range(m)]
-    return tuple(distinct_permutations(word))
 
 
 def distinct_permutations(word) -> Iterator[tuple[int, ...]]:

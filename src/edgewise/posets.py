@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .combinat import des, multiset_permutations, validate_partition
-from .complexes import DisagreementError, SimplicialComplex
+from .combinat import des, distinct_permutations, multinomial, validate_partition
+from .complexes import DisagreementError, SimplicialComplex, check_cap
 
 
 def k_lambda(parts: tuple[int, ...]) -> SimplicialComplex:
@@ -62,12 +62,14 @@ def h_k_lambda_by_words(parts: tuple[int, ...]) -> tuple[int, ...]:
     """h-vector of K_lam by counting multiset words by descents.
 
     Maximal chains of P_lam correspond to words over {1^lam_1, ..., s^lam_s};
-    h_i counts the words with exactly i descents.
+    h_i counts the words with exactly i descents.  CapacityError before the
+    first word when there are more than MAX_FACETS of them; each word is
+    counted as it is walked, and none is kept.
     """
     validate_partition(parts)
-    k = sum(parts)
-    counts = [0] * k
-    for word in multiset_permutations(parts):
+    check_cap(multinomial(parts))
+    counts = [0] * sum(parts)
+    for word in distinct_permutations([i for i, m in enumerate(parts, 1) for _ in range(m)]):
         counts[des(word)] += 1
     return tuple(counts)
 

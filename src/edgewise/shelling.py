@@ -35,14 +35,12 @@ from .subdivision import (
 )
 
 
-def shelling_key(code: Code):
-    return (max(code), sum(code), tuple(-c for c in code))
-
-
 def shelling_order(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[Code, ...]:
-    """All facet codes in shelling order."""
+    """All facet codes in shelling order: max entry, then entry sum, rising,
+    then the entries in descending lex order (codes are distinct, so one
+    reversed sort gives all three)."""
     check_facet_budget(k, q, max_facets)
-    return tuple(sorted(facet_codes(k, q), key=shelling_key))
+    return tuple(sorted(facet_codes(k, q), key=lambda a: (-max(a), -sum(a), a), reverse=True))
 
 
 def ascent_positions(code: Code) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -379,6 +380,9 @@ BREACHES = [
      "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
+    ("model word route skips a word", posets, "distinct_permutations",
+     lambda f: lambda word: itertools.islice(f(word), 1, None),
+     "classify-links -k 4 -q 3 --partition 2,2"),
     ("star-cluster h_k nonzero", cli, "sc_shelling_and_h",
      lambda f: lambda base, q: _h_ends_in_1(f(base, q)), "star-cluster -k 3 -q 7"),
     ("ascent census off by one", shelling, "h_by_ascents",
@@ -445,11 +449,17 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
          "invariant breach: star cluster facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
          " has restriction type 2, not des(label) = 0"),
+        ("import itertools, edgewise.cli as cli, edgewise.posets as po\n"
+         "walk = po.distinct_permutations\n"
+         "po.distinct_permutations = lambda word: itertools.islice(walk(word), 1, None)\n"
+         "raise SystemExit(cli.main(['classify-links', '-k', '4', '-q', '3', '--partition', '2,2']))\n",
+         "invariant breach: h-vector routes disagree for (2, 2)"),
     ],
     ids=["cli h_k nonzero", "library star-cluster count", "cli star without the face",
          "library non-monotone decode", "cli ascent census off by one",
          "cli build walk along wrong labels", "library repeated code",
-         "cli star-cluster walk leaves T", "cli star-cluster type off des(label)"],
+         "cli star-cluster walk leaves T", "cli star-cluster type off des(label)",
+         "cli model word route skips a word"],
 )
 def test_invariant_breach_survives_optimize(code, message):
     """Under python -O, agreeing h routes that end in a nonzero h_k still
@@ -460,7 +470,8 @@ def test_invariant_breach_survives_optimize(code, message):
     exits 1 through the CLI, as does a build whose walk is handed wrong
     labels, and a code repeated in a certified order still raises naming
     both copies; a star-cluster walk that leaves T exits 1 naming its vertex
-    and pi, and a restriction type off des(label) exits 1 naming the facet."""
+    and pi, a restriction type off des(label) exits 1 naming the facet, and
+    a word route to K_lam's h-vector that skips a word exits 1 naming lam."""
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
@@ -612,6 +623,24 @@ REPORTS = [
 def test_report_bytes(capsys, argv, rc, digest):
     code, out, _ = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+
+def test_csv_reads_back_to_its_fields(capsys):
+    """Every CSV report above and every golden table is plain: csv.reader
+    reads each line back to the fields between its commas, and each line has
+    as many fields as its header."""
+    texts = [(GOLDEN / name).read_text() for name in sorted(os.listdir(GOLDEN))]
+    rows = [row for row in REPORTS if "--format csv" in row[0]]
+    assert len(texts) == 3 and rows
+    for argv, rc, digest in rows:
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest), argv
+        texts.append(out)
+    for text in texts:
+        lines = text.splitlines()
+        fields = [line.split(",") for line in lines]
+        assert list(csv.reader(lines)) == fields
+        assert {len(f) for f in fields} == {len(fields[0])}
 
 
 def test_link_builds_no_complex(capsys, monkeypatch):

@@ -904,7 +904,9 @@ class TestCountingTables:
         for k in range(2, 9):
             for s in range(1, k + 1):
                 total = sum(
-                    count_faces_with_link_type(k, k, beta) for beta in partitions(k, s)
+                    count_faces_with_link_type(k, k, beta)
+                    for beta in partitions(k)
+                    if len(beta) == s
                 )
                 assert total == math.comb(k, s)
 
