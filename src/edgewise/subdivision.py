@@ -283,9 +283,16 @@ def _label_chains(t: VertexType) -> tuple[tuple[int, ...], ...]:
 _LEAVES_T = "star of {}: walk {} leaves T: {}"
 
 
+def _pi_of_word(chains, word) -> tuple[int, ...]:
+    """The pi of S_v that a word over chain indices spells, letter i taking chain
+    i's next label; a prefix is completed by each chain's other labels in turn."""
+    rest = list(map(iter, chains))
+    return (*(next(rest[i]) for i in word), *itertools.chain(*rest))
+
+
 def facet_of_permutation(v: Vertex, pi: tuple[int, ...], q: int) -> tuple[Vertex, ...]:
     """The facet of star(v) indexed by pi in S_v, bottom to top: the walk from
-    v along pi[:-1], checked as star_facets checks it.  The step with label k
+    v along pi[:-1], each step checked by _walk.  The step with label k
     wraps to the facet's bottom, so the points from it on come first.
     """
     i = pi.index(len(v) + 1)
@@ -293,70 +300,14 @@ def facet_of_permutation(v: Vertex, pi: tuple[int, ...], q: int) -> tuple[Vertex
     return walk[i + 1 :] + walk[: i + 1]
 
 
-def star_facets(v: Vertex, t: VertexType, q: int, face) -> Iterator[tuple[Vertex, ...]]:
-    """The facets through v (of type t) whose point p is face[p] for each depth p
-    that the mapping face holds: the walks from v along pi[:-1], pi in S_v, in the
-    lex order of pi's word over chain indices (letter i takes chain i's next label).
-
-    A depth-first search interleaves the label chains letter by letter, trying them
-    in index order, and takes each step once per prefix, on one point list that
-    grows and shrinks with the search; a branch whose point at a depth of face is
-    not that face point is cut there.  No word is listed.  Each step is checked as
-    _walk checks it.  CapacityError before the first step when S_v, face or no
-    face, is past MAX_FACETS; DisagreementError naming v, the first word through
-    the prefix (each chain's other labels in chain order) and the walk so far when
-    a step leaves T."""
-    chains = _label_chains(t)
-    sizes = [len(c) for c in chains]
-    check_cap(multinomial(sizes))
-    k = len(v) + 1
-    want = [face.get(p) for p in range(k)]
-    u = [0, *v, q]
-    n = len(chains)
-    taken = [0] * n
-    # The chain and the point of each step so far, the point of step 0 being v.
-    path, points = [], [tuple(v)]
-    i = 0
-    while True:
-        while i < n and taken[i] == sizes[i]:
-            i += 1
-        if i == n:
-            if not path:
-                return
-            i = path.pop()
-            taken[i] -= 1
-            points.pop()
-            i += 1
-            continue
-        j = chains[i][taken[i]]
-        if j < k:
-            u[1:k] = points[-1]
-            u[j] += 1
-            off = u[j] > u[j + 1]
-        else:
-            u[1:k] = [x - 1 for x in points[-1]]
-            off = u[1] < 0
-        point = tuple(u[1:k])
-        if off:
-            rest = list(map(iter, chains))
-            pi = (*(next(rest[c]) for c in (*path, i)), *itertools.chain(*rest))
-            raise DisagreementError(_LEAVES_T.format(v, pi, [*points, point]))
-        depth = len(points)
-        if want[depth] is not None and point != want[depth]:
-            i += 1
-        elif depth == k - 1:
-            yield (*points, point)
-            i += 1
-        else:
-            path.append(i)
-            taken[i] += 1
-            points.append(point)
-            i = 0
-
-
 def star_of_vertex(v: Vertex, q: int) -> SimplicialComplex:
-    """Closed star of v, its facets walked from v: public API that no verb builds."""
-    return SimplicialComplex(star_facets(v, vertex_type(v, q), q, {}))
+    """Closed star of v, one facet_of_permutation per interleaving of v's label
+    chains: public API that no verb builds.  CapacityError before the first walk
+    when S_v is past MAX_FACETS."""
+    chains = _label_chains(vertex_type(v, q))
+    check_cap(multinomial([len(c) for c in chains]))
+    words = distinct_permutations([i for i, c in enumerate(chains) for _ in c])
+    return SimplicialComplex(facet_of_permutation(v, _pi_of_word(chains, w), q) for w in words)
 
 
 def link_of_vertex(v: Vertex, q: int) -> LinkOfFaceReport:
@@ -435,87 +386,135 @@ def _block_groups(block: frozenset[int], b: Vertex, q: int) -> list[frozenset[in
     return [frozenset(by_value[value]) for value in sorted(by_value, key=lambda v: v or 0)]
 
 
-def _model_walks(sigmas):
-    """The facets of the join of one K_sigma per block, each as a walk of k points
-    in the order star_facets gives the link's.  A facet of K_sigma is a saturated
-    chain of the box prod [0, sigma_j] with both ends dropped (Bjorner-Wachs), so
-    a walk takes the blocks in turn: block i's bottom (i, (0, ..., 0)), then its
-    chain, one group raised per step; the block's last step, to its top, gives the
-    next block's bottom.  A depth-first search raises a block's groups in index
-    order, so walks come in the lex order of their words over the groups.  Each
-    point is one shared tuple."""
-    tops = [list(sigma) for sigma in sigmas]
-    xs = [[0] * len(sigma) for sigma in sigmas]
-    shared: dict = {}
-
-    def at(i):
-        x = (i, tuple(xs[i]))
-        return shared.setdefault(x, x)
-
-    # The (block, group) raised at each step so far, and the point after it.
-    path, points = [], [at(0)]
-    last = sum(map(sum, sigmas)) - 1
-    if not last:
-        yield tuple(points)
-        return
-    i = j = 0
-    while True:
-        x, top = xs[i], tops[i]
-        n = len(top)
-        while j < n and x[j] == top[j]:
-            j += 1
-        if j == n:
-            if not path:
-                return
-            i, j = path.pop()
-            xs[i][j] -= 1
-            points.pop()
-            j += 1
-            continue
-        x[j] += 1
-        after = i + (x == top)
-        if len(points) == last:
-            yield (*points, at(after))
-            x[j] -= 1
-            j += 1
-        else:
-            path.append((i, j))
-            points.append(at(after))
-            i, j = after, 0
-
-
 class _ModelPoints(dict):
-    """Each link vertex's model point, taken at first sight; DisagreementError
-    naming the walk that brings a second vertex to a point already taken."""
+    """Each link vertex's model point, taken at first sight; DisagreementError naming
+    the walk up to u (witness(u)) that brings a second vertex u to a taken point."""
 
-    def __init__(self, point, where: str):
-        self.point, self.where, self.preimage, self.walk = point, where, {}, None
+    def __init__(self, point, witness):
+        self.point, self.witness, self.preimage = point, witness, {}
 
     def __missing__(self, u):
         x = self[u] = self.point(u)
         w = self.preimage.setdefault(x, u)
         if w != u:
-            raise DisagreementError(f"{self.where}: walk {self.walk}: {w} and {u} both map to {x}")
+            raise DisagreementError(f"{self.witness(u)}: {w} and {u} both map to {x}")
         return x
 
 
-def _certify(walks, point, sigmas, where: str) -> int:
-    """The number of walks; DisagreementError naming a witness unless point (a
-    vertex's model point, taken at first sight) is injective, each walk's image
-    is the model's next walk (_model_walks) and no model walk is left over.  The
-    first walk out of step is named: a repeated, missing or foreign walk stops
-    the check there, with no walk taken twice and no model listed."""
-    at = _ModelPoints(point, where)
-    # The model has at least one walk, so n is set.
-    for n, (F, G) in enumerate(itertools.zip_longest(walks, _model_walks(sigmas))):
-        if F is None:
-            raise DisagreementError(f"{where}: model walk {n} {G} has no preimage")
-        at.walk = F
-        image = tuple(map(at.__getitem__, F))
-        if image != G:
-            want = f"the model has {n} walks" if G is None else f"model walk {n} is {G}"
-            raise DisagreementError(f"{where}: walk {n} {F} maps to {image}; {want}")
-    return n + 1
+def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
+    """The number of walks from b (of type t) in its star with point want[p] at
+    each depth p where that is set: a face's link, certified step by step against
+    the join of one K_sigma per block, whose facets are saturated chains of the
+    box prod [0, sigma_j] less both ends (Bjorner-Wachs).  So a model walk raises
+    one group per step, its point (i, x) counting block i's labels per group, and
+    lands on block i + 1's bottom as block i fills.  One depth-first search takes
+    b's label chains in index order, each step once per prefix, checked as _walk
+    checks it, and cuts a step that misses want.  A step whose label lies in the
+    model's block (block[label]) maps its point once, through _ModelPoints, to the
+    model's point after its next open group at this node; a branch off its block
+    must be cut at its next depth in want; a node that the search leaves has no
+    model step left.  DisagreementError names the walk at fault or the dropped one."""
+    chains = _label_chains(t)
+    sizes = [len(c) for c in chains]
+    check_cap(multinomial(sizes))
+    k = len(b) + 1
+    if sum(map(sum, sigmas)) != k:
+        raise DisagreementError(f"{where}: model walks of {sum(map(sum, sigmas))} points, not {k}")
+    # The model points (i, x), block by block, each block's listed by the rank
+    # sum(x_g strides[i][g]) of its group counts x and less its top, which is the
+    # next block's bottom: so raising group g from point m leads to m + strides[i][g].
+    pts, strides = [], []
+    for i, sigma in enumerate(sigmas):
+        pts += [(i, x) for x in itertools.product(*(range(n + 1) for n in sigma))][:-1]
+        strides.append([prod(n + 1 for n in sigma[g + 1 :]) for g in range(len(sigma))])
+    count, points, path = 0, [b], []
+    at = _ModelPoints(point, lambda u: f"{where}: walk {count} {(*points, u)}")
+
+    def images():  # the model points of this branch so far, while in its blocks
+        return (*(pts[e[1]] for e in path), pts[s])
+
+    def fault(u, image, rest):
+        return DisagreementError(
+            f"{where}: walk {count} {(*points, u)} maps to {(*images(), image)}; {rest}")
+
+    def opened(m, g):  # the first group from g on not yet full at model point m
+        i, x = pts[m]
+        while g < len(x) and x[g] == sigmas[i][g]:
+            g += 1
+        return g
+
+    def dropped(g):  # the images here, then the model's first walk via g
+        walk, m = list(images()), s
+        while len(walk) < k:
+            m += strides[pts[m][0]][g]
+            walk.append(pts[m])
+            g = opened(m, 0)
+        return tuple(walk)
+
+    if at[b] != pts[0]:
+        raise DisagreementError(
+            f"{where}: walk 0 {(b,)} maps to {(at[b],)}; model walk 0 is {(pts[0],)}")
+    u, n, taken = [0, *b, q], len(chains), [0] * len(chains)
+    # The model point here and the next group to raise from it; the depth where
+    # the branch left its block (0 while it keeps to it); the next chain to try.
+    # path holds per step the chain taken and the s, g to go on with after it.
+    s, g, off, c = 0, 0, 0, 0
+    while True:
+        while c < n and taken[c] == sizes[c]:
+            c += 1
+        if c == n:
+            if not off and opened(s, g) < len(pts[s][1]):
+                raise DisagreementError(
+                    f"{where}: model walk {count} {dropped(opened(s, g))} has no preimage")
+            if not path:
+                return count
+            c, s, g = path.pop()
+            taken[c] -= 1
+            points.pop()
+            if off > len(path):
+                off = 0
+            c += 1
+            continue
+        j = chains[c][taken[c]]
+        if j < k:
+            u[1:k] = points[-1]
+            u[j] += 1
+            bad = u[j] > u[j + 1]
+        else:
+            u[1:k] = [y - 1 for y in points[-1]]
+            bad = u[1] < 0
+        step = tuple(u[1:k])
+        if bad:
+            pi = _pi_of_word(chains, [*(e[0] for e in path), c])
+            raise DisagreementError(_LEAVES_T.format(b, pi, [*points, step]))
+        depth = len(points)
+        face = want[depth]
+        if face is not None and step != face:
+            c += 1
+            continue
+        i, x = pts[s]
+        if off or block[j] != i:
+            if face is not None or depth == k - 1:
+                raise DisagreementError(
+                    f"{where}: walk {count} {(*points, step)} leaves block {i} but holds the face")
+            path.append((c, s, g))
+            off = off or depth
+        else:
+            gm = opened(s, g)
+            image = at[step]
+            if gm == len(x):
+                raise fault(step, image, f"the model has no further walk through {images()}")
+            ns = s + strides[i][gm]
+            if image != pts[ns]:
+                raise fault(step, image, f"model walk {count} is {(*images(), pts[ns])}")
+            if depth == k - 1:
+                count, g, c = count + 1, gm + 1, c + 1
+                continue
+            path.append((c, s, gm + 1))
+            s = ns
+        taken[c] += 1
+        points.append(step)
+        g, c = 0, 0
 
 
 def link_of_face(face, q: int) -> LinkOfFaceReport:
@@ -524,23 +523,21 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
     face_chain checks the face before any star is walked; b's type is read once.
     The label sets W_i of the face cut [k] into blocks, one join factor of the
     model each.  A walk of the star of b holds face vertex i only at step |W_i|,
-    so star_facets walks b's star with face vertex i asked at depth |W_i| and cuts
-    every branch that misses it there: with those steps dropped, the walks it
-    yields are the link's facets, with no word list and no walk outside the face.
+    so _certify_walks asks for it at depth |W_i| and cuts every branch that
+    misses it there: with those steps dropped, its walks are the link's facets.
     A vertex's labels, counted per group of its block, give its model point, so
-    face vertex i maps to block i's bottom; _certify checks the map and that the
-    walks map one by one onto the model's, so a walk that misses the face or a
-    star with no walk through it is named there.
+    face vertex i maps to block i's bottom.
     """
     chain = face_chain(face, q)
     b, t = chain[0], vertex_type(chain[0], q)
-    walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
+    k = len(b) + 1
+    walk = [_label_set(u, b) for u in chain] + [frozenset(range(1, k + 1))]
     blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
     groups = [_block_groups(block, b, q) for block in blocks]
     sigmas = tuple(tuple(len(g) for g in gs) for gs in groups)
     sizes = tuple(sorted(map(len, blocks), reverse=True))
     cls = FaceLinkClass(sizes, tuple(sorted(tuple(sorted(s, reverse=True)) for s in sigmas)))
-    at_depth = {len(W): u for W, u in zip(walk, chain)}
+    block_of = {j: i for i, B in enumerate(blocks) for j in B}
 
     def point(u):
         labels = _label_set(u, b)
@@ -548,7 +545,8 @@ def link_of_face(face, q: int) -> LinkOfFaceReport:
         i = sum(P <= labels for P in walk[1:-1])
         return i, tuple(len(labels & g) for g in groups[i])
 
-    count = _certify(star_facets(b, t, q, at_depth), point, sigmas, f"link of {chain}")
+    want = list(map({len(W): u for W, u in zip(walk, chain)}.get, range(k)))
+    count = _certify_walks(b, t, q, want, block_of, sigmas, point, f"link of {chain}")
     return LinkOfFaceReport(chain, tuple(map(tuple, map(sorted, blocks))), cls, t, count)
 
 

@@ -7,8 +7,9 @@ ridge by rewriting the code, h-vectors from a built complex's face counts or
 each code's ascents, a vertex star walked one listed word at a time, a face
 link filtered out of a vertex star, the init/descent table of S_k by
 enumeration, the R-labeling of a box, join-irreducibility, a star cluster
-filtered out of the full complex, and the init-then-lex shelling of the
-barycentric sphere.
+filtered out of the full complex, the init-then-lex shelling of the
+barycentric sphere, and a link certified the way the library did before it
+checked each step: star walks and model walks listed apart and compared whole.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from edgewise.combinat import des, distinct_permutations, init, permutations_by_
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex, h_from_f
 from edgewise.posets import k_lambda
 from edgewise.shelling import ascent_positions
-from edgewise.subdivision import (Code, Vertex, face_chain, facet_codes, star_of_vertex,
-                                  validate_kq)
+from edgewise.combinat import multinomial
+from edgewise.complexes import check_cap
+from edgewise.subdivision import (Code, FaceLinkClass, Vertex, face_chain, facet_codes,
+                                  star_of_vertex, validate_kq, vertex_type)
 
 
 def corners(k: int, q: int) -> tuple[Vertex, ...]:
@@ -143,6 +146,139 @@ def star_walks_by_words(v: Vertex, t, q: int):
         labels = list(map(iter, chains))
         pi = tuple(next(labels[i]) for i in word)
         yield subdivision._walk(v, pi[:-1], q, "star of {}: walk {} leaves T: {}", v, pi)
+
+
+def star_facets(v: Vertex, t, q: int, face):
+    """The facets through v (of type t) whose point p is face[p] for each depth p
+    that the mapping face holds: the walks from v along pi[:-1], pi in S_v, in the
+    lex order of pi's word over chain indices (letter i takes chain i's next label).
+
+    A depth-first search interleaves the label chains letter by letter, trying them
+    in index order, and takes each step once per prefix; a branch whose point at a
+    depth of face is not that face point is cut there.  Each step is checked as
+    _walk checks it.  CapacityError before the first step when S_v is past
+    MAX_FACETS; DisagreementError naming v, the first word through the prefix and
+    the walk so far when a step leaves T.  The chains are read through the module,
+    so a patched _label_chains reaches this too."""
+    chains = subdivision._label_chains(t)
+    sizes = [len(c) for c in chains]
+    check_cap(multinomial(sizes))
+    k = len(v) + 1
+    want = [face.get(p) for p in range(k)]
+    u = [0, *v, q]
+    n = len(chains)
+    taken = [0] * n
+    # The chain and the point of each step so far, the point of step 0 being v.
+    path, points = [], [tuple(v)]
+    i = 0
+    while True:
+        while i < n and taken[i] == sizes[i]:
+            i += 1
+        if i == n:
+            if not path:
+                return
+            i = path.pop()
+            taken[i] -= 1
+            points.pop()
+            i += 1
+            continue
+        j = chains[i][taken[i]]
+        if j < k:
+            u[1:k] = points[-1]
+            u[j] += 1
+            off = u[j] > u[j + 1]
+        else:
+            u[1:k] = [x - 1 for x in points[-1]]
+            off = u[1] < 0
+        point = tuple(u[1:k])
+        if off:
+            rest = list(map(iter, chains))
+            pi = (*(next(rest[c]) for c in (*path, i)), *itertools.chain(*rest))
+            raise DisagreementError(f"star of {v}: walk {pi} leaves T: {[*points, point]}")
+        depth = len(points)
+        if want[depth] is not None and point != want[depth]:
+            i += 1
+        elif depth == k - 1:
+            yield (*points, point)
+            i += 1
+        else:
+            path.append(i)
+            taken[i] += 1
+            points.append(point)
+            i = 0
+
+
+def _model_walks(sigmas):
+    """The facets of the join of one K_sigma per block, each as a walk of k points
+    in the order star_facets gives the link's.  A facet of K_sigma is a saturated
+    chain of the box prod [0, sigma_j] with both ends dropped (Bjorner-Wachs), so
+    a walk takes the blocks in turn: block i's bottom (i, (0, ..., 0)), then its
+    chain, one group raised per step; the block's last step, to its top, gives the
+    next block's bottom.  A depth-first search raises a block's groups in index
+    order, so walks come in the lex order of their words over the groups."""
+    tops = [list(sigma) for sigma in sigmas]
+    xs = [[0] * len(sigma) for sigma in sigmas]
+
+    def at(i):
+        return i, tuple(xs[i])
+
+    # The (block, group) raised at each step so far, and the point after it.
+    path, points = [], [at(0)]
+    last = sum(map(sum, sigmas)) - 1
+    if not last:
+        yield tuple(points)
+        return
+    i = j = 0
+    while True:
+        x, top = xs[i], tops[i]
+        n = len(top)
+        while j < n and x[j] == top[j]:
+            j += 1
+        if j == n:
+            if not path:
+                return
+            i, j = path.pop()
+            xs[i][j] -= 1
+            points.pop()
+            j += 1
+            continue
+        x[j] += 1
+        after = i + (x == top)
+        if len(points) == last:
+            yield (*points, at(after))
+            x[j] -= 1
+            j += 1
+        else:
+            path.append((i, j))
+            points.append(at(after))
+            i, j = after, 0
+
+
+def certify_link_by_walks(face, q: int):
+    """(facet count, FaceLinkClass, each walk's image) of a face's link, certified
+    whole: every walk of star_facets through the face is mapped point by point to
+    the model, the map must be injective, and the images must be _model_walks'
+    walks, in order, one each.  DisagreementError otherwise."""
+    chain = face_chain(face, q)
+    b = chain[0]
+    walk = [subdivision._label_set(u, b) for u in chain] + [frozenset(range(1, len(b) + 2))]
+    blocks = [upper - lower for lower, upper in zip(walk, walk[1:])]
+    groups = [subdivision._block_groups(block, b, q) for block in blocks]
+    sigmas = tuple(tuple(map(len, gs)) for gs in groups)
+
+    def point(u):
+        labels = subdivision._label_set(u, b)
+        i = sum(P <= labels for P in walk[1:-1])
+        return i, tuple(len(labels & g) for g in groups[i])
+
+    walks = list(star_facets(b, vertex_type(b, q), q, {len(W): u for W, u in zip(walk, chain)}))
+    link = {u for F in walks for u in F}
+    images = [tuple(map(point, F)) for F in walks]
+    if len(set(map(point, link))) != len(link) or images != list(_model_walks(sigmas)):
+        raise DisagreementError(f"link of {chain}: the walks do not map onto the model's")
+    sizes = tuple(sorted(map(len, blocks), reverse=True))
+    signatures = tuple(sorted(tuple(sorted(s, reverse=True)) for s in sigmas))
+    return len(walks), FaceLinkClass(sizes, signatures), images
 
 
 def link_complex(face, q: int) -> SimplicialComplex:

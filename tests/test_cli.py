@@ -371,12 +371,13 @@ BREACHES = [
      "star-cluster -k 3 -q 7"),
     ("star-cluster type off des(label)", shelling, "shell_chains",
      lambda f: lambda chains, n: _swapped(f(chains, n)), "star-cluster -k 3 -q 7"),
-    ("failed vertex link certification", subdivision, "_model_walks",
-     lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)), "link -k 3 -q 3 --vertex 1,2"),
+    ("failed vertex link certification", subdivision, "_certify_walks",
+     lambda f: lambda *args: f(*args[:5], tuple((sum(s),) for s in args[5]), *args[6:]),
+     "link -k 3 -q 3 --vertex 1,2"),
     ("run-structure partition off the link model", subdivision.VertexType, "partition",
      lambda f: lambda self: (sum(f(self)),), "link -k 3 -q 3 --vertex 1,2"),
-    ("failed face link certification", subdivision, "_model_walks",
-     lambda f: lambda sigmas: f(tuple((sum(s),) for s in sigmas)),
+    ("failed face link certification", subdivision, "_certify_walks",
+     lambda f: lambda *args: f(*args[:5], tuple((sum(s),) for s in args[5]), *args[6:]),
      "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
@@ -414,7 +415,7 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.sc_shelling_and_h((1, 2), 6)\n",
          "DisagreementError: star cluster counts disagree"),
         ("import edgewise.cli as cli, edgewise.subdivision as sd\n"
-         "sd.star_facets = lambda v, t, q, face: ()\n"
+         "sd._label_chains = lambda t: ()\n"
          "raise SystemExit(cli.main(['link', '-k', '3', '-q', '3', '--face', '1,1', '--face', '1,2']))\n",
          "invariant breach: link of ((1, 1), (1, 2)): model walk 0 "),
         ("import builtins, edgewise.subdivision as sd\n"
@@ -478,31 +479,41 @@ def test_invariant_breach_survives_optimize(code, message):
 
 
 # (what breaks, the subdivision function replaced, its replacement as source
-# that reads the original as real, argv, the stderr line naming the witness)
+# that reads the original as real, argv, the stderr line naming the witness).
+# The link walker reads b's label chains, the face's label sets and each
+# block's groups; each replacement breaks one of them.
 LINK_TAMPERS = [
-    ("repeated star word", "star_facets",
-     "lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args))",
+    # The last label chain listed twice: a walk comes again where the model
+    # has no further walk.
+    ("repeated star word", "_label_chains",
+     "lambda t: real(t) + real(t)[-1:]",
      "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): walk 1 ((1, 2), (0, 1), (1, 1))"
-     " maps to ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)));"
-     " model walk 1 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))"),
-    ("star walk repeated for one dropped", "star_facets",
-     "lambda *args: (lambda walks: walks[:1] + walks[:-1])(list(real(*args)))",
+     "invariant breach: link of ((1, 2),): walk 2 ((1, 2), (0, 1), (0, 2))"
+     " maps to ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)));"
+     " the model has no further walk through ((0, (0, 0, 0)), (0, (1, 0, 0)))"),
+    # The last label chain a copy of the one before: walk 0 comes again in
+    # the place of walk 1.
+    ("star walk repeated for one dropped", "_label_chains",
+     "lambda t: real(t)[:-1] + real(t)[-2:-1]",
      "link -k 4 -q 5 --vertex 1,2,3",
      "invariant breach: link of ((1, 2, 3),): walk 1 ((1, 2, 3), (0, 1, 2), (1, 1, 2), (1, 2, 2))"
      " maps to ((0, (0, 0, 0, 0)), (0, (1, 0, 0, 0)), (0, (1, 1, 0, 0)), (0, (1, 1, 1, 0)));"
      " model walk 1 is ((0, (0, 0, 0, 0)), (0, (1, 0, 0, 0)), (0, (1, 1, 0, 0)), (0, (1, 1, 0, 1)))"),
-    ("skipped star word", "star_facets",
-     "lambda *args: itertools.islice(real(*args), 1, None)", "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): walk 0 ((1, 2), (0, 1), (0, 2))"
-     " maps to ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)));"
-     " model walk 0 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)))"),
-    ("star walk missing the face", "star_facets",
-     "lambda v, t, q, face: real(v, t, q, {})", "link -k 3 -q 3 --face 1,1 --face 1,2",
-     "invariant breach: link of ((1, 1), (1, 2)): walk ((1, 1), (0, 0), (0, 1)):"
-     " (1, 1) and (0, 0) both map to (0, (0,))"),
-    ("no star walk", "star_facets",
-     "lambda *args: iter(())", "link -k 3 -q 3 --face 1,1 --face 1,2",
+    # The last label chain dropped: the search leaves a node with a model
+    # step untaken.
+    ("skipped star word", "_label_chains",
+     "lambda t: real(t)[:-1]", "link -k 3 -q 3 --vertex 1,2",
+     "invariant breach: link of ((1, 2),):"
+     " model walk 1 ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1))) has no preimage"),
+    # Labels mirrored (j to k + 1 - j): the face's blocks no longer hold the
+    # walk that reaches the face.
+    ("star walk missing the face", "_label_set",
+     "lambda u, b: frozenset(len(b) + 2 - j for j in real(u, b))",
+     "link -k 3 -q 3 --face 1,2 --face 2,2",
+     "invariant breach: link of ((1, 2), (2, 2)): walk 0 ((1, 2), (2, 2))"
+     " leaves block 0 but holds the face"),
+    ("no star walk", "_label_chains",
+     "lambda t: ()", "link -k 3 -q 3 --face 1,1 --face 1,2",
      "invariant breach: link of ((1, 1), (1, 2)):"
      " model walk 0 ((0, (0,)), (1, (0, 0)), (1, (1, 0))) has no preimage"),
     ("star walk off the subdivision", "_label_chains",
@@ -510,8 +521,20 @@ LINK_TAMPERS = [
      "invariant breach: star of (0, 3): walk (2, 3, 1) leaves T: [(0, 3), (0, 4)]"),
     ("one group per block", "_block_groups",
      "lambda block, b, q: [block]", "link -k 3 -q 3 --vertex 1,2",
-     "invariant breach: link of ((1, 2),): walk ((1, 2), (0, 1), (0, 2)):"
+     "invariant breach: link of ((1, 2),): walk 1 ((1, 2), (0, 1), (0, 2)):"
      " (1, 1) and (0, 2) both map to (0, (2,))"),
+    # The label chains in reverse order: the same walks, counted the same,
+    # but out of the model's order from walk 0 on.
+    ("label chains reversed", "_label_chains",
+     "lambda t: real(t)[::-1]", "link -k 4 -q 5 --vertex 1,2,3",
+     "invariant breach: link of ((1, 2, 3),): walk 0 ((1, 2, 3), (1, 2, 4))"
+     " maps to ((0, (0, 0, 0, 0)), (0, (0, 0, 0, 1)));"
+     " model walk 0 is ((0, (0, 0, 0, 0)), (0, (1, 0, 0, 0)))"),
+    ("label chains reversed on a face", "_label_chains",
+     "lambda t: real(t)[::-1]", "link -k 4 -q 5 --face 1,2,3 --face 1,2,4",
+     "invariant breach: link of ((1, 2, 3), (1, 2, 4)): walk 0 ((1, 2, 3), (1, 2, 4), (1, 3, 4))"
+     " maps to ((0, (0,)), (1, (0, 0, 0)), (1, (0, 0, 1)));"
+     " model walk 0 is ((0, (0,)), (1, (0, 0, 0)), (1, (1, 0, 0)))"),
 ]
 
 
@@ -520,10 +543,10 @@ LINK_TAMPERS = [
     "name,wrong,argv,message", [t[1:] for t in LINK_TAMPERS], ids=[t[0] for t in LINK_TAMPERS]
 )
 def test_link_tamper_names_its_witness(capsys, monkeypatch, name, wrong, argv, message, optimize):
-    """A star walker that repeats or skips a word of S_v, repeats one walk in
-    place of another, yields a walk that misses the face or no walk at all,
-    or leaves the subdivision, and a model map that is not injective, each
-    exit 1 with their witness named, in process and under python -O -X dev."""
+    """Label chains that repeat, copy, drop or reverse a chain, or that leave
+    the subdivision, label sets that move the face off its blocks, and a model
+    map that is not injective each exit 1 with their witness named, in process
+    and under python -O -X dev."""
     if optimize:
         code = ("import itertools, edgewise.cli as cli, edgewise.subdivision as sd\n"
                 f"real = sd.{name}\nsd.{name} = {wrong}\n"

@@ -43,8 +43,9 @@ from edgewise.subdivision import (
     vertex_set,
     vertex_type,
 )
-from oracles import (code_of_facet, corners, facet_code_for_permutation, link_complex,
-                     ridge_neighbors, star_walks_by_words)
+from oracles import (_model_walks, certify_link_by_walks, code_of_facet, corners,
+                     facet_code_for_permutation, link_complex, ridge_neighbors, star_facets,
+                     star_walks_by_words)
 
 SMALL_GRID = [(k, q) for k in (2, 3, 4, 5) for q in (1, 2, 3)]
 
@@ -319,10 +320,12 @@ class TestStars:
                 expected = math.factorial(k)
                 for part in lam:
                     expected //= math.factorial(part)
-                assert len(list(subdivision.star_facets(v, vertex_type(v, q), q, {}))) == expected
+                assert link_of_vertex(v, q).num_facets == expected
                 assert star_of_vertex(v, q).num_facets == expected
 
-    def test_s_v_is_every_order_of_the_label_chains(self):
+    def test_s_v_is_every_order_of_the_label_chains(self, monkeypatch):
+        # The library walker's star walks, read from the points it maps.
+        steps = record_steps(monkeypatch)
         for k in range(2, 7):
             perms = list(itertools.permutations(range(1, k + 1)))
             for q in range(1, 5):
@@ -333,7 +336,10 @@ class TestStars:
                         pi for pi in perms
                         if all([x for x in pi if x in c] == list(c) for c in chains)
                     }
-                    got = [walked_pi(F) for F in subdivision.star_facets(v, t, q, {})]
+                    steps.clear()
+                    report = link_of_vertex(v, q)
+                    walks = walks_of_steps(steps, block_signatures(report, q), 0)
+                    got = [walked_pi(F) for F in walks]
                     assert len(set(got)) == len(got)
                     assert set(got) == brute, (k, q, v)
 
@@ -352,13 +358,12 @@ class TestStars:
             star_of_vertex((0, 3), 3)
 
     def test_repeated_permutation_rejected(self, monkeypatch):
-        # The first walk, yielded twice, matches the first model walk; it is
-        # named as it comes again, in the place of the second.
-        real = subdivision.star_facets
-        monkeypatch.setattr(
-            subdivision, "star_facets",
-            lambda *args: itertools.chain(itertools.islice(real(*args), 1), real(*args)),
-        )
+        # The label chains of (1, 2) are (3,), (1,), (2,).  With the last a
+        # copy of the one before, the walk along labels 3, 1 comes twice: it
+        # matches the first model walk, and is named as it comes again, in the
+        # place of the second.
+        real = subdivision._label_chains
+        monkeypatch.setattr(subdivision, "_label_chains", lambda t: real(t)[:-1] + real(t)[-2:-1])
         first = ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)))
         second = ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))
         message = (f"link of ((1, 2),): walk 1 ((1, 2), (0, 1), (1, 1)) maps to {first};"
@@ -367,41 +372,69 @@ class TestStars:
             link_of_vertex((1, 2), 3)
 
     def test_star_walks_match_the_word_oracle(self, monkeypatch):
-        # The same walks in the same order as one _walk per listed word, and,
-        # with the label chains reversed or rotated, the same walk-off message
-        # (the same pi and walk so far) or the same walks.
-        def outcome(walks):
+        # The library walker's star walks (read from the points it maps) are
+        # one _walk per listed word, in the same order.  With the label chains
+        # reversed, rotated or split after their first label, the link of v
+        # fails exactly when the words leave T, and where the walker reaches a
+        # step off T before any model fault, its message is the oracle's (the
+        # same pi and walk so far).  Split chains keep walk 0 and leave T on a
+        # later word, one that takes a chain before an earlier one.
+        def outcome(call):
             try:
-                return list(walks)
+                return call()
             except DisagreementError as exc:
                 return str(exc)
 
+        steps = record_steps(monkeypatch)
         real = subdivision._label_chains
         grids = [(2, 3), (3, 3), (4, 3), (5, 3), (4, 5), (5, 2), (6, 2)]
-        for bend in (None, lambda c: c[::-1], lambda c: c[1:] + c[:1]):
+        bends = (
+            lambda c: (c[::-1],),
+            lambda c: (c[1:] + c[:1],),
+            lambda c: (c[:1], c[1:]) if len(c) > 1 else (c,),
+        )
+        for bend in (None, *bends):
             if bend:
                 monkeypatch.setattr(
-                    subdivision, "_label_chains", lambda t, f=bend: tuple(map(f, real(t)))
+                    subdivision, "_label_chains",
+                    lambda t, f=bend: tuple(itertools.chain(*map(f, real(t)))),
                 )
+            named = 0
             for k, q in grids:
                 for v in vertex_set(k, q):
                     t = vertex_type(v, q)
-                    walked = outcome(subdivision.star_facets(v, t, q, {}))
-                    assert walked == outcome(star_walks_by_words(v, t, q)), (bend, k, q, v)
+                    walked = outcome(lambda: list(star_walks_by_words(v, t, q)))
                     assert bend or not isinstance(walked, str)
+                    steps.clear()
+                    report = outcome(lambda: link_of_vertex(v, q))
+                    if not isinstance(report, str):
+                        walks = walks_of_steps(steps, block_signatures(report, q), 0)
+                        assert walks == walked, (bend, k, q, v)
+                        continue
+                    assert isinstance(walked, str), (bend, k, q, v)
+                    if report.startswith("star of "):
+                        assert report == walked, (bend, k, q, v)
+                        named += 1
+            assert named or not bend
 
-    def test_face_cut_keeps_the_walks_through_it(self):
-        # Asked for points at some depths, the walker yields exactly the
-        # oracle's walks that hold them there, in the oracle's order.
+    def test_face_cut_keeps_the_walks_through_it(self, monkeypatch):
+        # Cut wherever it misses the face, the library walker's star walks
+        # (read from the points it maps) are exactly the oracle's walks from
+        # the face's bottom that hold the face, in the oracle's order.
+        steps = record_steps(monkeypatch)
         for k, q in [(3, 3), (4, 3), (4, 4), (5, 2)]:
-            for v in vertex_set(k, q):
-                t = vertex_type(v, q)
-                walks = list(star_walks_by_words(v, t, q))
-                for depths in itertools.combinations(range(1, k), 2):
-                    for face in {tuple((p, W[p]) for p in depths) for W in walks}:
-                        want = dict(face)
-                        kept = [W for W in walks if all(W[p] == u for p, u in face)]
-                        assert list(subdivision.star_facets(v, t, q, want)) == kept, (v, face)
+            stars = {}
+            for face in build_complex(k, q).faces():
+                if len(face) < 2:
+                    continue
+                chain = face_chain(face, q)
+                b = chain[0]
+                if b not in stars:
+                    stars[b] = list(star_walks_by_words(b, vertex_type(b, q), q))
+                kept = [W for W in stars[b] if set(chain) <= set(W)]
+                steps.clear()
+                report = link_of_face(chain, q)
+                assert walks_of_steps(steps, block_signatures(report, q), 0) == kept, chain
 
     def test_star_walks_match_the_encoder(self):
         # Walked from v with no code, each star facet is the facet that the
@@ -409,7 +442,7 @@ class TestStars:
         # walks that pi to the facet's decoded chain.
         for k, q in [(3, 3), (4, 3), (5, 2)]:
             for v in vertex_set(k, q):
-                for F in subdivision.star_facets(v, vertex_type(v, q), q, {}):
+                for F in star_facets(v, vertex_type(v, q), q, {}):
                     pi = walked_pi(F)
                     code = facet_code_for_permutation(v, pi)
                     assert code_of_facet(F, q) == code, (v, pi)
@@ -498,17 +531,18 @@ class TestFaceLinks:
 
     def test_non_face_rejected_before_any_star_is_listed(self, monkeypatch):
         # At k = 9 the bottom vertex's star has 9! facets.
-        def listed(v, t, q, face):
-            raise AssertionError(f"listed the star of {v}")
+        def listed(t):
+            raise AssertionError(f"walked the star of a vertex of type {t}")
 
-        monkeypatch.setattr(subdivision, "star_facets", listed)
+        monkeypatch.setattr(subdivision, "_label_chains", listed)
         face = [(1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 9, 9)]
         with pytest.raises(ValueError, match="is not a face of the subdivision"):
             link_of_face(face, 10)
 
     def test_star_missing_the_face_is_a_breach(self, monkeypatch):
-        # The face's vertices are the first model walk's block bottoms.
-        monkeypatch.setattr(subdivision, "star_facets", lambda v, t, q, face: ())
+        # With no label chain the star has no walk; the face's vertices are
+        # the first model walk's block bottoms.
+        monkeypatch.setattr(subdivision, "_label_chains", lambda t: ())
         message = ("link of ((1, 1), (1, 2)):"
                    " model walk 0 ((0, (0,)), (1, (0, 0)), (1, (1, 0))) has no preimage")
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
@@ -516,18 +550,15 @@ class TestFaceLinks:
 
     def test_face_walks_only_the_facets_through_it(self, monkeypatch):
         # The 3-vertex face's link has 720 facets; the star of its bottom
-        # vertex has 8! = 40 320, and none of the others is yielded.
-        real = subdivision.star_facets
-        walked = []
-
-        def counted(*args):
-            for F in real(*args):
-                walked.append(1)
-                yield F
-
-        monkeypatch.setattr(subdivision, "star_facets", counted)
+        # vertex has 8! = 40 320.  One point is mapped per step of the 720
+        # walks' search tree, and no point of the others is mapped.
         face = [(1, 2, 3, 4, 5, 6, 7), (2, 2, 3, 4, 5, 6, 7), (2, 3, 3, 4, 5, 6, 7)]
-        assert link_of_face(face, 9).num_facets == len(walked) == 720
+        steps = record_steps(monkeypatch)
+        assert link_of_face(face, 9).num_facets == 720
+        b = face[0]
+        walks = list(star_facets(b, vertex_type(b, 9), 9, dict(zip((0, 1, 2), face))))
+        assert len(walks) == 720
+        assert len(steps) == len({F[:n] for F in walks for n in range(1, len(F) + 1)})
 
     def test_links_neither_encode_nor_decode(self, monkeypatch):
         # Stars are walked from their vertex: no code is made or read, and
@@ -595,33 +626,29 @@ class TestLinkCertificate:
                 assert find_isomorphism(link_complex(face, 3), model) is not None, face
 
     def test_one_part_model_rejected(self, monkeypatch):
-        # The hexagon's first walk against the one walk of K_(3).
-        real = subdivision._model_walks
+        # The hexagon against the one walk of K_(3): its bottom already has
+        # three group counts, the model's one.
+        real = subdivision._certify_walks
         monkeypatch.setattr(
-            subdivision, "_model_walks", lambda sigmas: real(tuple((sum(s),) for s in sigmas))
+            subdivision, "_certify_walks",
+            lambda *args: real(*args[:5], tuple((sum(s),) for s in args[5]), *args[6:]),
         )
-        message = (
-            "link of ((1, 2),): walk 0 ((1, 2), (0, 1), (1, 1)) maps to"
-            " ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 1, 0)));"
-            " model walk 0 is ((0, (0,)), (0, (1,)), (0, (2,)))"
-        )
+        message = ("link of ((1, 2),): walk 0 ((1, 2),) maps to ((0, (0, 0, 0)),);"
+                   " model walk 0 is ((0, (0,)),)")
         with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_vertex((1, 2), 3)
 
     def test_off_model_facet_rejected(self, monkeypatch):
-        # The link of (1, 2) is a hexagon.  Bending its second star walk swaps
-        # the link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}: (2, 3) walks
-        # labels 1 and 2 where (0, 2) walks 2 and 3, so the walk's image parts
-        # from the second model walk at its last point.
-        real = subdivision.star_facets
-        kept, bent = ((1, 2), (0, 1), (0, 2)), ((1, 2), (0, 1), (2, 3))
-
-        def bent_star(v, t, q, face):
-            return [bent if F == kept else F for F in real(v, t, q, face)]
-
-        monkeypatch.setattr(subdivision, "star_facets", bent_star)
+        # The link of (1, 2) is a hexagon.  Reading (0, 2)'s labels as those
+        # of (2, 3) swaps the link edge {(0, 1), (0, 2)} for {(0, 1), (2, 3)}:
+        # (2, 3) walks labels 1 and 2 where (0, 2) walks 2 and 3, so the
+        # second walk's image parts from the second model walk at its last point.
+        real = subdivision._label_set
+        monkeypatch.setattr(
+            subdivision, "_label_set", lambda u, b: real((2, 3) if u == (0, 2) else u, b)
+        )
         message = (
-            "link of ((1, 2),): walk 1 ((1, 2), (0, 1), (2, 3)) maps to"
+            "link of ((1, 2),): walk 1 ((1, 2), (0, 1), (0, 2)) maps to"
             " ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (0, 1, 1)));"
             " model walk 1 is ((0, (0, 0, 0)), (0, (1, 0, 0)), (0, (1, 0, 1)))"
         )
@@ -629,39 +656,36 @@ class TestLinkCertificate:
             link_of_vertex((1, 2), 3)
 
     def test_dropped_star_facet_rejected(self, monkeypatch):
-        # With its first walk dropped, the link's second walk stands where the
-        # first model walk, a facet of the join, is named.
+        # The label chains of (1, 1, 2) are (4,), (2, 1), (3,).  With the last
+        # dropped, the star's search leaves the node after labels 2, 4 with
+        # label 1 walked and 3 not, and the model walk that raises 3 there, a
+        # facet of the join, is named as the one with no preimage.
         face = [(1, 1, 2), (1, 2, 2)]
         sigmas = block_signatures(link_of_face(face, 3), 3)
-        first = next(subdivision._model_walks(sigmas))
-        real = subdivision.star_facets
-        monkeypatch.setattr(
-            subdivision, "star_facets", lambda *args: itertools.islice(real(*args), 1, None)
-        )
-        with pytest.raises(DisagreementError, match=f"; model walk 0 is {re.escape(str(first))}$"):
+        second = list(_model_walks(sigmas))[1]
+        real = subdivision._label_chains
+        monkeypatch.setattr(subdivision, "_label_chains", lambda t: real(t)[:-1])
+        message = f"link of ((1, 1, 2), (1, 2, 2)): model walk 1 {second} has no preimage"
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
             link_of_face(face, 3)
-        assert frozenset(first) - bottoms(sigmas) in join_of_relabelled_factors(sigmas).facets
+        assert frozenset(second) - bottoms(sigmas) in join_of_relabelled_factors(sigmas).facets
 
     def test_dropped_walk_stops_the_star(self, monkeypatch):
-        # The star of (1, ..., 7) has 8! walks.  The one after a dropped walk
-        # stands in its place and is named there: the star is entered once
-        # and left after two walks, with no second enumeration.
-        real = subdivision.star_facets
-        entered, taken = [], []
-
-        def dropped(*args):
-            entered.append(args[0])
-            walks = real(*args)
-            for n, F in enumerate(walks):
-                taken.append(F)
-                if n != 1:
-                    yield F
-
-        monkeypatch.setattr(subdivision, "star_facets", dropped)
-        with pytest.raises(DisagreementError, match=r"^link of \(\(1, 2, 3, 4, 5, 6, 7\),\): walk 1 "):
+        # The star of (1, ..., 7) has 8! walks.  With label 7's chain dropped,
+        # the search leaves the node before the last step of walk 0 with the
+        # model's step raising 7 untaken, and names that model walk there: the
+        # star is walked once, and only walk 0's 8 points are mapped.
+        real = subdivision._label_chains
+        entered = []
+        monkeypatch.setattr(
+            subdivision, "_label_chains", lambda t: entered.append(t) or real(t)[:-1]
+        )
+        steps = record_steps(monkeypatch)
+        message = "link of ((1, 2, 3, 4, 5, 6, 7),): model walk 1 "
+        with pytest.raises(DisagreementError, match=f"^{re.escape(message)}"):
             link_of_vertex((1, 2, 3, 4, 5, 6, 7), 9)
-        assert entered == [(1, 2, 3, 4, 5, 6, 7)]
-        assert len(taken) == 3
+        assert len(entered) == 1
+        assert len(steps) == 8
 
     def test_partition_off_the_model_rejected(self, monkeypatch):
         monkeypatch.setattr(VertexType, "partition", lambda self: (3,))
@@ -736,106 +760,190 @@ def bottoms(sigmas) -> set:
     return {(i, (0,) * len(sigma)) for i, sigma in enumerate(sigmas)}
 
 
-def certify_alone(walks, sigmas) -> str:
-    """The certificate's verdict on these walks of model points: "" when
-    they pass, else the message."""
+def record_steps(monkeypatch) -> list:
+    """Each star point that the link walker maps and its model point, in order:
+    one per step through the face, and one for the face's bottom."""
+    steps = []
+
+    class Recorded(subdivision._ModelPoints):
+        def __getitem__(self, u):
+            x = super().__getitem__(u)
+            steps.append((u, x))
+            return x
+
+    monkeypatch.setattr(subdivision, "_ModelPoints", Recorded)
+    return steps
+
+
+def walks_of_steps(steps, sigmas, side=1) -> list:
+    """The walks that the walker's per-step images trace (side 1), or the star
+    walks whose points it mapped (side 0): each image (i, x) stands at depth
+    |blocks before i| + sum(x), and a walk ends at each image at the last depth."""
+    starts = list(itertools.accumulate((sum(s) for s in sigmas), initial=0))
+    walk, walks = [], []
+    for step in steps:
+        i, x = step[1]
+        depth = starts[i] + sum(x)
+        walk[depth:] = [step[side]]
+        if depth == starts[-1] - 1:
+            walks.append(tuple(walk))
+    return walks
+
+
+def find_face(sigmas, grids):
+    """A face of some T_{k,q} in grids whose blocks have these group sizes, in
+    block and group order."""
+    for k, q in grids:
+        for face in build_complex(k, q).faces():
+            if face and block_signatures(link_of_face(tuple(face), q), q) == sigmas:
+                return face_chain(face, q), q
+    raise LookupError(sigmas)
+
+
+def verdict(call) -> str:
+    """"" when call() certifies, else its DisagreementError's message."""
     try:
-        subdivision._certify(walks, lambda x: x, sigmas, "alone")
+        call()
     except DisagreementError as exc:
         return str(exc)
     return ""
 
 
+def with_point(monkeypatch, change):
+    """Hand the link walker change(point) in place of its point map."""
+    real = subdivision._certify_walks
+    monkeypatch.setattr(
+        subdivision, "_certify_walks", lambda *args: real(*args[:6], change(args[6]), *args[7:])
+    )
+
+
 class TestModelLinkComplex:
-    """The model walks in _certify against the model complex built by joins,
-    which the library never lists."""
+    """The link walker's per-step images against the model walks, listed apart
+    by the oracle, and those against the model complex built by joins, which
+    the library never lists."""
 
     def test_matches_joins_on_every_face_of_t43(self, monkeypatch):
-        # Every face's walks map one by one onto the model walks, which, less
-        # their block bottoms, are the join's facets.
-        seen = []
-        real = subdivision._certify
-
-        def recording(walks, point, sigmas, where):
-            walks = list(walks)
-            seen.append(sigmas)
-            count = real(walks, point, sigmas, where)
-            model = list(subdivision._model_walks(sigmas))
-            assert [tuple(map(point, F)) for F in walks] == model, where
-            drop = bottoms(sigmas)
-            assert {frozenset(G) - drop for G in model} == join_of_relabelled_factors(sigmas).facets
-            return count
-
-        monkeypatch.setattr(subdivision, "_certify", recording)
+        # Every face's per-step images trace the model walks one by one, which,
+        # less their block bottoms, are the join's facets.
+        seen = set()
+        steps = record_steps(monkeypatch)
         for face in build_complex(4, 3).faces():
             if face:
-                link_of_face(tuple(face), 3)
-        assert {len(sigmas) for sigmas in seen} == {1, 2, 3, 4}
+                steps.clear()
+                report = link_of_face(tuple(face), 3)
+                sigmas = block_signatures(report, 3)
+                seen.add(len(sigmas))
+                model = list(_model_walks(sigmas))
+                assert walks_of_steps(steps, sigmas) == model, face
+                assert report.num_facets == len(model)
+                drop = bottoms(sigmas)
+                joined = join_of_relabelled_factors(sigmas)
+                assert {frozenset(G) - drop for G in model} == joined.facets
+        assert seen == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_joins_on_every_partition(self, k):
-        # Less their block bottoms, the model walks are the join's facets,
-        # each once, in the lex order of their words over (block, group):
-        # the order in which star_facets takes the label chains.
+        # Less their block bottoms, the oracle's model walks are the join's
+        # facets, each once, in the lex order of their words over (block,
+        # group): the order in which the walker takes the label chains.
         for lam in partitions(k):
             for sigmas in ((lam,), ((1,), lam, (2,), lam)):
                 model = join_of_relabelled_factors(sigmas)
                 assert model.num_facets == math.prod(map(multinomial, sigmas)), sigmas
-                walks = list(subdivision._model_walks(sigmas))
+                walks = list(_model_walks(sigmas))
                 assert len(walks) == model.num_facets, sigmas
                 assert {frozenset(G) - bottoms(sigmas) for G in walks} == model.facets, sigmas
                 assert all(len(G) == sum(map(sum, sigmas)) for G in walks), sigmas
                 words = [model_word(G, sigmas) for G in walks]
                 assert words == sorted(set(words)), sigmas
-                assert subdivision._certify(walks, lambda x: x, sigmas, "") == len(walks)
 
     @pytest.mark.parametrize(
         "sigmas", [((2, 1),), ((1, 1, 1),), ((2, 2),), ((1, 1), (2,)), ((1,), (1, 1), (1,))]
     )
-    def test_rule_accepts_exactly_the_model_facets(self, sigmas):
-        # In place of model walk n, a walk whose point at one depth is any
-        # point of any box passes exactly when it is model walk n; the first
-        # walk that differs is named.
-        model = list(subdivision._model_walks(sigmas))
+    def test_rule_accepts_exactly_the_model_facets(self, monkeypatch, sigmas):
+        # On a face whose model has these blocks, mapping one link vertex to
+        # any point of any box passes exactly when that is its own image; else
+        # the first walk through the vertex is named, as a collision when the
+        # point is taken already, or as off its model walk.
+        face, q = find_face(sigmas, [(3, 3), (4, 3)])
+        count, _, images = certify_link_by_walks(face, q)
+        b = face[0]
+        walks = list(star_facets(b, vertex_type(b, q), q, {}))
+        walks = [F for F in walks if set(face) <= set(F)]
+        image = dict(zip(itertools.chain(*walks), itertools.chain(*images)))
         points = [
             (i, x) for i, sigma in enumerate(sigmas)
             for x in itertools.product(*(range(top + 1) for top in sigma))
         ]
-        for n, G in enumerate(model):
-            for depth, x in itertools.product(range(len(G)), points):
-                walk = G[:depth] + (x,) + G[depth + 1 :]
-                verdict = certify_alone(model[:n] + [walk] + model[n + 1 :], sigmas)
-                if walk == G:
-                    assert verdict == "", (n, walk)
-                else:
-                    want = f"alone: walk {n} {walk} maps to {walk}; model walk {n} is {G}"
-                    assert verdict == want, (n, walk, verdict)
+        for u, x in itertools.product(image, points):
+            with_point(monkeypatch, lambda point: lambda w: x if w == u else point(w))
+            said = verdict(lambda: link_of_face(face, q))
+            if x == image[u]:
+                assert said == "", (u, x)
+            else:
+                n = next(n for n, F in enumerate(walks) if u in F)
+                assert said.startswith(f"link of {face}: walk {n} "), (u, x, said)
+                assert said.endswith(f"both map to {x}") or f"; model walk {n} is " in said, said
+        assert count == len(walks)
 
-    def test_rule_rejects_points_off_the_box(self):
+    def test_rule_rejects_points_off_the_box(self, monkeypatch):
         # (2, -2, 1) has the rank of (0, 1, 0), and a point with a coordinate
-        # too many lies in no box at all.  In place of a chain point or past
-        # the end of a whole walk, each is named with its walk.
-        sigmas = ((1, 1, 1),)
-        model = list(subdivision._model_walks(sigmas))
+        # too many lies in no box at all.  In place of the image (0, 1, 0) of
+        # (2, 2), first seen on walk 2, each is named with that walk.  A model
+        # whose walks are a point longer than the star's is refused before the
+        # first step.
+        model = list(_model_walks(((1, 1, 1),)))
         G = model[2]
         assert G[1] == (0, (0, 1, 0))
         for bad in [(0, (2, -2, 1)), (0, (0, 1, 0, 0))]:
-            for walk in (G[:1] + (bad,) + G[2:], G + (bad,)):
-                verdict = certify_alone(model[:2] + [walk], sigmas)
-                assert verdict == f"alone: walk 2 {walk} maps to {walk}; model walk 2 is {G}"
-        verdict = certify_alone(model + [G], sigmas)
-        assert verdict == f"alone: walk 6 {G} maps to {G}; the model has 6 walks"
+            with_point(monkeypatch, lambda point: lambda w: bad if w == (2, 2) else point(w))
+            want = (f"link of ((1, 2),): walk 2 ((1, 2), (2, 2)) maps to ({G[0]}, {bad});"
+                    f" model walk 2 is {G[:2]}")
+            assert verdict(lambda: link_of_vertex((1, 2), 3)) == want
+        real = subdivision._certify_walks
+        monkeypatch.setattr(
+            subdivision, "_certify_walks", lambda *args: real(*args[:5], ((1, 1, 2),), *args[6:])
+        )
+        want = "link of ((1, 2),): model walks of 4 points, not 3"
+        assert verdict(lambda: link_of_vertex((1, 2), 3)) == want
 
-    def test_single_label_blocks_give_the_empty_complex(self):
+    def test_single_label_blocks_give_the_empty_complex(self, monkeypatch):
+        # A facet's link has one walk, through all its points, one block each;
+        # with no star walk, that model walk is named.
         for n in (1, 2, 4):
             sigmas = ((1,),) * n
             assert join_of_relabelled_factors(sigmas) == SimplicialComplex([()])
             walk = tuple((i, (0,)) for i in range(n))
-            assert list(subdivision._model_walks(sigmas)) == [walk]
-            assert subdivision._certify([walk], lambda x: x, sigmas, "") == 1
-            message = f": model walk 0 {walk} has no preimage"
+            assert list(_model_walks(sigmas)) == [walk]
+            if n == 1:
+                continue
+            facet = decode_facet((0,) * (n - 1), 2)
+            steps = record_steps(monkeypatch)
+            assert link_of_face(facet, 2).num_facets == 1
+            assert walks_of_steps(steps, sigmas) == [walk]
+            monkeypatch.setattr(subdivision, "_label_chains", lambda t: ())
+            message = f"link of {facet}: model walk 0 {walk} has no preimage"
             with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
-                subdivision._certify([], lambda x: x, sigmas, "")
+                link_of_face(facet, 2)
+            monkeypatch.undo()
+
+    def test_walker_matches_the_whole_walk_certificate(self, monkeypatch):
+        # Every face of T_{k,q}, k <= 5 and q <= 4, and one vertex per run
+        # structure of T_{6,7}: the walker's count and class are those of the
+        # certificate that lists the star's walks and the model's apart and
+        # compares them whole, and its per-step images trace the model walks.
+        faces = [(tuple(face), q) for k in range(2, 6) for q in range(1, 5)
+                 for face in build_complex(k, q).faces() if face]
+        strata = {vertex_type(v, 7): v for v in vertex_set(6, 7)}
+        faces += [((v,), 7) for v in strata.values()]
+        steps = record_steps(monkeypatch)
+        for face, q in faces:
+            steps.clear()
+            report = link_of_face(face, q)
+            count, cls, images = certify_link_by_walks(face, q)
+            assert (report.num_facets, report.link_class) == (count, cls), face
+            assert walks_of_steps(steps, block_signatures(report, q)) == images, face
+        assert len(strata) == 63
 
 
 class TestLinkTypeCensus:
