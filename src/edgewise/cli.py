@@ -87,9 +87,9 @@ def _csv_lines(header: list[str], rows) -> Iterator[str]:
 
 
 class _IntTuples:
-    """build's vertices: nonempty tuples of exact ints by construction
-    (vertex_set), which _json_lines renders from one template with no type
-    guard."""
+    """build's vertices and shell's order: nonempty tuples of exact ints by
+    construction (vertex_set, and codes from itertools.product), which
+    _json_lines renders from one template with no type guard."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
@@ -118,9 +118,9 @@ def _json_lines(value) -> Iterator[str]:
     ints, tuples, lists and dicts are told apart by type alone; anything else
     goes through isinstance.
 
-    build's rows, streamed as _IntTuples and _FacetRows (never met inside an
-    item), render from templates made once from this writer's layout and key
-    memo, with no type guard.  Every other payload goes through the generic
+    build's rows and shell's order, streamed as _IntTuples and _FacetRows
+    (never met inside an item), render from templates made once from this
+    writer's layout and key memo, with no type guard.  Every other payload goes through the generic
     path and its guard.
     """
     key_text = _Memo(json.dumps).__getitem__
@@ -321,7 +321,7 @@ def _shell(args):
         "valid": True,
         "restrictions_match": True,
         "h": h,
-        "order": report.order,
+        "order": _IntTuples(report.order),
         "types": map(len, report.restrictions),
         "restrictions": rows(),
     }

@@ -165,9 +165,58 @@ class ShellingCertificate:
         return restriction_histogram(self.types, len(self.order[0]))
 
 
+def frontier_shelling(chains, faces: int) -> tuple[list, tuple[int, ...]]:
+    """(restriction positions of each facet, (h_0, ..., h_d)) of a facet
+    order, each facet a chain of d int ids that lists them in one order all
+    facets keep; DisagreementError naming both totals unless the order is
+    certified a shelling by its face count.
+
+    A ridge, the chain with one position dropped, is then one int tuple.  The
+    frontier holds each ridge seen an odd number of times: a ridge already
+    there is removed and its position joins R_j, any other is added.  A ridge
+    in the frontier lies in an earlier facet, so facet j adds at most
+    2^(d - |R_j|) faces, all of [R_j, F_j] exactly when its new faces form
+    that interval.  So sum_j 2^(d - |R_j|) is at least the face count of the
+    complex the facets span, the empty face among them, with equality exactly
+    for a shelling with these restrictions (Ziegler, Lectures on Polytopes,
+    8.1).  The caller vouches that the facets are distinct and span a complex
+    of this many faces.  Memory follows the frontier, not the facet count,
+    and restrictions share one tuple per distinct value.
+    """
+    frontier: set[tuple] = set()
+    add, remove = frontier.add, frontier.remove
+    shared: dict[tuple, tuple] = {}
+    restrictions: list[tuple[int, ...]] = []
+    chain: tuple = ()
+    for chain in chains:
+        rest, size, p = [], len(frontier), len(chain)
+        # combinations drops the last position first, then each earlier one.
+        for ridge in itertools.combinations(chain, p - 1):
+            p -= 1
+            add(ridge)
+            if len(frontier) == size:
+                remove(ridge)
+                rest.append(p)
+                size -= 1
+            else:
+                size += 1
+        rest = tuple(reversed(rest))
+        restrictions.append(shared.setdefault(rest, rest))
+    d = len(chain)
+    h = restriction_histogram(map(len, restrictions), d)
+    total = sum(n << (d - i) for i, n in enumerate(h))
+    if total != faces:
+        raise DisagreementError(
+            f"face count off: the restrictions give {total} faces, the complex has {faces}")
+    return restrictions, h
+
+
 def shell_chains(chains, num_vertices: int):
     """(restriction positions of each facet, first bad pair or None) of a
-    facet order, each facet a chain of int vertex ids in range(num_vertices).
+    facet order, each facet a chain of int vertex ids in range(num_vertices):
+    the witness kernel behind verify_shelling and, through
+    shelling.certify_order, behind the rerun that names the first bad pair
+    when frontier_shelling's count fails on shell or star-cluster.
 
     Every chain lists its vertices in one order that all facets keep (bottom
     to top), so a ridge, the chain with one position dropped, is one int

@@ -12,14 +12,20 @@ the step by that coordinate index (1-based) gives an R-labeling: every
 interval has exactly one maximal chain with a weakly increasing label word.
 So the label words of the facets of K_lam are the words over the multiset
 {1^lam_1, ..., s^lam_s}, and h_i counts those with exactly i descents.
+
+The box prod [0, r_i] also gives face counts with no complex built: it has
+prod C(r_i + m, m) multichains of length m from its bottom (Stanley, EC1
+3.12), and inverting these counts gives the strict chains.  So the
+f-vectors of K_lam, of T_{k,q} (every face a chain in one vertex's box) and
+the face count of a star cluster follow in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, prod
 
-from .combinat import des, distinct_permutations, multinomial, validate_partition
+from .combinat import cyclic_gaps, des, distinct_permutations, multinomial, validate_partition
 from .complexes import DisagreementError, SimplicialComplex, check_cap
 
 
@@ -108,3 +114,45 @@ def h_k_lambda(parts: tuple[int, ...]) -> tuple[int, ...]:
     if words != rec:
         raise DisagreementError(f"h-vector routes disagree for {parts}: {words} vs {rec}")
     return words
+
+
+def _inverted(multi) -> list[int]:
+    """The binomial inverse of multi: multi[n] counts the multichains of n
+    steps and a strict chain of m steps lies in C(n, m) of them, so there are
+    sum_{n<=m} (-1)^(m-n) C(m, n) multi[n] strict ones, for each m."""
+    return [sum((-1) ** (m - n) * comb(m, n) * multi[n] for n in range(m + 1))
+            for m in range(len(multi))]
+
+
+def f_k_lambda(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{k-2}) of K_lam: a face of m - 1 vertices is a
+    chain of m strict steps from bottom to top of the box prod [0, lam_i],
+    which has prod C(lam_i + n - 1, n - 1) multichains of n steps.  K_(1)
+    is the empty complex (1,)."""
+    validate_partition(parts)
+    k = sum(parts)
+    return tuple(_inverted([prod(_binom(m + n - 1, n - 1) for m in parts)
+                            for n in range(k + 1)])[1:])
+
+
+def f_subdivision(k: int, q: int) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{k-1}) of T_{k,q}.  Every face is a chain from the
+    bottom of its bottom vertex's unit box (Edelsbrunner-Grayson), and the
+    multichains of n steps from the bottoms of all vertex boxes are the
+    C(q(n+1) + k - 1, k - 1) vertices of T_{k,q(n+1)}, so f_m = sum_{n<=m}
+    (-1)^(m-n) C(m, n) C(q(n+1) + k - 1, k - 1)."""
+    return (1, *_inverted([comb(q * (n + 1) + k - 1, k - 1) for n in range(k)]))
+
+
+def f_star_cluster(k: int) -> int:
+    """Faces of the star cluster of an interior facet, the empty face among
+    them: the closed stars of its chain vertices, by inclusion-exclusion.  The
+    stars of the vertices S meet in the closed star of the face S, with
+    2^|S| times as many faces as its link, the join of one K_(1^g) per
+    cyclic gap g of S; K_(1^g) has a Fubini number of faces."""
+    fubini = [0, *(sum(f_k_lambda((1,) * g)) for g in range(1, k + 1))]
+    return sum(
+        (-1) ** (t - 1) * 2**t * prod(fubini[g] for g in cyclic_gaps(subset, k))
+        for t in range(1, k + 1)
+        for subset in itertools.combinations(range(1, k + 1), t)
+    )

@@ -22,9 +22,11 @@ from .complexes import (
     MAX_FACETS,
     CapacityError,
     DisagreementError,
-    restriction_histogram,
+    frontier_shelling,
+    h_from_f,
     shell_chains,
 )
+from .posets import f_subdivision
 from .subdivision import (
     Code,
     Vertex,
@@ -55,6 +57,11 @@ def predicted_restriction(code: Code) -> tuple[int, ...]:
     every ascent position i."""
     k = len(code) + 1
     return tuple(k - i for i in reversed(ascent_positions(code)))
+
+
+# The most facets whose failed count certificate certify_order reruns to
+# name the first bad pair; past it, the count's two totals are the witness.
+WITNESS_FACETS = 10**5
 
 
 def certify_order(chains, names) -> tuple[tuple[Vertex, ...], list, list]:
@@ -95,32 +102,38 @@ class SubdivisionShellingReport:
 
 
 def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> SubdivisionShellingReport:
-    """Shell the whole subdivision and check each closed-form restriction as
-    it is computed; DisagreementError names the first facet whose restriction
-    differs, by its chain vertices.
+    """Shell the whole subdivision, certified by its face count, and check
+    each closed-form restriction; DisagreementError names the first facet
+    whose restriction differs, by its chain vertices, or the failed count.
 
-    Guarded by max_facets.  Each code is decoded once and each ridge hashed
-    once.  Each vertex lies in at most k! facets, so a facet with restriction
-    R adds at most k! |R| hash probes to find a witness (3 058 777 in all at
-    k = 6, q = 10).
+    Guarded by max_facets.  Each code is decoded once and its vertices
+    numbered at first sight; frontier_shelling toggles each ridge once
+    against f(T_{k,q}) in closed form, and h_from_f of that f-vector must be
+    the restrictions' histogram.  On a failure at most WITNESS_FACETS facets
+    in, certify_order reruns the order through shell_chains to name the
+    first bad pair, if there is one.
     """
     order = shelling_order(k, q, max_facets)
-    decoded = (subdivision.decode_facet(a, q) for a in order)
-    vertices, chains, restrictions = certify_order(decoded, order)
-    for code, chain, got in zip(order, chains, restrictions):
-        want = predicted_restriction(code)
-        if got != want:
-            raise DisagreementError(
-                f"facet {code} restricts to {[vertices[chain[p]] for p in got]},"
-                f" not {[vertices[chain[p]] for p in want]}"
-            )
-    return SubdivisionShellingReport(
-        order=order,
-        vertices=vertices,
-        chains=chains,
-        restrictions=restrictions,
-        h=restriction_histogram(map(len, restrictions), k),
-    )
+    number = defaultdict(itertools.count().__next__)
+    chains = [tuple(map(number.__getitem__, subdivision.decode_facet(a, q))) for a in order]
+    vertices = tuple(number)
+    f = f_subdivision(k, q)
+    try:
+        restrictions, h = frontier_shelling(chains, sum(f))
+        for code, chain, got in zip(order, chains, restrictions):
+            want = predicted_restriction(code)
+            if got != want:
+                raise DisagreementError(
+                    f"facet {code} restricts to {[vertices[chain[p]] for p in got]},"
+                    f" not {[vertices[chain[p]] for p in want]}"
+                )
+        if h_from_f(f) != h:
+            raise DisagreementError(f"h {h} of the restrictions is not h_from_f of f = {f}")
+    except DisagreementError:
+        if len(order) <= WITNESS_FACETS:
+            certify_order((subdivision.decode_facet(a, q) for a in order), order)
+        raise
+    return SubdivisionShellingReport(order, vertices, chains, restrictions, h)
 
 
 def h_by_ascents(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[int, ...]:

@@ -185,7 +185,8 @@ def face_chain(face, q: int) -> tuple[Vertex, ...]:
     they are a chain inside one unit box (Edelsbrunner-Grayson): vertices of
     one length that, sorted by coordinate sum, rise by steps with every entry
     0 or 1, to a top at most 1 above the bottom in each coordinate.  A
-    repeated vertex is a step that does not rise.
+    repeated vertex is a step that does not rise.  Every such chain is a
+    face, which posets.f_subdivision's face count rests on too.
 
     >>> face_chain([(1, 2), (1, 1)], 3)
     ((1, 1), (1, 2))

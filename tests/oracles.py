@@ -8,14 +8,16 @@ each code's ascents, a vertex star walked one listed word at a time, a face
 link filtered out of a vertex star, the init/descent table of S_k by
 enumeration, the R-labeling of a box, join-irreducibility, a star cluster
 filtered out of the full complex, the init-then-lex shelling of the
-barycentric sphere, and a link certified the way the library did before it
-checked each step: star walks and model walks listed apart and compared whole.
+barycentric sphere, a link certified the way the library did before it
+checked each step: star walks and model walks listed apart and compared whole,
+and the f-vector of the subdivision counted one vertex box at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, prod
 from operator import sub
 
 from edgewise import subdivision
@@ -415,3 +417,18 @@ def init_shelling_order(k: int):
     if K.num_facets != len(order):
         raise DisagreementError("init-then-lex order repeated a facet")
     return K, tuple(order)
+
+
+def f_by_vertex_boxes(k: int, q: int) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{k-1}) of T_{k,q}, one vertex box at a time: the
+    faces with bottom v are the chains from the bottom of the box prod [0, r_i]
+    over v's runs of equal entries below q (a run raises from its right end),
+    which has prod C(r_i + m, m) multichains of m steps from its bottom; the
+    sum over v is inverted to strict chains."""
+    multi = [0] * k
+    for v in subdivision.vertex_set(k, q):
+        runs = [len(list(g)) for x, g in itertools.groupby(v) if x < q]
+        for m in range(k):
+            multi[m] += prod(comb(r + m, m) for r in runs)
+    return (1, *(sum((-1) ** (m - n) * comb(m, n) * multi[n] for n in range(m + 1))
+                 for m in range(k)))

@@ -330,16 +330,17 @@ def test_error_exit_codes(capsys, argv, expected):
         assert err.startswith("capacity: ")
 
 
-def _invalid(scan):
-    restrictions, _ = scan
+def _invalid(certified):
+    """frontier_shelling's restrictions with a histogram no shelling has."""
+    restrictions, _ = certified
     return restrictions, (0, 1)
 
 
-def _swapped(scan):
+def _swapped(certified):
     """The first and last restrictions swapped: h keeps, two types move."""
-    restrictions, witness = scan
+    restrictions, h = certified
     restrictions[0], restrictions[-1] = restrictions[-1], restrictions[0]
-    return restrictions, witness
+    return restrictions, h
 
 
 def _h_ends_in_1(report):
@@ -356,21 +357,21 @@ BREACHES = [
      lambda f: lambda k, q: (1, 2, 1, 0), "hvector -k 3 -q 2"),
     ("h_k of the ball is nonzero", cli, "h_routes",
      lambda f: lambda k, q, m: {name: (1, 2, 0, 1) for name in f(k, q, m)}, "hvector -k 3 -q 2"),
-    ("invalid shelling certificate", shelling, "shell_chains",
-     lambda f: lambda chains, n: _invalid(f(chains, n)), "shell -k 3 -q 3"),
+    ("invalid shelling certificate", shelling, "frontier_shelling",
+     lambda f: lambda chains, faces: _invalid(f(chains, faces)), "shell -k 3 -q 3"),
     ("restrictions off the closed form", shelling, "predicted_restriction",
      lambda f: lambda code: (), "shell -k 3 -q 3"),
     ("star-cluster counts disagree", starcluster, "sc_count_partition_formula",
      lambda f: lambda k: f(k) + 1, "star-cluster -k 3 -q 7"),
-    ("invalid star-cluster shelling", shelling, "shell_chains",
-     lambda f: lambda chains, n: _invalid(f(chains, n)), "star-cluster -k 3 -q 7"),
+    ("invalid star-cluster shelling", starcluster, "frontier_shelling",
+     lambda f: lambda chains, faces: _invalid(f(chains, faces)), "star-cluster -k 3 -q 7"),
     ("star-cluster h off the formula", starcluster, "sc_h_formula",
      lambda f: lambda k: (1,) * k, "star-cluster -k 3 -q 7"),
     ("star-cluster walk leaves T", starcluster, "shifted_reversal_inverse",
      lambda f: lambda sigma, j: (1,) * (len(sigma) - 1) + (len(sigma),),
      "star-cluster -k 3 -q 7"),
-    ("star-cluster type off des(label)", shelling, "shell_chains",
-     lambda f: lambda chains, n: _swapped(f(chains, n)), "star-cluster -k 3 -q 7"),
+    ("star-cluster type off des(label)", starcluster, "frontier_shelling",
+     lambda f: lambda chains, faces: _swapped(f(chains, faces)), "star-cluster -k 3 -q 7"),
     ("failed vertex link certification", subdivision, "_certify_walks",
      lambda f: lambda *args: f(*args[:5], tuple((sum(s),) for s in args[5]), *args[6:]),
      "link -k 3 -q 3 --vertex 1,2"),
@@ -440,13 +441,13 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "sc.shifted_reversal_inverse = lambda sigma, j: (1,) * (len(sigma) - 1) + (len(sigma),)\n"
          "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
          "invariant breach: star of (2, 3): walk (1, 1, 3) leaves T: [(2, 3), (3, 3), (4, 3)]"),
-        ("import edgewise.cli as cli, edgewise.shelling as sh\n"
-         "scan = sh.shell_chains\n"
-         "def swapped(chains, n):\n"
-         "    rest, witness = scan(chains, n)\n"
+        ("import edgewise.cli as cli, edgewise.starcluster as sc\n"
+         "kernel = sc.frontier_shelling\n"
+         "def swapped(chains, faces):\n"
+         "    rest, h = kernel(chains, faces)\n"
          "    rest[0], rest[-1] = rest[-1], rest[0]\n"
-         "    return rest, witness\n"
-         "sh.shell_chains = swapped\n"
+         "    return rest, h\n"
+         "sc.frontier_shelling = swapped\n"
          "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
          "invariant breach: star cluster facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
          " has restriction type 2, not des(label) = 0"),
@@ -556,6 +557,76 @@ def test_link_tamper_names_its_witness(capsys, monkeypatch, name, wrong, argv, m
     else:
         real = getattr(subdivision, name)
         monkeypatch.setattr(subdivision, name, eval(wrong, {"itertools": itertools, "real": real}))
+        rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (1, ""), err
+    assert message in err.splitlines()
+
+
+# (what breaks, [(module, name, replacement as source that reads the original
+# as real)], argv, the stderr line naming the witness).  shell and
+# star-cluster certify by one face count; each failure under
+# shelling.WITNESS_FACETS facets reruns the old path through shell_chains,
+# whose witness pair wins when it finds one.
+SHELL_TAMPERS = [
+    ("two facets swapped in the order",
+     [(shelling, "shelling_order",
+       "lambda k, q, m: (lambda o: (o[0], o[2], o[1], *o[3:]))(real(k, q, m))")],
+     "shell -k 3 -q 3",
+     "invariant breach: not a shelling: witness facets 0 (0, 0), 1 (0, 1)"),
+    ("a repeated code",
+     [(shelling, "shelling_order",
+       "lambda k, q, m: (lambda o: (o[0], o[1], o[1], *o[3:]))(real(k, q, m))")],
+     "shell -k 3 -q 3",
+     "invariant breach: not a shelling: facet 2 (1, 0) repeats facet 1 (1, 0)"),
+    ("a face count off by one",
+     [(shelling, "f_subdivision", "lambda k, q: (*real(k, q)[:-1], real(k, q)[-1] + 1)")],
+     "shell -k 3 -q 3",
+     "invariant breach: face count off: the restrictions give 38 faces, the complex has 39"),
+    ("a decode that moves one vertex",
+     [(subdivision, "decode_facet",
+       "lambda a, q: (lambda c: c if a != (1, 0) else (*c[:2], (c[2][0], c[2][1] + 1)))"
+       "(real(a, q))")],
+     "shell -k 3 -q 3",
+     "invariant breach: not a shelling: witness facets 0 (0, 0), 2 (0, 1)"),
+    # Row 11 is the layer-3 facet ((2, 3), (2, 4), (3, 4)), keys (26, 34, 35);
+    # keys (34, 35, 43) are the facet ((2, 4), (3, 4), (3, 5)) across its
+    # bottom ridge, outside the cluster (test_starcluster checks both).
+    ("a layer-3 row swapped for an outside neighbour",
+     [(starcluster, "_cluster_walks",
+       "lambda chain, q: ((*row[:2], (34, 35, 43)) if n == 11 else row"
+       " for n, row in enumerate(real(chain, q)))")],
+     "star-cluster -k 3 -q 7",
+     "invariant breach: star cluster facet 11 in layer 3, chain [(2, 4), (3, 4), (3, 5)],"
+     " holds chain vertices [] of 1..3, not 3 alone"),
+    # With no rerun, the walker's own message names the step.
+    ("a walker step that leaves T",
+     [(starcluster, "shifted_reversal_inverse",
+       "lambda sigma, j: (1,) * (len(sigma) - 1) + (len(sigma),)"),
+      (starcluster, "WITNESS_FACETS", "0")],
+     "star-cluster -k 3 -q 7",
+     "invariant breach: star of (1, 3): walk (1, 1, 3) leaves T: [(1, 3), (0, 3), (-1, 3)]"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "patches,argv,message", [t[1:] for t in SHELL_TAMPERS], ids=[t[0] for t in SHELL_TAMPERS]
+)
+def test_shelling_tamper_names_its_witness(capsys, monkeypatch, patches, argv, message, optimize):
+    """A broken order, decode, face count, star-cluster row or walker step
+    each exits 1 with its witness named, in process and under python -O -X dev."""
+    if optimize:
+        aliases = {shelling: "sh", starcluster: "sc", subdivision: "sd"}
+        code = "import edgewise.cli as cli, edgewise.shelling as sh, edgewise.starcluster as sc\n"
+        code += "import edgewise.subdivision as sd\n"
+        for module, name, wrong in patches:
+            code += f"real = {aliases[module]}.{name}\n{aliases[module]}.{name} = {wrong}\n"
+        code += f"raise SystemExit(cli.main({argv.split()!r}))\n"
+        proc = run_python("-O", "-X", "dev", "-c", code)
+        rc, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        for module, name, wrong in patches:
+            monkeypatch.setattr(module, name, eval(wrong, {"real": getattr(module, name)}))
         rc, out, err = run(capsys, *argv.split())
     assert (rc, out) == (1, ""), err
     assert message in err.splitlines()

@@ -13,8 +13,10 @@ from edgewise.complexes import (
     DisagreementError,
     SimplicialComplex,
     find_isomorphism,
+    frontier_shelling,
     h_from_f,
     join,
+    restriction_histogram,
     verify_shelling,
 )
 from edgewise.shelling import certify_order, shelling_order
@@ -300,6 +302,35 @@ class TestShellingOracle:
         assert None in witnesses
         assert any(w is not None and w[0] == 0 for w in witnesses)
         assert any(w is not None and w[0] > 0 for w in witnesses)
+
+    def test_face_count_certifies_exactly_the_shellings(self):
+        """frontier_shelling, handed the complex's face count, accepts each
+        perturbed order the quadratic scan finds a shelling, with its
+        restrictions and their histogram, and refuses every other one with
+        both totals; one face more is refused too."""
+        outcomes = []
+        for k, q in ORACLE_GRID:
+            K = SimplicialComplex(frozenset(decode_facet(a, q)) for a in shelling_order(k, q))
+            faces = sum(K.f_vector())
+            for seed in range(6):
+                for order in _perturbed_orders(k, q, seed):
+                    valid, _, restrictions, types = _quadratic_certificate(order)
+                    number = {}
+                    chains = [tuple(number.setdefault(v, len(number)) for v in sorted(F, key=sum))
+                              for F in order]
+                    outcomes.append(valid)
+                    if not valid:
+                        with pytest.raises(DisagreementError, match=f"the complex has {faces}$"):
+                            frontier_shelling(chains, faces)
+                        continue
+                    positions, h = frontier_shelling(chains, faces)
+                    got = tuple(frozenset(chain[p] for p in rest)
+                                for chain, rest in zip(chains, positions))
+                    assert got == tuple(frozenset(map(number.get, R)) for R in restrictions)
+                    assert h == restriction_histogram(types, k)
+                    with pytest.raises(DisagreementError, match=f"has {faces + 1}$"):
+                        frontier_shelling(chains, faces + 1)
+        assert True in outcomes and False in outcomes
 
     def test_witness_takes_the_first_facet_holding_the_restriction(self):
         # R_4 = {5} lies in facets 1 and 2 but not 0; R_1..R_3 are new vertices.

@@ -9,14 +9,32 @@ import tracemalloc
 import pytest
 
 from edgewise.combinat import des, distinct_permutations, eulerian_vector, partitions
-from edgewise.complexes import CapacityError, SimplicialComplex, find_isomorphism, join
+from edgewise.complexes import (
+    CapacityError,
+    SimplicialComplex,
+    find_isomorphism,
+    h_from_f,
+    join,
+)
 from edgewise.posets import (
+    f_k_lambda,
+    f_star_cluster,
+    f_subdivision,
     h_k_lambda,
     h_k_lambda_by_words,
     h_k_lambda_recurrence,
     k_lambda,
 )
-from oracles import check_r_labeling, h_k_lambda_from_complex, h_vector, is_join_irreducible
+from edgewise.shelling import h_by_binomial, h_vector_checked
+from edgewise.starcluster import base_facet_code, sc_layers
+from edgewise.subdivision import build_complex
+from oracles import (
+    check_r_labeling,
+    f_by_vertex_boxes,
+    h_k_lambda_from_complex,
+    h_vector,
+    is_join_irreducible,
+)
 
 
 def barycentric_boundary(k: int) -> SimplicialComplex:
@@ -231,3 +249,49 @@ class TestJoinIrreducible:
         with pytest.raises(CapacityError):
             is_join_irreducible(SimplicialComplex([range(25)]))
         assert not is_join_irreducible(SimplicialComplex([range(25)]), max_components=25)
+
+
+@pytest.mark.parametrize("lam", [lam for k in range(2, 7) for lam in partitions(k)])
+def test_box_count_of_k_lambda_is_its_f_vector(lam):
+    """The inverted multichain count of the box is the oracle K_lam's
+    f-vector, and h_from_f of it is K_lam's h-vector."""
+    assert f_k_lambda(lam) == k_lambda(lam).f_vector()
+    assert h_from_f(f_k_lambda(lam)) == h_k_lambda(lam)
+
+
+def test_fubini_numbers():
+    """K_(1^g), the barycentric boundary of a simplex, has a Fubini number
+    of faces; K_(1) is the empty complex."""
+    assert [sum(f_k_lambda((1,) * g)) for g in range(1, 8)] == [1, 3, 13, 75, 541, 4683, 47293]
+
+
+# Every grid with q^(k-1) <= 3 000, k <= 8 and q <= 60.
+F_GRIDS = [(k, q) for k in range(2, 9) for q in range(1, 61) if q ** (k - 1) <= 3000]
+
+
+@pytest.mark.parametrize("k,q", F_GRIDS)
+def test_closed_f_of_the_subdivision_is_the_built_one(k, q):
+    assert f_subdivision(k, q) == build_complex(k, q).f_vector()
+
+
+@pytest.mark.parametrize("k,q", [(k, q) for k in range(2, 9) for q in range(1, 9)])
+def test_closed_f_of_the_subdivision_sums_the_vertex_boxes(k, q):
+    """The closed form, the per-vertex-box count and the h routes agree."""
+    f = f_subdivision(k, q)
+    assert f == f_by_vertex_boxes(k, q)
+    assert h_from_f(f) == h_vector_checked(k, q)
+
+
+def test_closed_f_of_the_subdivision_at_the_caps():
+    """At the 10^6-facet caps, with no complex built: T_{2,q} is a path of q
+    edges, and T_{7,10}'s f-vector gives the closed h routes' h-vector."""
+    assert f_subdivision(2, 10**6) == (1, 10**6 + 1, 10**6)
+    assert h_from_f(f_subdivision(7, 10)) == h_by_binomial(7, 10)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_star_cluster_face_count_is_the_built_one(k):
+    """f_star_cluster is the face count of the complex the cluster's rows span."""
+    q = k + 3
+    rows = sc_layers(base_facet_code(k, q), q)
+    assert f_star_cluster(k) == sum(SimplicialComplex(chain for _, _, chain in rows).f_vector())

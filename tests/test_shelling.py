@@ -46,10 +46,14 @@ def test_certify_order_names_witness():
 
 
 def test_invalid_certificate_raises(monkeypatch):
+    """A failed face count reruns the order through shell_chains, whose
+    witness pair the error names."""
     scan = shelling.shell_chains
     monkeypatch.setattr(
         shelling, "shell_chains", lambda chains, n: (scan(chains, n)[0], (0, 1))
     )
+    f = shelling.f_subdivision
+    monkeypatch.setattr(shelling, "f_subdivision", lambda k, q: (*f(k, q)[:-1], f(k, q)[-1] + 1))
     with pytest.raises(DisagreementError, match=r"witness facets 0 \(0, 0\), 1 \(1, 0\)"):
         shelling_certificate(3, 3)
 

@@ -11,6 +11,7 @@ from edgewise.complexes import DisagreementError, SimplicialComplex, verify_shel
 from edgewise.posets import k_lambda
 from edgewise.shelling import certify_order
 from edgewise.starcluster import (
+    _cluster_walks,
     base_facet_code,
     sc_count_general_face,
     sc_count_inclusion_exclusion,
@@ -179,10 +180,13 @@ def test_counts_disagree_raises(monkeypatch):
 
 
 def test_invalid_shelling_raises(monkeypatch):
+    """A failed face count reruns sc_layers' rows through shell_chains, whose
+    witness pair the error names."""
     scan = shelling.shell_chains
     monkeypatch.setattr(
         shelling, "shell_chains", lambda chains, n: (scan(chains, n)[0], (0, 1))
     )
+    monkeypatch.setattr(starcluster, "f_star_cluster", lambda k: 1)
     with pytest.raises(DisagreementError, match=r"witness facets 0 \(1, 2, 3\), 1 \(1, 3, 2\)"):
         sc_shelling_and_h((1, 2), 6)
 
@@ -195,14 +199,14 @@ def test_h_off_formula_raises(monkeypatch):
 
 def test_swapped_types_raise_despite_the_histogram(monkeypatch):
     """Two facet types swapped keep h but fail the per-facet des check."""
-    scan = shelling.shell_chains
+    kernel = starcluster.frontier_shelling
 
-    def swap_types(chains, n):
-        restrictions, witness = scan(chains, n)
+    def swap_types(chains, faces):
+        restrictions, h = kernel(chains, faces)
         restrictions[0], restrictions[-1] = restrictions[-1], restrictions[0]
-        return restrictions, witness
+        return restrictions, h
 
-    monkeypatch.setattr(shelling, "shell_chains", swap_types)
+    monkeypatch.setattr(starcluster, "frontier_shelling", swap_types)
     with pytest.raises(
         DisagreementError,
         match=re.escape("facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
@@ -288,3 +292,33 @@ def test_init_lex_order_is_grouped_by_init():
     for value in set(inits):
         block = [p for p in order if init(p) == value]
         assert block == sorted(block)
+
+
+def _keys(chain, q):
+    """The walker's key of each vertex of a chain: sum_i u_i (q+1)^(i-1)."""
+    return tuple(sum(x * (q + 1) ** i for i, x in enumerate(u)) for u in chain)
+
+
+@pytest.mark.parametrize(
+    "base,q", [(base_facet_code(k, k + 3), k + 3) for k in range(2, 8)] + [((1, 3, 4, 6), 9)]
+)
+def test_walker_rows_are_sc_layers_rows(base, q):
+    """Each walked row is sc_layers' row: its layer, des of its label, and
+    its chain's keys, which rise from bottom to top."""
+    chain = decode_facet(base, q)
+    walked = list(_cluster_walks(chain, q))
+    rows = [(layer, des(label), _keys(facet, q)) for layer, label, facet in sc_layers(base, q)]
+    assert walked == rows
+    assert all(keys == tuple(sorted(keys)) for _, _, keys in rows)
+
+
+def test_outside_neighbour_tamper():
+    """The row and keys of the star-cluster tamper in test_cli: row 11 lies
+    in layer 3, and keys (34, 35, 43) are a facet of T_{3,7} across one of
+    its ridges, outside the cluster."""
+    rows = list(sc_layers((1, 2), 7))
+    layer, _, facet = rows[11]
+    K = build_complex(3, 7)
+    (neighbour,) = [F for F in K.facets if _keys(sorted(F, key=sum), 7) == (34, 35, 43)]
+    assert layer == 3 and len(neighbour & set(facet)) == 2
+    assert neighbour not in {frozenset(chain) for _, _, chain in rows}
