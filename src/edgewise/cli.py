@@ -106,6 +106,15 @@ class _FacetRows:
         self.pairs = pairs
 
 
+class _VertexLists:
+    """shell's restrictions: lists of vertices, each a nonempty tuple of
+    exact ints by construction (_walk's points), which _json_lines renders
+    from one template with no type guard."""
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+
 def _json_lines(value) -> Iterator[str]:
     """json.dumps(value, indent=2, sort_keys=True) + "\n", in pieces of whole lines.
 
@@ -118,10 +127,10 @@ def _json_lines(value) -> Iterator[str]:
     ints, tuples, lists and dicts are told apart by type alone; anything else
     goes through isinstance.
 
-    build's rows and shell's order, streamed as _IntTuples and _FacetRows
-    (never met inside an item), render from templates made once from this
-    writer's layout and key memo, with no type guard.  Every other payload goes through the generic
-    path and its guard.
+    build's rows and shell's order and restrictions, streamed as _IntTuples,
+    _FacetRows and _VertexLists (never met inside an item), render from
+    templates made once from this writer's layout and key memo, with no type
+    guard.  Every other payload goes through the generic path and its guard.
     """
     key_text = _Memo(json.dumps).__getitem__
     rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
@@ -133,6 +142,13 @@ def _json_lines(value) -> Iterator[str]:
         """whole() of a tuple of exact ints at depth."""
         head, sep, tail = layout[depth]
         return lambda row: f"[{head}{sep.join(map(str, row))}{tail}]"
+
+    def vertex_list(depth: int):
+        """whole() of a list of vertices at depth: each vertex row is made
+        once per _Memo."""
+        head, sep, tail = layout[depth]
+        vertex_row = _Memo(int_tuple(depth + 1)).__getitem__
+        return lambda row: f"[{head}{sep.join(map(vertex_row, row))}{tail}]" if row else "[]"
 
     def facet_row(depth: int):
         """whole() of {"chain": chain, "code": code} at depth, as a function
@@ -199,6 +215,8 @@ def _json_lines(value) -> Iterator[str]:
                 cells = itertools.starmap(facet_row(depth + 1), value.pairs)
             elif type(value) is _IntTuples:
                 cells = map(int_tuple(depth + 1), value.rows)
+            elif type(value) is _VertexLists:
+                cells = map(vertex_list(depth + 1), value.rows)
             else:
                 cells = map(functools.partial(whole, depth=depth + 1), value)
             done = object()
@@ -222,7 +240,8 @@ def _spaced(values) -> str:
 class _Memo(dict):
     """render(value) of each value looked up, made once and then reused; it
     starts over once it holds MEMO_ROWS values, so its memory stays bounded.
-    The CLI's one memo: JSON keys and vertex rows, build's text and CSV rows."""
+    The CLI's one memo: JSON keys and vertex rows, build's and shell's text
+    and CSV rows."""
 
     def __init__(self, render) -> None:
         super().__init__()
@@ -323,7 +342,7 @@ def _shell(args):
         "h": h,
         "order": _IntTuples(report.order),
         "types": map(len, report.restrictions),
-        "restrictions": rows(),
+        "restrictions": _VertexLists(rows()),
     }
 
     def text():
@@ -332,11 +351,13 @@ def _shell(args):
         yield "valid shelling: yes"
         yield "restrictions match closed form: yes"
         yield f"h = {h}"
+        shown = _Memo(str).__getitem__
         for code, r in zip(report.order, rows()):
-            yield f"{code} type {len(r)}: {_spaced(r)}"
+            yield f"{code} type {len(r)}: {' '.join(map(shown, r))}"
 
     def table():
-        lines = ([_spaced(code), len(r), ";".join(map(_spaced, r))]
+        spaced = _Memo(_spaced).__getitem__
+        lines = ([_spaced(code), len(r), ";".join(map(spaced, r))]
                  for code, r in zip(report.order, rows()))
         return ["code", "type", "restriction"], lines
 

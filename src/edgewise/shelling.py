@@ -45,18 +45,15 @@ def shelling_order(k: int, q: int, max_facets: int = MAX_FACETS) -> tuple[Code, 
     return tuple(sorted(facet_codes(k, q), key=lambda a: (-max(a), -sum(a), a), reverse=True))
 
 
-def ascent_positions(code: Code) -> tuple[int, ...]:
-    """1-based positions i with a_{i-1} < a_i in the padded word (0, a)."""
-    word = (0,) + tuple(code)
-    return tuple(i for i in range(1, len(word)) if word[i - 1] < word[i])
-
-
 def predicted_restriction(code: Code) -> tuple[int, ...]:
     """Restriction of the facet with this code in the shelling, as rising
     0-based chain positions: chain vertex v^(k+1-i), at position k - i, for
-    every ascent position i."""
-    k = len(code) + 1
-    return tuple(k - i for i in reversed(ascent_positions(code)))
+    every ascent position i.  Position p is ascent position k - p, so one
+    compress over the code read right to left keeps each p whose entry
+    a_(k-p) exceeds the entry before it (0 before a_1)."""
+    rev = code[::-1]
+    return tuple(itertools.compress(range(1, len(code) + 1),
+                                    map(operator.gt, rev, (*rev[1:], 0))))
 
 
 # The most facets whose failed count certificate certify_order reruns to
@@ -94,6 +91,12 @@ def certify_order(chains, names) -> tuple[tuple[Vertex, ...], list, list]:
 
 @dataclass(frozen=True)
 class SubdivisionShellingReport:
+    """A certified shelling of T_{k,q}: order lists the codes in shelling
+    order and chains[j] is the chain of vertex ids of facet order[j], bottom
+    to top, with restrictions[j] the positions in it of R_j and h their
+    histogram.  Ids are numbered in first-sight order of the lex walk of
+    subdivision.facet_chains, and vertices[u] is vertex u."""
+
     order: tuple[Code, ...]
     vertices: tuple[Vertex, ...]
     chains: list[tuple[int, ...]]
@@ -106,17 +109,26 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
     each closed-form restriction; DisagreementError names the first facet
     whose restriction differs, by its chain vertices, or the failed count.
 
-    Guarded by max_facets.  Each code is decoded once and its vertices
-    numbered at first sight; frontier_shelling toggles each ridge once
-    against f(T_{k,q}) in closed form, and h_from_f of that f-vector must be
-    the restrictions' histogram.  On a failure at most WITNESS_FACETS facets
-    in, certify_order reruns the order through shell_chains to name the
-    first bad pair, if there is one.
+    Guarded by max_facets.  One pass of subdivision.facet_chains walks and
+    step-checks every chain in lex code order, one sort and one rank per
+    (k-2)-entry prefix, and numbers each vertex at first sight; the id chains
+    are then listed in shelling order, each found by its code's lex index
+    sum_i a_i q^(k-2-i).  frontier_shelling toggles each ridge once against
+    f(T_{k,q}) in closed form, and h_from_f of that f-vector must be the
+    restrictions' histogram.  On a failure at most WITNESS_FACETS facets in,
+    certify_order reruns these chains through shell_chains to name the first
+    bad pair, if there is one.
     """
     order = shelling_order(k, q, max_facets)
     number = defaultdict(itertools.count().__next__)
-    chains = [tuple(map(number.__getitem__, subdivision.decode_facet(a, q))) for a in order]
+    chains = [tuple(map(number.__getitem__, chain)) for _, chain in subdivision.facet_chains(k, q)]
     vertices = tuple(number)
+    # The vertex dict goes before the frontier pass, and the chains go from
+    # lex to shelling order in place: a second list of q^(k-1) pointers,
+    # freed just before frontier_shelling, stayed resident through it.
+    del number
+    weights = [q**e for e in range(k - 2, -1, -1)]
+    chains[:] = [chains[sum(map(operator.mul, a, weights))] for a in order]
     f = f_subdivision(k, q)
     try:
         restrictions, h = frontier_shelling(chains, sum(f))
@@ -131,7 +143,7 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
             raise DisagreementError(f"h {h} of the restrictions is not h_from_f of f = {f}")
     except DisagreementError:
         if len(order) <= WITNESS_FACETS:
-            certify_order((subdivision.decode_facet(a, q) for a in order), order)
+            certify_order((tuple(map(vertices.__getitem__, chain)) for chain in chains), order)
         raise
     return SubdivisionShellingReport(order, vertices, chains, restrictions, h)
 

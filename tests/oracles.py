@@ -3,14 +3,15 @@
 Each is an independent oracle for an answer the library certifies another
 way: the corners of the subdivision, the code of a star's facet by its
 permutation, a facet's code read off its vertices, the facet across each
-ridge by rewriting the code, h-vectors from a built complex's face counts or
-each code's ascents, a vertex star walked one listed word at a time, a face
-link filtered out of a vertex star, the init/descent table of S_k by
-enumeration, the R-labeling of a box, join-irreducibility, a star cluster
-filtered out of the full complex, the init-then-lex shelling of the
-barycentric sphere, a link certified the way the library did before it
-checked each step: star walks and model walks listed apart and compared whole,
-and the f-vector of the subdivision counted one vertex box at a time.
+ridge by rewriting the code, each code's ascent positions, h-vectors from a
+built complex's face counts or each code's ascents, a vertex star walked one
+listed word at a time, a face link filtered out of a vertex star, the
+init/descent table of S_k by enumeration, the R-labeling of a box,
+join-irreducibility, a star cluster filtered out of the full complex, the
+init-then-lex shelling of the barycentric sphere, a link certified the way the
+library did before it checked each step: star walks and model walks listed
+apart and compared whole, and the f-vector of the subdivision counted one
+vertex box at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from edgewise import subdivision
 from edgewise.combinat import des, distinct_permutations, init, permutations_by_init
 from edgewise.complexes import CapacityError, DisagreementError, SimplicialComplex, h_from_f
 from edgewise.posets import k_lambda
-from edgewise.shelling import ascent_positions
 from edgewise.combinat import multinomial
 from edgewise.complexes import check_cap
 from edgewise.subdivision import (Code, FaceLinkClass, Vertex, face_chain, facet_codes,
@@ -127,6 +127,13 @@ def h_matrix(k: int) -> DescentInitTable:
     for pi in itertools.permutations(range(1, k + 1)):
         cells[init(pi) - 1][des(pi)] += 1
     return DescentInitTable(k, tuple(tuple(row) for row in cells))
+
+
+def ascent_positions(code: Code) -> tuple[int, ...]:
+    """1-based positions i with a_{i-1} < a_i in the padded word (0, a): the
+    definition that shelling.predicted_restriction reads in one pass."""
+    word = (0,) + tuple(code)
+    return tuple(i for i in range(1, len(word)) if word[i - 1] < word[i])
 
 
 def h_by_code_ascents(k: int, q: int) -> tuple[int, ...]:

@@ -582,10 +582,11 @@ SHELL_TAMPERS = [
      [(shelling, "f_subdivision", "lambda k, q: (*real(k, q)[:-1], real(k, q)[-1] + 1)")],
      "shell -k 3 -q 3",
      "invariant breach: face count off: the restrictions give 38 faces, the complex has 39"),
+    # The certificate reads each chain from facet_chains' one lex pass.
     ("a decode that moves one vertex",
-     [(subdivision, "decode_facet",
-       "lambda a, q: (lambda c: c if a != (1, 0) else (*c[:2], (c[2][0], c[2][1] + 1)))"
-       "(real(a, q))")],
+     [(subdivision, "facet_chains",
+       "lambda k, q: ((a, c if a != (1, 0) else (*c[:2], (c[2][0], c[2][1] + 1)))"
+       " for a, c in real(k, q))")],
      "shell -k 3 -q 3",
      "invariant breach: not a shelling: witness facets 0 (0, 0), 2 (0, 1)"),
     # Row 11 is the layer-3 facet ((2, 3), (2, 4), (3, 4)), keys (26, 34, 35);
@@ -666,6 +667,9 @@ REPORTS = [
     ("shell -k 3 -q 3", 0, "3df0307216160f86401d84c2f6f4643a35a9c76fe8e4c94a9a4efe4f882b8fb0"),
     ("shell -k 4 -q 2 --format json", 0, "a1198242371d22c1efea2d4ad36e5448648ebcf8d1f4e9eedaf1d057e7f93037"),
     ("shell -k 4 -q 2 --format csv", 0, "5c7c4079fc89cc40f21a1d39e32092c1078c4f35677a79d4cb9173a2b80af9d6"),
+    ("shell -k 5 -q 4 --format csv", 0, "ea45dd1741a10eec36d42bf4bcccd51cfc9e8c58190b622e32d1ef70ef2c30cf"),
+    ("shell -k 4 -q 5 --format json", 0, "a6e6b485ce008e9311c063b4476e4751fe6157b9e5d9f36287e98884f1c765e9"),
+    ("shell -k 4 -q 6", 0, "1e786cefd4170679d933605c0baa7e69e2081973353ad48cab0c8456b4004b00"),
     ("link -k 4 -q 3 --vertex 0,1,3", 0, "b9e608b5fe5845c13022da5e43df80ed9c441c627b783eecd23f79307d58bb77"),
     ("link -k 4 -q 3 --vertex 0,1,3 --format json", 0, "42bde009720c1bdde2b18ec031d9bbe3e26ac6c7d445e4e4436ab8824934b730"),
     ("link -k 3 -q 3 --face 1,1 --face 1,2", 0, "7c825aac1f8bd10b51d360b86eeb8c4bb7a7b7218445e386ecb2d48dfdc8a314"),

@@ -9,10 +9,10 @@ from edgewise.combinat import partitions as gen_partitions
 from edgewise.complexes import SimplicialComplex, join
 from edgewise.posets import h_k_lambda
 from edgewise.shelling import (
-    ascent_positions,
     h_by_binomial,
     h_by_polynomial,
     h_by_recurrence,
+    predicted_restriction,
 )
 from edgewise.subdivision import (
     decode_facet,
@@ -22,8 +22,8 @@ from edgewise.subdivision import (
     star_of_vertex,
     vertex_partition,
 )
-from oracles import (code_of_facet, h_k_lambda_from_complex, h_vector, link_complex,
-                     ridge_neighbors)
+from oracles import (ascent_positions, code_of_facet, h_k_lambda_from_complex, h_vector,
+                     link_complex, ridge_neighbors)
 
 kq = st.tuples(st.integers(2, 6), st.integers(1, 4))
 
@@ -130,6 +130,14 @@ def test_h_formula_routes_agree_widely(k, q):
 def test_ascents_bounded_by_dimension(data):
     code, q = data
     assert 0 <= len(ascent_positions(code)) <= len(code)
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=8).map(tuple))
+def test_restriction_is_the_reversed_ascents(code):
+    """The compress over the reversed code picks position k - i for each
+    ascent position i of the padded word, and nothing else."""
+    expected = tuple(len(code) + 1 - i for i in reversed(ascent_positions(code)))
+    assert predicted_restriction(code) == expected
 
 
 SMALL_PARTITIONS = [lam for n in range(2, 7) for lam in gen_partitions(n)]

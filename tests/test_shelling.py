@@ -7,7 +7,6 @@ import pytest
 from edgewise import shelling, subdivision
 from edgewise.complexes import CapacityError, DisagreementError
 from edgewise.shelling import (
-    ascent_positions,
     certify_order,
     h_by_ascents,
     h_by_binomial,
@@ -20,7 +19,7 @@ from edgewise.shelling import (
     shelling_order,
 )
 from edgewise.subdivision import build_complex, facet_codes, number_of_facets
-from oracles import h_by_code_ascents, h_vector
+from oracles import ascent_positions, h_by_code_ascents, h_vector
 
 GRID = [(k, q) for k in range(2, 6) for q in range(1, 5)]
 
@@ -36,6 +35,24 @@ def test_shelling_certificate_valid(k, q):
 def test_closed_form_restrictions_match(k, q):
     report = shelling_certificate(k, q)
     assert tuple(report.restrictions) == tuple(map(predicted_restriction, report.order))
+
+
+# Every grid of at most 3 000 facets for k = 3..8; k = 2, whose empty prefix
+# gives one facet_chains pass of q one-entry codes, up to q = 60 and at 3 000.
+SMALL_GRIDS = {k: [q for q in range(1, 3001) if q ** (k - 1) <= 3000] for k in range(3, 9)}
+SMALL_GRIDS[2] = [*range(1, 61), 3000]
+
+
+@pytest.mark.parametrize("k", sorted(SMALL_GRIDS))
+def test_certificate_chains_are_the_decoded_facets(k):
+    """The lex pass's id chains, listed in shelling order, spell each
+    code's decoded facet through the report's vertices."""
+    for q in SMALL_GRIDS[k]:
+        report = shelling_certificate(k, q)
+        assert report.order == shelling_order(k, q)
+        assert len(report.chains) == len(report.order)
+        for code, chain in zip(report.order, report.chains):
+            assert tuple(report.vertices[i] for i in chain) == subdivision.decode_facet(code, q)
 
 
 def test_certify_order_names_witness():
@@ -80,13 +97,16 @@ def test_restriction_example():
 
 
 def test_each_facet_decoded_once(monkeypatch):
-    decoded = []
-    decode = subdivision.decode_facet
+    """One walk per code, from facet_chains' lex pass; no decode_facet."""
+    walked = []
+    walk = subdivision._walk
     monkeypatch.setattr(
-        subdivision, "decode_facet", lambda code, q: decoded.append(code) or decode(code, q)
+        subdivision, "_walk", lambda v, labels, *rest: walked.append(rest) or walk(v, labels, *rest)
     )
+    monkeypatch.setattr(subdivision, "decode_facet", None)
     shelling_certificate(4, 3)
-    assert sorted(decoded) == sorted(facet_codes(4, 3))
+    assert len(walked) == 27
+    assert sorted(code for _, _, code in walked) == sorted(facet_codes(4, 3))
 
 
 @pytest.mark.parametrize("k,q", [(k, q) for k in range(2, 7) for q in range(1, 5)])
