@@ -55,8 +55,9 @@ from .subdivision import (
 SCHEMA = 1
 # The most text one write holds, unless a single piece is longer.
 CHUNK = 1 << 15
-# The most values one _Memo keeps (JSON keys, JSON vertex rows of one depth,
-# build's vertices); past this it starts over.
+# The most values one _Memo keeps (JSON keys, the vertex rows of one _Rows
+# template, build's and shell's text and CSV vertices); past this it starts
+# over.
 MEMO_ROWS = 1 << 14
 
 
@@ -86,115 +87,68 @@ def _csv_lines(header: list[str], rows) -> Iterator[str]:
         yield ",".join(map(str, row)) + "\n"
 
 
-class _IntTuples:
-    """build's vertices and shell's order: nonempty tuples of exact ints by
-    construction (vertex_set, and codes from itertools.product), which
-    _json_lines renders from one template with no type guard."""
+class _Rows:
+    """A long list whose rows share one shape by construction, streamed by
+    _json_lines through template(layout, key_text, depth): the renderer of one
+    row at that depth, made once from the writer's layout and key memos, with
+    no type check.  Never met inside an item."""
 
-    def __init__(self, rows) -> None:
+    def __init__(self, rows, template) -> None:
         self.rows = rows
+        self.template = template
 
 
-class _FacetRows:
-    """build's facets: {"chain": chain, "code": code} for each (code, chain)
-    of subdivision.facet_chains.  Codes come from itertools.product and
-    chains from _walk, so a code and each vertex of a chain are nonempty
-    tuples of exact ints by construction, and _json_lines renders the rows
-    from one template with no type guard."""
-
-    def __init__(self, pairs) -> None:
-        self.pairs = pairs
+def _int_tuple(layout, key_text, depth: int):
+    """A nonempty tuple of exact ints at depth: build's vertices and shell's
+    order (vertex_set, and codes from itertools.product)."""
+    head, sep, tail = layout[depth]
+    return lambda row: f"[{head}{sep.join(map(str, row))}{tail}]"
 
 
-class _VertexLists:
-    """shell's restrictions: lists of vertices, each a nonempty tuple of
-    exact ints by construction (_walk's points), which _json_lines renders
-    from one template with no type guard."""
+def _vertex_list(layout, key_text, depth: int):
+    """A list of vertices at depth, each a nonempty tuple of exact ints:
+    shell's restrictions (_walk's points).  Each vertex row is made once per
+    _Memo."""
+    head, sep, tail = layout[depth]
+    vertex_row = _Memo(_int_tuple(layout, key_text, depth + 1)).__getitem__
+    return lambda row: f"[{head}{sep.join(map(vertex_row, row))}{tail}]" if row else "[]"
 
-    def __init__(self, rows) -> None:
-        self.rows = rows
+
+def _facet_row(layout, key_text, depth: int):
+    """{"chain": chain, "code": code} at depth, from each (code, chain) of
+    subdivision.facet_chains: a code and each vertex of a chain are nonempty
+    tuples of exact ints.  The text around the two lists is made once, and
+    each vertex row once per _Memo."""
+    head, sep, tail = layout[depth]
+    open_list, cell, close_list = layout[depth + 1]
+    vertex_row = _Memo(_int_tuple(layout, key_text, depth + 2)).__getitem__
+    start = f"{{{head}{key_text('chain')}: [{open_list}"
+    middle = f"{close_list}]{sep}{key_text('code')}: [{open_list}"
+    end = f"{close_list}]{tail}}}"
+
+    def row(pair) -> str:
+        code, chain = pair
+        return (start + cell.join(map(vertex_row, chain)) + middle
+                + cell.join(map(str, code)) + end)
+
+    return row
 
 
 def _json_lines(value) -> Iterator[str]:
     """json.dumps(value, indent=2, sort_keys=True) + "\n", in pieces of whole lines.
 
     A dict streams entry by entry and a list, a tuple or any other iterable
-    item by item, so a lazy iterable is never held whole; each item is
-    rendered whole.  json.dumps renders only the scalars and the keys, which
-    must be strings.  Keys render through one _Memo, and inside an item a list
-    of tuples of type-int entries (a chain of vertices; (True, False) is an
-    equal key that renders otherwise) through one _Memo per depth.  Exact
-    ints, tuples, lists and dicts are told apart by type alone; anything else
-    goes through isinstance.
-
-    build's rows and shell's order and restrictions, streamed as _IntTuples,
-    _FacetRows and _VertexLists (never met inside an item), render from
-    templates made once from this writer's layout and key memo, with no type
-    guard.  Every other payload goes through the generic path and its guard.
+    item by item, so a lazy iterable is never held whole; keys, which must be
+    strings, render through one _Memo.  json.dumps renders each scalar, each
+    empty dict and each item but an exact int, whole, with default=list so
+    that a lazy iterable inside an item renders as a list.  A _Rows streams
+    its rows through its template instead.
     """
     key_text = _Memo(json.dumps).__getitem__
-    rows = _Memo(lambda depth: _Memo(functools.partial(whole, depth=depth)))
     # (opening, separator, closing) of the cells of a container at each depth.
     layout = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
                                   "\n" + "  " * depth))
-
-    def int_tuple(depth: int):
-        """whole() of a tuple of exact ints at depth."""
-        head, sep, tail = layout[depth]
-        return lambda row: f"[{head}{sep.join(map(str, row))}{tail}]"
-
-    def vertex_list(depth: int):
-        """whole() of a list of vertices at depth: each vertex row is made
-        once per _Memo."""
-        head, sep, tail = layout[depth]
-        vertex_row = _Memo(int_tuple(depth + 1)).__getitem__
-        return lambda row: f"[{head}{sep.join(map(vertex_row, row))}{tail}]" if row else "[]"
-
-    def facet_row(depth: int):
-        """whole() of {"chain": chain, "code": code} at depth, as a function
-        of (code, chain): the text around the two lists is made once, and
-        each vertex row once per _Memo."""
-        head, sep, tail = layout[depth]
-        open_list, cell, close_list = layout[depth + 1]
-        vertex_row = _Memo(int_tuple(depth + 2)).__getitem__
-        start = f"{{{head}{key_text('chain')}: [{open_list}"
-        middle = f"{close_list}]{sep}{key_text('code')}: [{open_list}"
-        end = f"{close_list}]{tail}}}"
-
-        def row(code, chain) -> str:
-            return (start + cell.join(map(vertex_row, chain)) + middle
-                    + cell.join(map(str, code)) + end)
-
-        return row
-
-    def whole(value, depth: int) -> str:
-        kind = type(value)
-        if kind is int:
-            return str(value)
-        if kind is tuple or kind is list:
-            items = value
-        elif kind is dict or isinstance(value, dict):
-            if not value:
-                return "{}"
-            head, sep, tail = layout[depth]
-            cells = [f"{key_text(key)}: {whole(item, depth + 1)}"
-                     for key, item in sorted(value.items())]
-            return f"{{{head}{sep.join(cells)}{tail}}}"
-        elif isinstance(value, (str, int, float)) or value is None:
-            return json.dumps(value)
-        else:
-            items = list(value)
-        if not items:
-            return "[]"
-        kinds = {*map(type, items)}
-        if kinds == {int}:
-            cells = map(str, items)
-        elif kinds == {tuple} and {*map(type, itertools.chain.from_iterable(items))} == {int}:
-            cells = map(rows[depth + 1].__getitem__, items)
-        else:
-            cells = [whole(item, depth + 1) for item in items]
-        head, sep, tail = layout[depth]
-        return f"[{head}{sep.join(cells)}{tail}]"
+    dumps = functools.partial(json.dumps, indent=2, sort_keys=True, default=list)
 
     def stream(value, depth: int, head: str, tail: str) -> Iterator[str]:
         """The lines of head, then value at the given depth, then tail."""
@@ -209,16 +163,14 @@ def _json_lines(value) -> Iterator[str]:
                                   "," if i < last else "")
             yield f"{indent}}}{tail}\n"
         elif isinstance(value, (str, int, float, dict)) or value is None:
-            yield f"{head}{whole(value, depth)}{tail}\n"
+            yield f"{head}{json.dumps(value)}{tail}\n"
         else:
-            if type(value) is _FacetRows:
-                cells = itertools.starmap(facet_row(depth + 1), value.pairs)
-            elif type(value) is _IntTuples:
-                cells = map(int_tuple(depth + 1), value.rows)
-            elif type(value) is _VertexLists:
-                cells = map(vertex_list(depth + 1), value.rows)
+            if type(value) is _Rows:
+                cells = map(value.template(layout, key_text, depth + 1), value.rows)
             else:
-                cells = map(functools.partial(whole, depth=depth + 1), value)
+                nested = "\n" + inner
+                cells = (str(item) if type(item) is int else dumps(item).replace("\n", nested)
+                         for item in value)
             done = object()
             prev = next(cells, done)
             if prev is done:
@@ -240,8 +192,8 @@ def _spaced(values) -> str:
 class _Memo(dict):
     """render(value) of each value looked up, made once and then reused; it
     starts over once it holds MEMO_ROWS values, so its memory stays bounded.
-    The CLI's one memo: JSON keys and vertex rows, build's and shell's text
-    and CSV rows."""
+    The CLI's one memo: JSON keys, the vertex rows of _Rows templates, and
+    the vertices of build's and shell's text and CSV rows."""
 
     def __init__(self, render) -> None:
         super().__init__()
@@ -262,11 +214,13 @@ def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_grid(args: argparse.Namespace) -> None:
-    """k and q in range, and k-1 coordinates in every --vertex, --face and
-    --base tuple; subdivision.face_chain refuses a --face list that is not a
-    face, a repeated vertex included."""
+    """k and q in range, no negative --max-facets, and k-1 coordinates in
+    every --vertex, --face and --base tuple; subdivision.face_chain refuses a
+    --face list that is not a face, a repeated vertex included."""
     validate_kq(args.k, args.q)
     given = vars(args)
+    if given.get("max_facets", 0) < 0:
+        raise ValueError(f"--max-facets {args.max_facets} is negative")
     for point in [*given.get("face", ()), given.get("vertex"), given.get("base")]:
         if point is not None and len(point) != args.k - 1:
             raise ValueError(f"{point} has {len(point)} coordinates, not k-1 = {args.k - 1}")
@@ -280,8 +234,8 @@ def _build(args):
     payload = {
         "num_vertices": num_vertices,
         "num_facets": total,
-        "vertices": _IntTuples(vertex_set(k, q)),
-        "facets": _FacetRows(facet_chains(k, q)),
+        "vertices": _Rows(vertex_set(k, q), _int_tuple),
+        "facets": _Rows(facet_chains(k, q), _facet_row),
     }
 
     def text():
@@ -340,9 +294,9 @@ def _shell(args):
         "valid": True,
         "restrictions_match": True,
         "h": h,
-        "order": _IntTuples(report.order),
+        "order": _Rows(report.order, _int_tuple),
         "types": map(len, report.restrictions),
-        "restrictions": _VertexLists(rows()),
+        "restrictions": _Rows(rows(), _vertex_list),
     }
 
     def text():

@@ -143,7 +143,7 @@ def shelling_certificate(k: int, q: int, max_facets: int = MAX_FACETS) -> Subdiv
             raise DisagreementError(f"h {h} of the restrictions is not h_from_f of f = {f}")
     except DisagreementError:
         if len(order) <= WITNESS_FACETS:
-            certify_order((tuple(map(vertices.__getitem__, chain)) for chain in chains), order)
+            certify_order(chains, order)
         raise
     return SubdivisionShellingReport(order, vertices, chains, restrictions, h)
 

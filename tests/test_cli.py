@@ -108,6 +108,34 @@ def test_build_json_is_json_dumps_of_the_payload(capsys, k, q):
     assert (rc, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("q", range(1, 5))
+def test_shell_json_is_json_dumps_of_the_payload(capsys, k, q):
+    """shell's JSON order and restriction rows, rendered from templates, are
+    what json.dumps makes of the whole payload, listed here from
+    shelling_order, predicted_restriction and decode_facet; h is the
+    histogram of the types, less its structurally zero last entry."""
+    order = shelling.shelling_order(k, q)
+    rests = [shelling.predicted_restriction(a) for a in order]
+    types = list(map(len, rests))
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": "shell",
+        "k": k,
+        "q": q,
+        "num_facets": q ** (k - 1),
+        "valid": True,
+        "restrictions_match": True,
+        "h": [types.count(i) for i in range(k)],
+        "order": order,
+        "types": types,
+        "restrictions": [[subdivision.decode_facet(a, q)[p] for p in r]
+                         for a, r in zip(order, rests)],
+    }
+    rc, out, _ = run(capsys, "shell", "-k", str(k), "-q", str(q), "--format", "json")
+    assert (rc, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def test_shell_reports_match(capsys):
     rc, out, _ = run(capsys, "shell", "-k", "4", "-q", "3", "--format", "json")
     assert rc == 0
@@ -321,6 +349,9 @@ def test_determinism(capsys):
         # a non-face whose bottom vertex's star is past the facet cap
         (("link", "-k", "10", "-q", "11", "--face", "1,2,3,4,5,6,7,8,9",
           "--face", "3,4,5,6,7,8,9,10,10"), 2),
+        # a negative cap is a usage error, a zero cap refuses a report past it
+        (("shell", "-k", "3", "-q", "2", "--max-facets", "-1"), 2),
+        (("shell", "-k", "3", "-q", "2", "--max-facets", "0"), 3),
     ],
 )
 def test_error_exit_codes(capsys, argv, expected):

@@ -199,25 +199,34 @@ def test_json_writer_streams_a_generator_as_a_list(items):
         assert streamed(wrap(x for x in items)) == dumped(wrap(items))
 
 
-# build's rows: nonempty tuples of ints, and (code, chain) pairs of them.
+# build's rows: nonempty tuples of ints, and (code, chain) pairs of them;
+# shell's restrictions: lists of such tuples, empty ones too.
 int_rows = st.lists(st.integers(), min_size=1, max_size=3).map(tuple)
 facet_pairs = st.tuples(int_rows, st.lists(int_rows, min_size=1, max_size=3).map(tuple))
+vertex_lists = st.lists(int_rows, max_size=3)
 
 
-@given(st.lists(facet_pairs, max_size=4), st.lists(int_rows, max_size=4))
-def test_build_rows_render_as_their_lists(pairs, vertices):
-    """build's facet and vertex markers, streamed at two depths, render from
-    their templates as json.dumps renders the lists they stand for."""
+@given(st.lists(facet_pairs, max_size=4), st.lists(int_rows, max_size=4),
+       st.lists(vertex_lists, max_size=4))
+def test_build_rows_render_as_their_lists(pairs, vertices, restrictions):
+    """build's facet and vertex rows and shell's restriction rows, each a
+    _Rows streamed at two depths, render from their templates as json.dumps
+    renders the lists they stand for."""
     facets = [{"chain": chain, "code": code} for code, chain in pairs]
-    for wrap in (lambda f, v: {"facets": f, "vertices": v},
-                 lambda f, v: {"report": {"facets": f, "vertices": v}}):
-        marked = wrap(cli._FacetRows(iter(pairs)), cli._IntTuples(iter(vertices)))
-        assert streamed(marked) == dumped(wrap(facets, vertices))
+    for wrap in (lambda f, v, r: {"facets": f, "vertices": v, "restrictions": r},
+                 lambda f, v, r: {"report": {"facets": f, "vertices": v, "restrictions": r}}):
+        marked = wrap(cli._Rows(iter(pairs), cli._facet_row),
+                      cli._Rows(iter(vertices), cli._int_tuple),
+                      cli._Rows(iter(restrictions), cli._vertex_list))
+        assert streamed(marked) == dumped(wrap(facets, vertices, restrictions))
 
 
 def test_json_writer_memo_starts_over_when_full(monkeypatch):
+    """With room for two values, a _Rows template's vertex memo and the key
+    memo each start over and keep the bytes."""
     monkeypatch.setattr(cli, "MEMO_ROWS", 2)
     rows = [[(i, i + 1), (i, i + 1), (1, i)] for i in range(6)]
+    marked = {"restrictions": cli._Rows(iter(rows), cli._vertex_list)}
+    assert streamed(marked) == dumped({"restrictions": rows})
     keys = {f"key {i % 5}": [i, {f"key {i % 3}": i}] for i in range(7)}
-    for value in (rows, keys):
-        assert streamed(value) == dumped(value)
+    assert streamed(keys) == dumped(keys)
