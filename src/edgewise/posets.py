@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from math import comb, prod
 
-from .combinat import cyclic_gaps, des, distinct_permutations, multinomial, validate_partition
+from .combinat import cyclic_gaps, multinomial, validate_partition
 from .complexes import DisagreementError, SimplicialComplex, check_cap
 
 
@@ -69,15 +69,55 @@ def h_k_lambda_by_words(parts: tuple[int, ...]) -> tuple[int, ...]:
 
     Maximal chains of P_lam correspond to words over {1^lam_1, ..., s^lam_s};
     h_i counts the words with exactly i descents.  CapacityError before the
-    first word when there are more than MAX_FACETS of them; each word is
-    counted as it is walked, and none is kept.
+    first word when there are more than MAX_FACETS of them.  One depth-first
+    walk takes the letters in increasing order, each node carrying its last
+    letter and its descents so far, and counts each word once, at the node
+    where only one kind of letter is left: the rest of the word is forced
+    then, adding a descent when that letter is below the last.  Every other
+    node has two children or more, so the walk makes fewer steps than twice
+    the number of words, whatever k is; its stack holds at most k entries and
+    no word is kept.
     """
     validate_partition(parts)
     check_cap(multinomial(parts))
     counts = [0] * sum(parts)
-    for word in distinct_permutations([i for i, m in enumerate(parts, 1) for _ in range(m)]):
-        counts[des(word)] += 1
-    return tuple(counts)
+    left, s = list(parts), len(parts)
+    if s == 1:
+        counts[0] = 1
+        return tuple(counts)
+    # kinds: the letters with a copy left; per step taken, the stack holds its
+    # letter and the last letter and descents before it.  Letters are 0..s-1,
+    # and the root's last letter -1 is below every letter.
+    kinds, stack = s, []
+    last, d, c = -1, 0, 0
+    while True:
+        if c == s:
+            if not stack:
+                return tuple(counts)
+            c, last, d = stack.pop()
+            kinds += not left[c]
+            left[c] += 1
+            c += 1
+            continue
+        n = left[c]
+        if not n:
+            c += 1
+            continue
+        e = d + (last > c)
+        if n == 1 and kinds == 2:
+            # Taking the last c leaves one kind of letter, r: the word is
+            # forced.  The scan stops at c itself when the other letter is
+            # above c, and c > r is false either way.
+            r = 0
+            while not left[r]:
+                r += 1
+            counts[e + (c > r)] += 1
+            c += 1
+            continue
+        left[c] = n - 1
+        kinds -= n == 1
+        stack.append((c, last, d))
+        last, d, c = c, e, 0
 
 
 def _binom(n: int, j: int) -> int:

@@ -402,6 +402,30 @@ class _ModelPoints(dict):
         return x
 
 
+def _model_points(sigmas):
+    """The model points (i, x) of the join of one K_sigma per block, block by
+    block, each block's listed by the rank sum(x_g strides[i][g]) of its group
+    counts x and less its top, which is the next block's bottom: so raising
+    group g from point m leads to m + strides[i][g].  nxt[m][g] is the first
+    group from g on not yet full at point m (len(x) if none is), a row of
+    len(x) + 1 entries.  A block's rows are made in the order of its points,
+    group by group from the last: a group below its size puts g in front of
+    the rows after it, and a full group puts their first entry there."""
+    pts, strides, nxt = [], [], []
+    for i, sigma in enumerate(sigmas):
+        pts += [(i, x) for x in itertools.product(*[range(n + 1) for n in sigma])]
+        pts.pop()
+        end = len(sigma)
+        rows, stride = [(end - 1, end)] * sigma[-1] + [(end, end)], [1]
+        for g in range(end - 2, -1, -1):
+            stride.insert(0, len(rows))
+            rows = [(g, *r) for r in rows] * sigma[g] + [(r[0], *r) for r in rows]
+        strides.append(stride)
+        nxt += rows
+        nxt.pop()
+    return pts, strides, nxt
+
+
 def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
     """The number of walks from b (of type t) in its star with point want[p] at
     each depth p where that is set: a face's link, certified step by step against
@@ -421,13 +445,7 @@ def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
     k = len(b) + 1
     if sum(map(sum, sigmas)) != k:
         raise DisagreementError(f"{where}: model walks of {sum(map(sum, sigmas))} points, not {k}")
-    # The model points (i, x), block by block, each block's listed by the rank
-    # sum(x_g strides[i][g]) of its group counts x and less its top, which is the
-    # next block's bottom: so raising group g from point m leads to m + strides[i][g].
-    pts, strides = [], []
-    for i, sigma in enumerate(sigmas):
-        pts += [(i, x) for x in itertools.product(*(range(n + 1) for n in sigma))][:-1]
-        strides.append([prod(n + 1 for n in sigma[g + 1 :]) for g in range(len(sigma))])
+    pts, strides, nxt = _model_points(sigmas)
     count, points, path = 0, [b], []
     at = _ModelPoints(point, lambda u: f"{where}: walk {count} {(*points, u)}")
 
@@ -438,18 +456,12 @@ def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
         return DisagreementError(
             f"{where}: walk {count} {(*points, u)} maps to {(*images(), image)}; {rest}")
 
-    def opened(m, g):  # the first group from g on not yet full at model point m
-        i, x = pts[m]
-        while g < len(x) and x[g] == sigmas[i][g]:
-            g += 1
-        return g
-
     def dropped(g):  # the images here, then the model's first walk via g
         walk, m = list(images()), s
         while len(walk) < k:
             m += strides[pts[m][0]][g]
             walk.append(pts[m])
-            g = opened(m, 0)
+            g = nxt[m][0]
         return tuple(walk)
 
     if at[b] != pts[0]:
@@ -464,9 +476,9 @@ def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
         while c < n and taken[c] == sizes[c]:
             c += 1
         if c == n:
-            if not off and opened(s, g) < len(pts[s][1]):
+            if not off and nxt[s][g] < len(pts[s][1]):
                 raise DisagreementError(
-                    f"{where}: model walk {count} {dropped(opened(s, g))} has no preimage")
+                    f"{where}: model walk {count} {dropped(nxt[s][g])} has no preimage")
             if not path:
                 return count
             c, s, g = path.pop()
@@ -501,7 +513,7 @@ def _certify_walks(b, t, q, want, block, sigmas, point, where: str) -> int:
             path.append((c, s, g))
             off = off or depth
         else:
-            gm = opened(s, g)
+            gm = nxt[s][g]
             image = at[step]
             if gm == len(x):
                 raise fault(step, image, f"the model has no further walk through {images()}")

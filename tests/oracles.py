@@ -4,14 +4,14 @@ Each is an independent oracle for an answer the library certifies another
 way: the corners of the subdivision, the code of a star's facet by its
 permutation, a facet's code read off its vertices, the facet across each
 ridge by rewriting the code, each code's ascent positions, h-vectors from a
-built complex's face counts or each code's ascents, a vertex star walked one
-listed word at a time, a face link filtered out of a vertex star, the
-init/descent table of S_k by enumeration, the R-labeling of a box,
-join-irreducibility, a star cluster filtered out of the full complex, the
-init-then-lex shelling of the barycentric sphere, a link certified the way the
-library did before it checked each step: star walks and model walks listed
-apart and compared whole, and the f-vector of the subdivision counted one
-vertex box at a time.
+built complex's face counts, each code's ascents or each multiset word listed
+whole, a vertex star walked one listed word at a time, a face link filtered
+out of a vertex star, the init/descent table of S_k by enumeration, the
+R-labeling of a box, join-irreducibility, a star cluster filtered out of the
+full complex, the init-then-lex shelling of the barycentric sphere, a link
+certified the way the library did before it checked each step: star walks and
+model walks listed apart and compared whole, and the f-vector of the
+subdivision counted one vertex box at a time.
 """
 
 from __future__ import annotations
@@ -98,6 +98,16 @@ def h_k_lambda_from_complex(parts: tuple[int, ...]) -> tuple[int, ...]:
     indices 0..k-1) as the counting routes.
     """
     return h_vector(k_lambda(parts))
+
+
+def h_k_lambda_by_listed_words(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """h-vector of K_lam with each word over {1^lam_1, ..., s^lam_s} listed
+    whole by distinct_permutations and its descents counted by des: the word
+    route as it stood before the library counted the words in one walk."""
+    counts = [0] * sum(parts)
+    for word in distinct_permutations([i for i, m in enumerate(parts, 1) for _ in range(m)]):
+        counts[des(word)] += 1
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

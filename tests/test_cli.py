@@ -382,6 +382,11 @@ def _one_more_h0(h):
     return (h[0] + 1, *h[1:])
 
 
+def _one_less_h0(h):
+    """h less its first word, the sorted one, which has no descent."""
+    return (h[0] - 1, *h[1:])
+
+
 # (what breaks, module, name, replacement built from the original, argv)
 BREACHES = [
     ("h routes disagree", shelling, "h_by_binomial",
@@ -413,8 +418,8 @@ BREACHES = [
      "link -k 3 -q 3 --face 1,1 --face 1,2"),
     ("model h routes disagree", posets, "h_k_lambda_recurrence",
      lambda f: lambda parts: (0,) + f(parts), "classify-links -k 4 -q 3 --partition 2,2"),
-    ("model word route skips a word", posets, "distinct_permutations",
-     lambda f: lambda word: itertools.islice(f(word), 1, None),
+    ("model word route skips a word", posets, "h_k_lambda_by_words",
+     lambda f: lambda parts: _one_less_h0(f(parts)),
      "classify-links -k 4 -q 3 --partition 2,2"),
     ("star-cluster h_k nonzero", cli, "sc_shelling_and_h",
      lambda f: lambda base, q: _h_ends_in_1(f(base, q)), "star-cluster -k 3 -q 7"),
@@ -482,9 +487,9 @@ def test_invariant_breach_exits_1(capsys, monkeypatch, module, name, wrong, argv
          "raise SystemExit(cli.main(['star-cluster', '-k', '3', '-q', '7']))\n",
          "invariant breach: star cluster facet 0 label (1, 2, 3) chain [(1, 2), (2, 2), (2, 3)]"
          " has restriction type 2, not des(label) = 0"),
-        ("import itertools, edgewise.cli as cli, edgewise.posets as po\n"
-         "walk = po.distinct_permutations\n"
-         "po.distinct_permutations = lambda word: itertools.islice(walk(word), 1, None)\n"
+        ("import edgewise.cli as cli, edgewise.posets as po\n"
+         "walk = po.h_k_lambda_by_words\n"
+         "po.h_k_lambda_by_words = lambda parts: (lambda h: (h[0] - 1, *h[1:]))(walk(parts))\n"
          "raise SystemExit(cli.main(['classify-links', '-k', '4', '-q', '3', '--partition', '2,2']))\n",
          "invariant breach: h-vector routes disagree for (2, 2)"),
     ],

@@ -31,6 +31,7 @@ from edgewise.subdivision import build_complex
 from oracles import (
     check_r_labeling,
     f_by_vertex_boxes,
+    h_k_lambda_by_listed_words,
     h_k_lambda_from_complex,
     h_vector,
     is_join_irreducible,
@@ -213,6 +214,19 @@ class TestHKLambda:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_word_walk_is_the_listed_words(self):
+        # The walk against each word listed whole and its descents counted.
+        for k in range(1, 9):
+            for lam in partitions(k):
+                h = h_k_lambda_by_words(lam)
+                assert h == h_k_lambda_by_listed_words(lam), lam
+                assert sum(h) == math.factorial(k) // math.prod(map(math.factorial, lam))
+
+    def test_word_walk_work_follows_the_words(self):
+        # 999 000 words of length 1 000: listing each one whole took over a
+        # minute; the walk's steps are fewer than twice the words.
+        assert h_k_lambda_by_words((998, 1, 1)) == h_k_lambda_recurrence((998, 1, 1))
 
 
 class TestJoinIrreducible:

@@ -927,6 +927,47 @@ class TestModelLinkComplex:
                 link_of_face(facet, 2)
             monkeypatch.undo()
 
+    def test_star_with_no_walk_names_the_first_model_walk(self, monkeypatch):
+        # With no label chain the search leaves its root at once, and the
+        # dropped model walk is named in full: from each point on, it raises
+        # the first group still open there.
+        for v, q in [((1, 2), 3), ((1, 1, 2), 3), ((1, 2, 2, 3), 4), ((1, 1, 3, 3), 4)]:
+            walk = next(_model_walks(block_signatures(link_of_vertex(v, q), q)))
+            monkeypatch.setattr(subdivision, "_label_chains", lambda t: ())
+            message = f"link of ({v},): model walk 0 {walk} has no preimage"
+            with pytest.raises(DisagreementError, match=f"^{re.escape(message)}$"):
+                link_of_vertex(v, q)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_next_open_group_table(self, k):
+        # For each model point of one block sigma, of a composition of k, and
+        # of the join of two partitions of at most k points: the points are
+        # each block's box less its top, ranked by the strides, and each row
+        # holds, for every g, the first group from g on that is not full.
+        comps = [c for n in range(1, k + 1) for c in itertools.product(range(1, k + 1), repeat=n)
+                 if sum(c) == k]
+        pairs = [(s, t) for j in range(1, k) for s in partitions(j) for t in partitions(k - j)]
+        for sigmas in [*((c,) for c in comps), *pairs]:
+            pts, strides, nxt = subdivision._model_points(sigmas)
+            boxes = [[(i, x) for x in itertools.product(*(range(n + 1) for n in sigma))]
+                     for i, sigma in enumerate(sigmas)]
+            assert pts == [p for box in boxes for p in box[:-1]], sigmas
+            assert len(nxt) == len(pts), sigmas
+            for m, (i, x) in enumerate(pts):
+                sigma = sigmas[i]
+                firsts = [next((h for h in range(g, len(x)) if x[h] < sigma[h]), len(x))
+                          for g in range(len(x) + 1)]
+                assert list(nxt[m]) == firsts, (sigmas, x)
+                for g in range(len(x)):
+                    if x[g] < sigma[g]:
+                        # The raise, or the next block's bottom in place of the top.
+                        up = (i, x[:g] + (x[g] + 1,) + x[g + 1:])
+                        if up == boxes[i][-1]:
+                            up = boxes[i + 1][0] if i + 1 < len(boxes) else None
+                        there = pts[m + strides[i][g]] if m + strides[i][g] < len(pts) else None
+                        assert there == up, (sigmas, x, g)
+
     def test_walker_matches_the_whole_walk_certificate(self, monkeypatch):
         # Every face of T_{k,q}, k <= 5 and q <= 4, and one vertex per run
         # structure of T_{6,7}: the walker's count and class are those of the
